@@ -22,6 +22,7 @@ from .solvers import (
     bernoulli,
     chi_lambda,
     chi_zero,
+    closed_solve,
     inhom_closed_commutative,
     inhom_closed_noncommutative,
     inhom_closed_weight0,
@@ -63,6 +64,7 @@ __all__ = [
     "bernoulli",
     "chi_lambda",
     "chi_zero",
+    "closed_solve",
     "inhom_closed_commutative",
     "inhom_closed_noncommutative",
     "inhom_closed_weight0",

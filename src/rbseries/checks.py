@@ -19,9 +19,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence
+from math import factorial
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
+from .operators import ANTIDER, QINT, OperatorSpec, apply, tilde_apply
 from .rings import (
     Q,
     RingDescriptor,
@@ -38,9 +39,7 @@ from .solvers import (
     EquationSpec,
     SolverUsageError,
     chi_lambda,
-    inhom_closed_commutative,
-    inhom_closed_noncommutative,
-    inhom_closed_weight0,
+    closed_solve,
     picard_solve,
     spitzer_closed,
 )
@@ -90,13 +89,16 @@ def _operator(params: Mapping) -> OperatorSpec:
     return OperatorSpec(kind, rational(params.get("q", "1/2")))
 
 
+def _nonzero_weight(params: Mapping) -> OperatorSpec:
+    op = _operator(params)
+    if op.weight == 0:
+        raise DomainError("the identity needs an operator of nonzero weight")
+    return op
+
+
 def _ring(params: Mapping) -> RingDescriptor:
     dim = int(params.get("dim", 1))
     return scalar_ring() if dim == 1 else matrix_ring(dim)
-
-
-def _int(params: Mapping, key: str, default: int) -> int:
-    return int(params.get(key, default))
 
 
 def random_series(
@@ -110,6 +112,19 @@ def random_series(
     coeffs = [ring.zero()] * min_valuation
     coeffs += [random_element(ring, rng, bound) for _ in range(cap + 1 - min_valuation)]
     return TruncatedSeries(ring, cap, tuple(coeffs))
+
+
+def _samples(params: Mapping, ring: RingDescriptor, cap: int, count: int = 1,
+             min_valuation: int = 1, var_first: bool = True) -> Iterator[tuple]:
+    """`samples` tuples of `count` seeded random series; the first tuple is
+    (t, ..., t) when var_first is set."""
+    rng = random.Random(int(params.get("seed", 0)))
+    for s in range(int(params.get("samples", 10))):
+        if s == 0 and var_first:
+            yield (TruncatedSeries.var(ring, cap),) * count
+        else:
+            yield tuple(random_series(ring, cap, rng, min_valuation=min_valuation)
+                        for _ in range(count))
 
 
 def poch(q: Q, n: int) -> Q:
@@ -153,224 +168,109 @@ def q_product(form: str, q, cap: int) -> TruncatedSeries:
     raise ValueError(f"unknown product form: {form!r}")
 
 
-def _report(
-    identity_id: str,
-    params: Mapping,
-    pairs: Sequence[tuple[TruncatedSeries, TruncatedSeries]],
-    started: float,
-) -> CheckReport:
-    """Compare lhs/rhs pairs; first mismatching pair decides the report."""
-    for lhs, rhs in pairs:
-        mm = first_mismatch(lhs, rhs)
-        if mm is not None:
-            return CheckReport(
-                identity_id, dict(params), FAIL, mm, time.perf_counter() - started
-            )
-    return CheckReport(identity_id, dict(params), PASS, None, time.perf_counter() - started)
-
-
 # ----------------------------------------------------------------- the checks
+#
+# Each check yields the (lhs, rhs) pairs of its identity; run_check compares
+# them in order and stops at the first pair that differs.
+
+Pairs = Iterator[tuple[TruncatedSeries, TruncatedSeries]]
 
 
-def check_rb_axiom(params: Mapping) -> CheckReport:
+def _rb_axiom(params: Mapping) -> Pairs:
     """P(x)P(y) = P(xP(y)) + P(P(x)y) + w P(xy), for P and its tilde companion."""
-    started = time.perf_counter()
     op = _operator(params)
     ring = _ring(params)
-    cap = _int(params, "order", 16)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
+    cap = int(params.get("order", 16))
     w = op.weight
     min_val = 0 if op.kind == ANTIDER else 1
-    for _ in range(samples):
-        x = random_series(ring, cap, rng, min_valuation=min_val)
-        y = random_series(ring, cap, rng, min_valuation=min_val)
+    for x, y in _samples(params, ring, cap, 2, min_val, var_first=False):
         xy = x * y  # shared by both operators
         for p in (lambda s: apply(op, s), lambda s: tilde_apply(op, s)):
             px, py = p(x), p(y)
-            lhs = px * py
-            rhs = p(x * py) + p(px * y) + p(xy).scale(w)
-            mm = first_mismatch(lhs, rhs)
-            if mm is not None:
-                return CheckReport(
-                    "rb-axiom", dict(params), FAIL, mm, time.perf_counter() - started
-                )
-    return CheckReport("rb-axiom", dict(params), PASS, None, time.perf_counter() - started)
+            yield px * py, p(x * py) + p(px * y) + p(xy).scale(w)
 
 
-def check_kingman(params: Mapping) -> CheckReport:
+def _kingman(params: Mapping) -> Pairs:
     """w P(u)^n = P((-Pt(u))^n - P(u)^n) for n = 1..nmax."""
-    started = time.perf_counter()
-    op = _operator(params)
-    if op.weight == 0:
-        return CheckReport("kingman", dict(params), DOMAIN_ERROR, None,
-                           time.perf_counter() - started)
+    op = _nonzero_weight(params)
     ring = _ring(params)
-    cap = _int(params, "order", 12)
-    nmax = _int(params, "nmax", 6)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
-    pairs = []
-    for s in range(samples):
-        u = TruncatedSeries.var(ring, cap) if s == 0 else random_series(ring, cap, rng)
+    cap = int(params.get("order", 12))
+    nmax = int(params.get("nmax", 6))
+    for (u,) in _samples(params, ring, cap):
         pu = apply(op, u)
         ptu = tilde_apply(op, u)
         for n in range(1, nmax + 1):
-            lhs = pu.pow(n).scale(op.weight)
-            rhs = apply(op, (-ptu).pow(n) - pu.pow(n))
-            pairs.append((lhs, rhs))
-    return _report("kingman", params, pairs, started)
+            yield pu.pow(n).scale(op.weight), apply(op, (-ptu).pow(n) - pu.pow(n))
 
 
-def _nested(op: OperatorSpec, a: TruncatedSeries, k: int,
-            inner: Optional[TruncatedSeries] = None) -> TruncatedSeries:
-    """P(a ... P(a P(inner)) ...) with k nestings of a; inner omitted for the
-    homogeneous pattern P(a...P(a)...)."""
-    if inner is not None:
-        out = apply(op, inner)
-    else:
-        out = TruncatedSeries.one(a.ring, a.cap)
+def _nested(op: OperatorSpec, a: TruncatedSeries, k: int) -> TruncatedSeries:
+    """P(a P(a ... P(a) ...)) with k nestings of a; 1 for k = 0."""
+    out = TruncatedSeries.one(a.ring, a.cap)
     for _ in range(k):
         out = apply(op, a * out)
     return out
 
 
-def check_lemma_iteration(params: Mapping) -> CheckReport:
+def _lemma_iteration(params: Mapping) -> Pairs:
     """Weight-0 commutative iteration lemma, items A and B."""
-    started = time.perf_counter()
-    item = str(params.get("item", "A")).upper()
     op = OperatorSpec(ANTIDER)
     ring = scalar_ring()
-    cap = _int(params, "order", 12)
-    kmax = _int(params, "kmax", 6)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
-    pairs = []
-    for s in range(samples):
-        a = TruncatedSeries.var(ring, cap) if s == 0 else random_series(
-            ring, cap, rng, min_valuation=0)
+    cap = int(params.get("order", 12))
+    kmax = int(params.get("kmax", 6))
+    for (a,) in _samples(params, ring, cap, min_valuation=0):
         nested = [_nested(op, a, k) for k in range(kmax + 2)]
         pa = apply(op, a)
         for k in range(kmax + 1):
-            if item == "A":
-                pairs.append((nested[k], pa.pow(k).scale(Q(1, _factorial(k)))))
+            if params["item"] == "A":
+                yield nested[k], pa.pow(k).scale(Q(1, factorial(k)))
             else:
                 acc = TruncatedSeries.zero(ring, cap)
                 for l in range(k + 1):
                     term = nested[k + 1 - l] * nested[l]
                     acc = acc + (term if l % 2 == 0 else -term)
-                rhs = nested[k + 1] if k % 2 == 0 else -nested[k + 1]
-                pairs.append((acc, rhs))
-    ident = "lemma-iter-a" if item == "A" else "lemma-iter-b"
-    return _report(ident, params, pairs, started)
+                yield acc, nested[k + 1] if k % 2 == 0 else -nested[k + 1]
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def check_spitzer(params: Mapping) -> CheckReport:
+def _spitzer(params: Mapping) -> Pairs:
     """Closed Spitzer exponential against the Picard sum, commutative setting."""
-    started = time.perf_counter()
     op = _operator(params)
-    ring = scalar_ring()
-    cap = _int(params, "order", 20)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
-    pairs = []
-    for s in range(samples):
-        a = TruncatedSeries.var(ring, cap) if s == 0 else random_series(ring, cap, rng)
-        closed = spitzer_closed(op, a)
-        iterated = picard_solve(EquationSpec(HOMOGENEOUS, op, a))
-        pairs.append((closed, iterated))
-    return _report("spitzer", params, pairs, started)
+    for (a,) in _samples(params, scalar_ring(), int(params.get("order", 20))):
+        yield spitzer_closed(op, a), picard_solve(EquationSpec(HOMOGENEOUS, op, a))
 
 
-def check_generalized_spitzer(params: Mapping) -> CheckReport:
-    """Closed inhomogeneous solutions against the Picard fixed point."""
-    started = time.perf_counter()
+def _generalized_spitzer(params: Mapping) -> Pairs:
+    """Closed inhomogeneous solutions, left and right, against the Picard fixed point."""
     op = _operator(params)
     ring = _ring(params)
-    cap = _int(params, "order", 12)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
-    ident = _gen_spitzer_id(op, ring)
-    pairs = []
-    for s in range(samples):
-        if s == 0:
-            a0 = a1 = TruncatedSeries.var(ring, cap)
-        else:
-            a0 = random_series(ring, cap, rng)
-            a1 = random_series(ring, cap, rng)
-        eq = EquationSpec(INHOM_LEFT, op, a1, a0)
-        if ring.commutative and op.weight != 0:
-            closed = inhom_closed_commutative(eq)
-        elif op.weight == 0:
-            closed = inhom_closed_weight0(eq)
-        else:
-            closed = inhom_closed_noncommutative(eq, "left")
-        pairs.append((closed, picard_solve(eq)))
-        if not ring.commutative and op.weight != 0:
-            eq_r = EquationSpec(INHOM_RIGHT, op, a1, a0)
-            pairs.append((inhom_closed_noncommutative(eq_r, "right"), picard_solve(eq_r)))
-    return _report(ident, params, pairs, started)
+    for a0, a1 in _samples(params, ring, int(params.get("order", 12)), 2):
+        for form in (INHOM_LEFT, INHOM_RIGHT):
+            eq = EquationSpec(form, op, a1, a0)
+            yield closed_solve(eq), picard_solve(eq)
 
 
-def _gen_spitzer_id(op: OperatorSpec, ring: RingDescriptor) -> str:
-    if op.weight == 0:
-        return "gen-spitzer-weight0"
-    return "gen-spitzer-comm" if ring.commutative else "gen-spitzer-noncomm"
-
-
-def check_bch_chl_factorization(params: Mapping) -> CheckReport:
+def _bch_chl_factorization(params: Mapping) -> Pairs:
     """exp(-w a) = exp(P(chi(a))) exp(Pt(chi(a)))."""
-    started = time.perf_counter()
-    op = _operator(params)
-    if op.weight == 0:
-        return CheckReport("bch-chl-factorization", dict(params), DOMAIN_ERROR, None,
-                           time.perf_counter() - started)
+    op = _nonzero_weight(params)
     ring = _ring(params)
-    cap = _int(params, "order", 10)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
-    pairs = []
-    for _ in range(samples):
-        a = random_series(ring, cap, rng)
+    for (a,) in _samples(params, ring, int(params.get("order", 10)), var_first=False):
         chi = chi_lambda(op, a)
-        lhs = a.scale(-op.weight).exp()
-        rhs = apply(op, chi).exp() * tilde_apply(op, chi).exp()
-        pairs.append((lhs, rhs))
-    return _report("bch-chl-factorization", params, pairs, started)
+        yield a.scale(-op.weight).exp(), apply(op, chi).exp() * tilde_apply(op, chi).exp()
 
 
-def check_special_equality(params: Mapping) -> CheckReport:
+def _special_equality(params: Mapping) -> Pairs:
     """1 - P(exp(-P(u)) (1+w a1)^-1 a1) = exp(-P(u)), and that element solves
     d = 1 + P(-(1+w a1)^-1 a1 d)."""
-    started = time.perf_counter()
-    op = _operator(params)
-    if op.weight == 0:
-        return CheckReport("special-equality", dict(params), DOMAIN_ERROR, None,
-                           time.perf_counter() - started)
+    op = _nonzero_weight(params)
     ring = scalar_ring()
-    cap = _int(params, "order", 12)
-    samples = _int(params, "samples", 10)
-    rng = random.Random(_int(params, "seed", 0))
+    cap = int(params.get("order", 12))
     one = TruncatedSeries.one(ring, cap)
-    pairs = []
-    for s in range(samples):
-        a1 = TruncatedSeries.var(ring, cap) if s == 0 else random_series(ring, cap, rng)
+    for (a1,) in _samples(params, ring, cap):
         u = a1.lambda_log(op.weight)
         e_minus = (-apply(op, u)).exp()
         inv = a1.geom_inv(op.weight)
-        lhs = one - apply(op, e_minus * inv * a1)
-        pairs.append((lhs, e_minus))
+        yield one - apply(op, e_minus * inv * a1), e_minus
         # d = exp(-P(u)) solves the companion equation
-        d_rhs = one + apply(op, (-(inv * a1)) * e_minus)
-        pairs.append((e_minus, d_rhs))
-    return _report("special-equality", params, pairs, started)
+        yield e_minus, one + apply(op, (-(inv * a1)) * e_minus)
 
 
 def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
@@ -383,132 +283,83 @@ def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
     return TruncatedSeries.from_coeffs(ring, cap, coeffs)
 
 
-def check_eulerian(params: Mapping) -> CheckReport:
+def _eulerian(params: Mapping) -> Pairs:
     """q-series identities: both printed statements and corrected variants."""
-    started = time.perf_counter()
-    variant = str(params["variant"])
+    variant = params["variant"]
     q = rational(params.get("q", "1/2"))
-    cap = _int(params, "order", 30)
+    cap = int(params.get("order", 30))
     ring = scalar_ring()
     one = TruncatedSeries.one(ring, cap)
     t = TruncatedSeries.var(ring, cap)
     prod_inv = q_product("prod-one-minus-inv", q, cap)
     if variant == "prop-one-printed":
-        lhs = _q_sum(cap, q, lambda n: 2 * n - 1)
-        rhs = (one - t) * prod_inv
+        yield _q_sum(cap, q, lambda n: 2 * n - 1), (one - t) * prod_inv
     elif variant == "prop-one-corrected":
-        lhs = _q_sum(cap, q, lambda n: 2 * n - 1)
-        rhs = (one.scale(1 / q) - t) * prod_inv + one.scale(1 - 1 / q)
+        yield (_q_sum(cap, q, lambda n: 2 * n - 1),
+               (one.scale(1 / q) - t) * prod_inv + one.scale(1 - 1 / q))
     elif variant == "prop-two":
-        lhs = _q_sum(cap, q, lambda n: n)
-        rhs = prod_inv
+        yield _q_sum(cap, q, lambda n: n), prod_inv
     elif variant == "qbinomial-printed":
-        lhs = _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1)
-        rhs = q_product("prod-one-plus", q, cap)
+        yield _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1), q_product("prod-one-plus", q, cap)
     elif variant == "qbinomial-corrected":
-        lhs = _q_sum(cap, q, lambda n: n * (n + 1) // 2)
-        rhs = q_product("prod-one-plus", q, cap)
+        yield _q_sum(cap, q, lambda n: n * (n + 1) // 2), q_product("prod-one-plus", q, cap)
     elif variant == "interior-lemma":
         # prod 1/(1+q^k t) = (1+t)(1 + sum (-t)^n / ((1-q)...(1-q^n)))
-        lhs = _alternating_inverse_product(q, cap)
-        rhs = (one + t) * _q_sum(cap, q, lambda n: 0, sign=lambda n: (-1) ** n)
-    else:
-        raise KeyError(f"unknown eulerian variant: {variant!r}")
-    ident = f"eulerian-{variant}"
-    return _report(ident, params, [(lhs, rhs)], started)
+        yield (_power_sum_product(q, cap, 1, inverse=True),
+               (one + t) * _q_sum(cap, q, lambda n: 0, sign=lambda n: (-1) ** n))
 
 
-def _alternating_inverse_product(q: Q, cap: int) -> TruncatedSeries:
-    """Truncated infinite product over k >= 1 of 1/(1 + q^k t)."""
-    return _power_sum_product(q, cap, 1, inverse=True)
-
-
-def check_computation_one(params: Mapping) -> CheckReport:
+def _computation_one(params: Mapping) -> Pairs:
     """exp(-P(log(1+t))) equals the product of 1/(1+q^k t) for the q-integral."""
-    started = time.perf_counter()
     q = rational(params.get("q", "1/2"))
-    cap = _int(params, "order", 16)
+    cap = int(params.get("order", 16))
+    t = TruncatedSeries.var(scalar_ring(), cap)
+    yield ((-apply(OperatorSpec(QINT, q), t.log1p())).exp(),
+           _power_sum_product(q, cap, 1, inverse=True))
+
+
+def _eulerian_third(params: Mapping) -> Pairs:
+    """P(exp(-P(log(1+t))) t) as an explicit alternating q-Pochhammer sum."""
+    q = rational(params.get("q", "1/2"))
+    cap = int(params.get("order", 16))
     op = OperatorSpec(QINT, q)
     t = TruncatedSeries.var(scalar_ring(), cap)
-    lhs = (-apply(op, t.log1p())).exp()
-    rhs = _alternating_inverse_product(q, cap)
-    return _report("computation-one", params, [(lhs, rhs)], started)
+    rhs = _q_sum(cap, q, lambda m: 2 * m - 1, sign=lambda m: -((-1) ** m))
+    yield apply(op, (-apply(op, t.log1p())).exp() * t), rhs - TruncatedSeries.one(t.ring, cap)
 
 
-def check_eulerian_third(params: Mapping) -> CheckReport:
-    """P(exp(-P(log(1+t))) t) as an explicit alternating q-Pochhammer sum."""
-    started = time.perf_counter()
-    q = rational(params.get("q", "1/2"))
-    cap = _int(params, "order", 16)
-    op = OperatorSpec(QINT, q)
-    ring = scalar_ring()
-    t = TruncatedSeries.var(ring, cap)
-    lhs = apply(op, (-apply(op, t.log1p())).exp() * t)
-    coeffs = [Q(0)]
-    for m in range(1, cap + 1):
-        coeffs.append(-((-1) ** m) * q ** (2 * m - 1) / poch(q, m))
-    rhs = TruncatedSeries.from_coeffs(ring, cap, coeffs)
-    return _report("eulerian-third", params, [(lhs, rhs)], started)
-
-
-def check_eulerian_first_partial(params: Mapping) -> CheckReport:
+def _eulerian_first_partial(params: Mapping) -> Pairs:
     """The nested inhomogeneous sum for a0 = a1 = t against its explicit
     q-binomial form qt/(1-q) + sum_{n>=2} q^(n(n+1)/2-1) t^n / poch(n)."""
-    started = time.perf_counter()
     q = rational(params.get("q", "1/2"))
-    cap = _int(params, "order", 16)
-    op = OperatorSpec(QINT, q)
-    ring = scalar_ring()
-    t = TruncatedSeries.var(ring, cap)
-    lhs = picard_solve(EquationSpec(INHOM_LEFT, op, t, t))
-    coeffs = [Q(0), q / (1 - q)]
-    for n in range(2, cap + 1):
-        coeffs.append(q ** (n * (n + 1) // 2 - 1) / poch(q, n))
-    rhs = TruncatedSeries.from_coeffs(ring, cap, coeffs)
-    return _report("eulerian-first-partial", params, [(lhs, rhs)], started)
+    cap = int(params.get("order", 16))
+    t = TruncatedSeries.var(scalar_ring(), cap)
+    rhs = _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1 if n > 1 else 1)
+    yield (picard_solve(EquationSpec(INHOM_LEFT, OperatorSpec(QINT, q), t, t)),
+           rhs - TruncatedSeries.one(t.ring, cap))
 
 
 # ------------------------------------------------------------------- registry
 
-
-def _eulerian_runner(variant: str) -> Callable[[Mapping], CheckReport]:
-    def run(params: Mapping) -> CheckReport:
-        merged = dict(params)
-        merged["variant"] = variant
-        return check_eulerian(merged)
-
-    return run
-
-
-def _lemma_runner(item: str) -> Callable[[Mapping], CheckReport]:
-    def run(params: Mapping) -> CheckReport:
-        merged = dict(params)
-        merged["item"] = item
-        return check_lemma_iteration(merged)
-
-    return run
-
-
-IDENTITIES: dict[str, Callable[[Mapping], CheckReport]] = {
-    "rb-axiom": check_rb_axiom,
-    "kingman": check_kingman,
-    "lemma-iter-a": _lemma_runner("A"),
-    "lemma-iter-b": _lemma_runner("B"),
-    "spitzer": check_spitzer,
-    "gen-spitzer-comm": check_generalized_spitzer,
-    "gen-spitzer-noncomm": check_generalized_spitzer,
-    "gen-spitzer-weight0": check_generalized_spitzer,
-    "bch-chl-factorization": check_bch_chl_factorization,
-    "special-equality": check_special_equality,
-    "eulerian-prop-one-printed": _eulerian_runner("prop-one-printed"),
-    "eulerian-prop-one-corrected": _eulerian_runner("prop-one-corrected"),
-    "eulerian-prop-two": _eulerian_runner("prop-two"),
-    "eulerian-qbinomial-printed": _eulerian_runner("qbinomial-printed"),
-    "eulerian-qbinomial-corrected": _eulerian_runner("qbinomial-corrected"),
-    "eulerian-interior-lemma": _eulerian_runner("interior-lemma"),
-    "computation-one": check_computation_one,
-    "eulerian-third": check_eulerian_third,
-    "eulerian-first-partial": check_eulerian_first_partial,
+# id -> (pair generator, the params that id fixes; they override the caller's
+# and appear in the report)
+IDENTITIES: dict[str, tuple[Callable[[Mapping], Pairs], dict]] = {
+    "rb-axiom": (_rb_axiom, {}),
+    "kingman": (_kingman, {}),
+    "lemma-iter-a": (_lemma_iteration, {"item": "A"}),
+    "lemma-iter-b": (_lemma_iteration, {"item": "B"}),
+    "spitzer": (_spitzer, {}),
+    "gen-spitzer-comm": (_generalized_spitzer, {}),
+    "gen-spitzer-noncomm": (_generalized_spitzer, {}),
+    "gen-spitzer-weight0": (_generalized_spitzer, {}),
+    "bch-chl-factorization": (_bch_chl_factorization, {}),
+    "special-equality": (_special_equality, {}),
+    **{f"eulerian-{v}": (_eulerian, {"variant": v})
+       for v in ("prop-one-printed", "prop-one-corrected", "prop-two",
+                 "qbinomial-printed", "qbinomial-corrected", "interior-lemma")},
+    "computation-one": (_computation_one, {}),
+    "eulerian-third": (_eulerian_third, {}),
+    "eulerian-first-partial": (_eulerian_first_partial, {}),
 }
 
 
@@ -517,16 +368,24 @@ class UnknownIdentityError(KeyError):
 
 
 def run_check(identity_id: str, params: Mapping) -> CheckReport:
+    """Compare the identity's pairs in order; the first mismatching pair fails
+    the check, and a DomainError or SolverUsageError makes it a domain-error."""
     try:
-        runner = IDENTITIES[identity_id]
+        pairs, fixed = IDENTITIES[identity_id]
     except KeyError:
         raise UnknownIdentityError(identity_id) from None
+    params = {**params, **fixed}
+    started = time.perf_counter()
+    status, mismatch = PASS, None
     try:
-        report = runner(params)
+        for lhs, rhs in pairs(params):
+            mismatch = first_mismatch(lhs, rhs)
+            if mismatch is not None:
+                status = FAIL
+                break
     except (DomainError, SolverUsageError):
-        return CheckReport(identity_id, dict(params), DOMAIN_ERROR)
-    report.identity_id = identity_id
-    return report
+        status = DOMAIN_ERROR
+    return CheckReport(identity_id, params, status, mismatch, time.perf_counter() - started)
 
 
 # -------------------------------------------------------------------- manifest

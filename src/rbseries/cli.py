@@ -17,28 +17,17 @@ from .checks import (
     PASS,
     CheckReport,
     IDENTITIES,
-    SuiteManifest,
     UnknownIdentityError,
     default_manifest,
     load_manifest_file,
     run_check,
     run_suite,
+    suite_ok,
 )
 from .operators import ANTIDER, KINDS, OperatorSpec
 from .rings import matrix_ring, rational, scalar_ring
 from .series import DomainError, parse_series
-from .solvers import (
-    FORMS,
-    HOMOGENEOUS,
-    INHOM_LEFT,
-    EquationSpec,
-    SolverUsageError,
-    inhom_closed_commutative,
-    inhom_closed_noncommutative,
-    inhom_closed_weight0,
-    picard_solve,
-    spitzer_closed,
-)
+from .solvers import FORMS, HOMOGENEOUS, INHOM_LEFT, EquationSpec, closed_solve, picard_solve
 
 
 class UsageError(ValueError):
@@ -100,8 +89,6 @@ def _check_params(args: argparse.Namespace) -> dict:
     }
     if args.operator != ANTIDER:
         params["q"] = args.q
-    else:
-        params.pop("q", None)
     if getattr(args, "a0", None):
         params["a0"] = args.a0
     if getattr(args, "a1", None):
@@ -109,7 +96,12 @@ def _check_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _validate_operator(args: argparse.Namespace) -> OperatorSpec:
+def _validate(args: argparse.Namespace) -> OperatorSpec:
+    """Reject out-of-range values of the flags common to verify and solve, and
+    return the operator they name."""
+    for flag, least in (("order", 0), ("dim", 1), ("samples", 1)):
+        if getattr(args, flag) < least:
+            raise UsageError(f"--{flag} must be >= {least}")
     if args.operator == ANTIDER:
         return OperatorSpec(ANTIDER)
     q = _parse_rational(args.q, "--q")
@@ -153,10 +145,7 @@ def emit_report(reports: Sequence[CheckReport], fmt: str) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.identity not in IDENTITIES:
         raise UsageError(f"unknown identity id: {args.identity!r}")
-    if args.order < 0:
-        raise UsageError("--order must be >= 0")
-    if args.operator != ANTIDER:
-        _validate_operator(args)
+    _validate(args)
     report = run_check(args.identity, _check_params(args))
     print(emit_report([report], args.format))
     return 0 if report.status == args.expect else 1
@@ -172,29 +161,21 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     except UnknownIdentityError as exc:
         raise UsageError(f"unknown identity id in manifest: {exc.args[0]!r}")
     print(emit_report(reports, args.format))
-    ok = all(r.status == e.expected for e, r in zip(manifest.entries, reports))
-    return 0 if ok else 1
+    return 0 if suite_ok(manifest, reports) else 1
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise UsageError("--order must be >= 0")
-    op = _validate_operator(args)
+    op = _validate(args)
     ring = scalar_ring() if args.dim == 1 else matrix_ring(args.dim)
     if not args.a1:
         raise UsageError("solve requires --a1")
+    if args.equation != HOMOGENEOUS and not args.a0:
+        raise UsageError(f"--equation {args.equation} requires --a0")
     try:
         a1 = parse_series(args.a1, ring, args.order)
         a0 = parse_series(args.a0, ring, args.order) if args.a0 else None
-        if args.equation == HOMOGENEOUS:
-            eq = EquationSpec(HOMOGENEOUS, op, a1)
-        else:
-            if a0 is None:
-                raise UsageError(f"--equation {args.equation} requires --a0")
-            eq = EquationSpec(args.equation, op, a1, a0)
-        solution = _solve(eq, args.method)
-    except UsageError:
-        raise
+        eq = EquationSpec(args.equation, op, a1, None if args.equation == HOMOGENEOUS else a0)
+        solution = picard_solve(eq) if args.method == "picard" else closed_solve(eq)
     except (ValueError, DomainError) as exc:
         raise UsageError(str(exc))
     if args.format == "json":
@@ -202,22 +183,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         print(solution)
     return 0
-
-
-def _solve(eq: EquationSpec, method: str):
-    if method == "picard":
-        return picard_solve(eq)
-    if eq.form == HOMOGENEOUS:
-        return spitzer_closed(eq.op, eq.a1)
-    try:
-        if eq.a1.ring.commutative and eq.op.weight != 0:
-            return inhom_closed_commutative(eq)
-        if eq.op.weight == 0:
-            return inhom_closed_weight0(eq)
-        side = "left" if eq.form == INHOM_LEFT else "right"
-        return inhom_closed_noncommutative(eq, side)
-    except SolverUsageError as exc:
-        raise UsageError(str(exc))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

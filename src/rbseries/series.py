@@ -306,12 +306,14 @@ class TruncatedSeries:
         """
         self._require_positive_valuation("lambda_log")
         lam = rational(lam)
+        if lam == 0:
+            return self
         result = TruncatedSeries.zero(self.ring, self.cap)
         power = TruncatedSeries.one(self.ring, self.cap)
         sign = Q(1)
         for n in range(1, self.cap + 1):
             power = power * self
-            if power.is_zero() or (n > 1 and lam == 0):
+            if power.is_zero():
                 break
             result = result + power.scale(sign / n)
             sign = sign * (-lam)

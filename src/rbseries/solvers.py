@@ -84,7 +84,11 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
 
 
 def spitzer_closed(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
-    """exp(P(w^-1 log(1 + w*a))); for weight 0 this is exp(P(a))."""
+    """exp(P(w^-1 log(1 + w*a))); for weight 0 this is exp(P(a)). Commutative rings only."""
+    if not a.ring.commutative:
+        raise SolverUsageError(
+            "Spitzer's exponential over a non-commutative ring; use closed_solve"
+        )
     return apply(op, a.lambda_log(op.weight)).exp()
 
 
@@ -97,9 +101,7 @@ def inhom_closed_commutative(eq: EquationSpec) -> TruncatedSeries:
         )
     if eq.form != INHOM_LEFT:
         raise SolverUsageError("closed form applies to the inhomogeneous-left equation")
-    u = eq.a1.lambda_log(eq.op.weight)
-    pu = apply(eq.op, u)
-    return pu.exp() * apply(eq.op, (-pu).exp() * eq.a0)
+    return closed_solve(eq)
 
 
 def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -176,29 +178,53 @@ def inhom_closed_noncommutative(eq: EquationSpec, side: str = "left") -> Truncat
     """Closed non-commutative solutions for nonzero weight.
 
     side='left' solves the inhomogeneous-left equation; side='right' the
-    right-handed mirror. The right side needs the reversed recursion
-    -chi_lambda(-u), which splits exp(-w*a) with the exponential factors in
-    the opposite order (BCH(-x,-y) = -BCH(y,x)); in a commutative ring both
-    recursions degenerate to the identity and the two sides coincide.
+    right-handed mirror, and it must name the form of eq.
     """
     if eq.op.weight == 0:
         raise SolverUsageError("weight 0: use inhom_closed_weight0")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side: {side!r}")
-    u = eq.a1.lambda_log(eq.op.weight)
-    chi = chi_lambda(eq.op, u) if side == "left" else -chi_lambda(eq.op, -u)
-    p_chi = apply(eq.op, chi)
-    e_plus = p_chi.exp()
-    e_minus = (-p_chi).exp()
-    if side == "left":
-        return e_plus * apply(eq.op, e_minus * eq.a0)
-    return apply(eq.op, eq.a0 * e_minus) * e_plus
+    if eq.form != (INHOM_LEFT if side == "left" else INHOM_RIGHT):
+        raise SolverUsageError(f"side {side!r} does not match the {eq.form} equation")
+    return closed_solve(eq)
 
 
 def inhom_closed_weight0(eq: EquationSpec) -> TruncatedSeries:
-    """Closed non-commutative solution of b = P(a0) + P(a1*b) for weight 0."""
+    """Closed non-commutative solution of an equation of weight 0."""
     if eq.op.weight != 0:
         raise SolverUsageError("inhom_closed_weight0 requires weight 0")
-    chi = chi_zero(eq.op, eq.a1)
+    return closed_solve(eq)
+
+
+def closed_solve(eq: EquationSpec) -> TruncatedSeries:
+    """Closed-form solution of any of the three equations over any ring.
+
+    An inhomogeneous equation is solved by exp(P(chi)) P(exp(-P(chi)) a0), or
+    on the right by its mirror P(a0 exp(-P(chi))) exp(P(chi)). With
+    u = w^-1 log(1 + w*a1), chi is u itself over a commutative ring, where
+    both recursions reduce to the identity; otherwise it is chi(u) on the left
+    and -chi(-u) on the right, with chi_lambda or
+    chi_zero chosen by the weight. The reversed recursion splits exp(-w*a) with
+    the exponential factors in the opposite order (BCH(-x,-y) = -BCH(y,x)).
+
+    The homogeneous equation b = 1 + P(a1*b) is Spitzer's exponential over a
+    commutative ring. Otherwise b = 1 + c, where c solves the
+    inhomogeneous-left equation with a0 = (1 + w*a1)^-1 * a1.
+    """
+    if eq.form == HOMOGENEOUS:
+        if eq.a1.ring.commutative:
+            return spitzer_closed(eq.op, eq.a1)
+        a0 = eq.a1.geom_inv(eq.op.weight) * eq.a1
+        one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
+        return one + closed_solve(EquationSpec(INHOM_LEFT, eq.op, eq.a1, a0))
+    left = eq.form == INHOM_LEFT
+    chi = eq.a1.lambda_log(eq.op.weight)
+    if not eq.a1.ring.commutative:
+        recursion = chi_lambda if eq.op.weight != 0 else chi_zero
+        chi = recursion(eq.op, chi) if left else -recursion(eq.op, -chi)
     p_chi = apply(eq.op, chi)
-    return p_chi.exp() * apply(eq.op, (-p_chi).exp() * eq.a0)
+    e_plus = p_chi.exp()
+    e_minus = (-p_chi).exp()
+    if left:
+        return e_plus * apply(eq.op, e_minus * eq.a0)
+    return apply(eq.op, eq.a0 * e_minus) * e_plus

@@ -4,9 +4,13 @@ Each test prints one `ACCEPT <n> ... pass` line (visible with pytest -s);
 an assertion failure marks the criterion red.
 """
 
+import hashlib
+import json
 import random
 import time
 from math import comb
+
+import pytest
 
 from rbseries.checks import (
     FAIL,
@@ -16,6 +20,7 @@ from rbseries.checks import (
     run_suite,
     suite_ok,
 )
+from rbseries.cli import report_to_dict
 from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
 from rbseries.rings import Q, matrix_ring, rational, scalar_ring
 from rbseries.series import TruncatedSeries
@@ -204,14 +209,30 @@ def test_criterion_8_eulerian_suite():
     _done(8, "eulerian suite at cap 30, five q values, printed forms fail at t^1")
 
 
-def test_criterion_8_default_suite_exits_clean():
+@pytest.fixture(scope="module")
+def default_suite():
     started = time.perf_counter()
     manifest = default_manifest()
     reports = run_suite(manifest)
+    return manifest, reports, time.perf_counter() - started
+
+
+def test_criterion_8_default_suite_exits_clean(default_suite):
+    manifest, reports, elapsed = default_suite
     assert suite_ok(manifest, reports)
-    elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"default suite took {elapsed:.1f}s, over 3 minutes"
     _done(8, f"default manifest suite all-expected ({elapsed:.1f}s)")
+
+
+def test_default_suite_reports_unchanged(default_suite):
+    """Every report key but elapsed_ms is pinned by a digest of the reference
+    output, so no change to the checks can alter a status, a reported param or
+    a mismatch unnoticed."""
+    _, reports, _ = default_suite
+    dicts = [{k: v for k, v in report_to_dict(r).items() if k != "elapsed_ms"}
+             for r in reports]
+    digest = hashlib.sha256(json.dumps(dicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "45de356bf152f83daee6efc26a995e9a7ae60237c4c5d251d7dc8ac68dd5a621"
 
 
 def test_criterion_9_special_equality():

@@ -36,6 +36,24 @@ def test_solve_closed_matches_picard(capsys):
     assert picard_out == closed_out
 
 
+def test_solve_closed_inhom_right_scalar(capsys):
+    args = ["solve", "--equation", "inhom-right", "--operator", "qint",
+            "--q", "1/2", "--a0", "0,1", "--a1", "0,1", "--order", "4"]
+    code, picard_out, _ = run(capsys, *args)
+    assert code == 0 and picard_out.strip() == "0,1,2/3,2/21,2/315"
+    code, closed_out, _ = run(capsys, *args, "--method", "closed")
+    assert code == 0 and closed_out == picard_out
+
+
+def test_solve_closed_homogeneous_matrix(capsys):
+    args = ["solve", "--dim", "2", "--equation", "homogeneous", "--operator",
+            "qscale", "--q=-1/2", "--a1", "0,1,1/2", "--order", "5"]
+    code, picard_out, _ = run(capsys, *args)
+    assert code == 0
+    code, closed_out, _ = run(capsys, *args, "--method", "closed")
+    assert code == 0 and closed_out == picard_out
+
+
 def test_solve_json_format(capsys):
     code, out, _ = run(capsys, "solve", "--equation", "inhom-left",
                        "--operator", "antider", "--a0", "0,1", "--a1", "0,1",
@@ -73,6 +91,18 @@ def test_malformed_rational(capsys):
 def test_negative_order(capsys):
     code, _, err = run(capsys, "verify", "spitzer", "--order", "-3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rb-axiom", "--dim", "0", "--order", "4"],
+    ["solve", "--dim", "-2", "--operator", "antider", "--a0", "0,1", "--a1", "0,1",
+     "--order", "4"],
+    ["verify", "rb-axiom", "--samples", "-3", "--order", "4"],
+], ids=["verify-dim-0", "solve-dim-negative", "verify-samples-negative"])
+def test_out_of_range_common_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --")
 
 
 def test_unknown_identity(capsys):

@@ -89,7 +89,7 @@ def test_exp_log_inversion():
 def test_lambda_log_values():
     t = TruncatedSeries.var(SCALAR, 3)
     a = S("0,2,-1,1/3")
-    assert a.lambda_log(0) == a
+    assert a.lambda_log(0) is a  # weight 0 costs no products
     assert t.lambda_log(1) == t.log1p()
     # sum of (-2)^(n-1) t^n / n
     assert t.lambda_log(2) == S("0,1,-1,4/3")

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
-from rbseries.rings import Q, rational
+from rbseries.rings import Q, matrix_ring, rational
 from rbseries.series import TruncatedSeries
 from rbseries.solvers import (
     HOMOGENEOUS,
@@ -17,6 +17,7 @@ from rbseries.solvers import (
     bernoulli,
     chi_lambda,
     chi_zero,
+    closed_solve,
     inhom_closed_commutative,
     inhom_closed_noncommutative,
     inhom_closed_weight0,
@@ -331,8 +332,9 @@ def test_weight0_closed_matches_picard_matrix():
     for _ in range(3):
         a0 = random_series(MAT2, 8, rng, 1, 3)
         a1 = random_series(MAT2, 8, rng, 1, 3)
-        eq = EquationSpec(INHOM_LEFT, J, a1, a0)
-        assert inhom_closed_weight0(eq) == picard_solve(eq)
+        for form in (INHOM_LEFT, INHOM_RIGHT):
+            eq = EquationSpec(form, J, a1, a0)
+            assert inhom_closed_weight0(eq) == picard_solve(eq), form
 
 
 def test_weight0_zero_a1():
@@ -346,3 +348,32 @@ def test_weight0_rejects_nonzero_weight():
     t = var(4)
     with pytest.raises(SolverUsageError):
         inhom_closed_weight0(EquationSpec(INHOM_LEFT, QI, t, t))
+
+
+def test_noncomm_rejects_side_that_does_not_match_the_form():
+    t = var(4, MAT2)
+    with pytest.raises(SolverUsageError):
+        inhom_closed_noncommutative(EquationSpec(INHOM_RIGHT, QI, t, t), "left")
+    with pytest.raises(SolverUsageError):
+        inhom_closed_noncommutative(EquationSpec(INHOM_LEFT, QI, t, t), "right")
+
+
+def test_spitzer_closed_rejects_noncommutative_ring():
+    with pytest.raises(SolverUsageError):
+        spitzer_closed(QI, var(4, MAT2))
+
+
+# ------------------------------------------------------------- closed_solve
+
+
+@pytest.mark.parametrize("form", [HOMOGENEOUS, INHOM_LEFT, INHOM_RIGHT])
+@pytest.mark.parametrize("op", [QI, QS, J], ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_solve_matches_picard(dim, op, form):
+    ring = SCALAR if dim == 1 else matrix_ring(dim)
+    rng = random.Random(18)
+    for _ in range(3):
+        a1 = random_series(ring, 6, rng, 1, 3)
+        a0 = None if form == HOMOGENEOUS else random_series(ring, 6, rng, 1, 3)
+        eq = EquationSpec(form, op, a1, a0)
+        assert closed_solve(eq) == picard_solve(eq)
