@@ -16,6 +16,7 @@ from .rings import (
 from .series import DomainError, TruncatedSeries, parse_series
 from .operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
 from .solvers import (
+    ConvergenceError,
     EquationSpec,
     SolverUsageError,
     bch,
@@ -58,6 +59,7 @@ __all__ = [
     "OperatorSpec",
     "apply",
     "tilde_apply",
+    "ConvergenceError",
     "EquationSpec",
     "SolverUsageError",
     "bch",

@@ -19,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .operators import ANTIDER, QINT, OperatorSpec, apply, tilde_apply
@@ -27,7 +27,6 @@ from .rings import (
     Q,
     RingDescriptor,
     matrix_ring,
-    random_element,
     rational,
     scalar_ring,
 )
@@ -108,10 +107,21 @@ def random_series(
     bound: int = 5,
     min_valuation: int = 1,
 ) -> TruncatedSeries:
-    """Random series with the given minimal valuation and a nonzero lead term."""
-    coeffs = [ring.zero()] * min_valuation
-    coeffs += [random_element(ring, rng, bound) for _ in range(cap + 1 - min_valuation)]
-    return TruncatedSeries(ring, cap, tuple(coeffs))
+    """Random series whose coefficients below t^min_valuation are zero.
+
+    Every other entry is p/q with |p| <= bound and 1 <= q <= bound, drawn in
+    the order rings.random_element draws them, so a seed gives the same series.
+    The numerators are built over one common denominator directly.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    randint = rng.randint
+    dd = ring.dim * ring.dim
+    drawn = [(randint(-bound, bound), randint(1, bound))
+             for _ in range((cap + 1 - min_valuation) * dd)]
+    den = lcm(*(q for _, q in drawn))
+    num = [0] * (min_valuation * dd) + [p * (den // q) for p, q in drawn]
+    return TruncatedSeries.from_numerators(ring, cap, num, den)
 
 
 def _samples(params: Mapping, ring: RingDescriptor, cap: int, count: int = 1,
@@ -403,7 +413,17 @@ class SuiteManifest:
     entries: tuple
 
 
+class ManifestError(ValueError):
+    """A manifest that is not a JSON object with an `entries` list of objects,
+    each with an `id` and, optionally, an object of `params`."""
+
+
 def load_manifest(data: dict) -> SuiteManifest:
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+        raise ManifestError("a manifest is a JSON object with an 'entries' list")
+    for e in data["entries"]:
+        if not isinstance(e, dict) or "id" not in e or not isinstance(e.get("params", {}), dict):
+            raise ManifestError(f"entry {e!r} is not an object with an 'id' and object 'params'")
     entries = tuple(
         ManifestEntry(
             e["id"], dict(e.get("params", {})), e.get("expect", PASS)
@@ -415,7 +435,11 @@ def load_manifest(data: dict) -> SuiteManifest:
 
 def load_manifest_file(path: str) -> SuiteManifest:
     with open(path, encoding="utf-8") as fh:
-        return load_manifest(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ManifestError(f"{path} is not JSON: {exc}") from None
+    return load_manifest(data)
 
 
 def default_manifest() -> SuiteManifest:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -17,6 +18,7 @@ from .checks import (
     PASS,
     CheckReport,
     IDENTITIES,
+    ManifestError,
     UnknownIdentityError,
     default_manifest,
     load_manifest_file,
@@ -153,7 +155,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     if args.manifest:
-        manifest = load_manifest_file(args.manifest)
+        try:
+            manifest = load_manifest_file(args.manifest)
+        except ManifestError as exc:
+            raise UsageError(f"--manifest: {exc}")
     else:
         manifest = default_manifest()
     try:
@@ -185,9 +190,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Join a value such as -1/2 to the long flag before it (`--q=-1/2`).
+
+    argparse reads an argument that starts with '-' as a flag unless it looks
+    like a negative int or decimal; no flag here starts with '-' and a digit.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return _cmd_verify(args)
@@ -197,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

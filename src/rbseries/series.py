@@ -116,6 +116,20 @@ class TruncatedSeries:
         return cls._make(ring, cap, num, 1)
 
     @classmethod
+    def from_numerators(
+        cls, ring: RingDescriptor, cap: int, num: Sequence[int], den: int
+    ) -> "TruncatedSeries":
+        """The series with integer numerators `num`, laid out as in the module
+        docstring, over the positive integer `den`."""
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        if len(num) != (cap + 1) * ring.dim**2:
+            raise ValueError("expected (cap+1)*dim*dim numerators")
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        return cls._make(ring, cap, list(num), den)
+
+    @classmethod
     def from_coeffs(
         cls, ring: RingDescriptor, cap: int, values: Iterable
     ) -> "TruncatedSeries":
@@ -161,7 +175,16 @@ class TruncatedSeries:
             raise ValueError("cannot extend a truncated series")
         if cap < 0:
             raise ValueError("cap must be >= 0")
+        if cap == self.cap:
+            return self
         num = self._num[: (cap + 1) * self.ring.dim**2]
+        return TruncatedSeries._make(self.ring, cap, num, self._den)
+
+    def extend(self, cap: int) -> "TruncatedSeries":
+        """The same series at a cap at least as large; the new coefficients are zero."""
+        if cap < self.cap:
+            raise ValueError("cannot extend to a smaller cap")
+        num = self._num + [0] * ((cap - self.cap) * self.ring.dim**2)
         return TruncatedSeries._make(self.ring, cap, num, self._den)
 
     def coefficient(self, k: int) -> RingElement:
@@ -205,9 +228,11 @@ class TruncatedSeries:
             self.ring, self.cap, [-v for v in self._num], self._den
         )
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at cap: integer multiply-adds on the
-        numerators, then one gcd pass over the product of denominators."""
+    def _mul(self, other: "TruncatedSeries", q: int = 1) -> "TruncatedSeries":
+        """Cauchy product truncated at cap, divided by the positive integer q:
+        integer multiply-adds on the numerators, then one gcd pass over the
+        product of denominators. `x * y` is the case q = 1; exp passes its
+        term's 1/n, so the product and the scaling share the one pass."""
         self._check(other)
         n = self.cap + 1
         d = self.ring.dim
@@ -234,7 +259,9 @@ class TruncatedSeries:
                         break
                     for o, l, r in prods:
                         out[base + o] += a[l] * b[r]
-        return TruncatedSeries._make(self.ring, self.cap, out, self._den * other._den)
+        return TruncatedSeries._make(self.ring, self.cap, out, self._den * other._den * q)
+
+    __mul__ = _mul
 
     def scale(self, r) -> "TruncatedSeries":
         """Multiply every coefficient by a central rational."""
@@ -281,7 +308,7 @@ class TruncatedSeries:
         result = TruncatedSeries.one(self.ring, self.cap)
         term = result
         for n in range(1, self.cap + 1):
-            term = (term * self).scale(Q(1, n))
+            term = term._mul(self, n)
             if term.is_zero():
                 break
             result = result + term
@@ -322,11 +349,11 @@ class TruncatedSeries:
     def geom_inv(self, lam) -> "TruncatedSeries":
         """(1 + lam*x)^(-1) = sum of (-lam*x)^n; needs valuation >= 1."""
         self._require_positive_valuation("geom_inv")
-        lam = rational(lam)
+        ratio = self.scale(-rational(lam))
         result = TruncatedSeries.one(self.ring, self.cap)
         power = result
         for _ in range(self.cap):
-            power = (power * self).scale(-lam)
+            power = power * ratio
             if power.is_zero():
                 break
             result = result + power

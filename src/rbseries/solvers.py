@@ -1,20 +1,24 @@
 """Solvers for the linear equations in a complete filtered Rota-Baxter algebra.
 
-Fixed-point (Picard) iteration converges here in at most cap+1 steps because
-every iteration's correction gains one t-valuation. The closed forms implement
-the exponential solutions: Spitzer for the homogeneous equation and the
-generalized identities for the inhomogeneous ones, with the chi recursions
-handling the non-commutative cases.
+The fixed-point maps here (Picard's, and the chi recursions) raise the
+t-valuation of differences: coefficient c of the image depends only on the
+coefficients below c. Each fixed point is therefore lifted one coefficient at a
+time, with step c run at truncation c (relaxed evaluation, van der Hoeven,
+"Relax, but don't be too lazy", JSC 2002), and then proved by one step at full
+cap that must return its input. The closed forms implement the exponential
+solutions: Spitzer for the homogeneous equation and the generalized identities
+for the inhomogeneous ones, with the chi recursions handling the
+non-commutative cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Optional
+from typing import Callable, Optional
 
 from .operators import OperatorSpec, apply, tilde_apply
-from .rings import Q
+from .rings import Q, RingDescriptor
 from .series import TruncatedSeries
 
 HOMOGENEOUS = "homogeneous"
@@ -26,6 +30,14 @@ FORMS = (HOMOGENEOUS, INHOM_LEFT, INHOM_RIGHT)
 
 class SolverUsageError(ValueError):
     """Solver invoked outside its stated setting (weight, commutativity, form)."""
+
+
+class ConvergenceError(RuntimeError):
+    """A lifted iterate is not fixed by its map at full cap.
+
+    The maps raise the valuation of differences, so this signals a fault in the
+    operator or the map, never a bad input.
+    """
 
 
 @dataclass(frozen=True)
@@ -61,26 +73,65 @@ class EquationSpec:
                 raise ValueError("a0 must have valuation >= 1")
 
 
-def _rhs(eq: EquationSpec, b: TruncatedSeries) -> TruncatedSeries:
-    w = eq.op.weight
+def _lift(
+    step: Callable[[TruncatedSeries], TruncatedSeries], ring: RingDescriptor, cap: int
+) -> TruncatedSeries:
+    """The fixed point of `step` modulo t^(cap+1), one coefficient per step.
+
+    `step` maps a series to one at the same truncation, and coefficient c of
+    its image must depend only on the coefficients below c of its argument.
+    Step c runs at truncation c on the iterate extended by one zero
+    coefficient, so it settles coefficient c and repeats the settled ones.
+    """
+    x = TruncatedSeries.zero(ring, 0)
+    for c in range(cap + 1):
+        x = step(x.extend(c))
+    return x
+
+
+def _require_fixed(solver: str, x: TruncatedSeries, image: TruncatedSeries) -> TruncatedSeries:
+    """x, once its image under one full-cap step is shown to be x itself."""
+    if image != x:
+        raise ConvergenceError(
+            f"{solver}: the lifted iterate is not a fixed point; "
+            f"the full-cap step changes t^{(image - x).valuation()}"
+        )
+    return x
+
+
+def _constant(eq: EquationSpec) -> TruncatedSeries:
+    """The term of the equation's right-hand side that does not depend on b."""
+    one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
     if eq.form == HOMOGENEOUS:
-        one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
-        return one + apply(eq.op, eq.a1 * b)
-    unit_shift = TruncatedSeries.one(eq.a1.ring, eq.a1.cap) + eq.a1.scale(w)
+        return one
+    unit_shift = one + eq.a1.scale(eq.op.weight)
     if eq.form == INHOM_LEFT:
-        return apply(eq.op, unit_shift * eq.a0) + apply(eq.op, eq.a1 * b)
-    return apply(eq.op, eq.a0 * unit_shift) + apply(eq.op, b * eq.a1)
+        return apply(eq.op, unit_shift * eq.a0)
+    return apply(eq.op, eq.a0 * unit_shift)
+
+
+def _picard_step(eq: EquationSpec, const: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """const + P(a1*b), or const + P(b*a1) on the right, at b's truncation."""
+    a1 = eq.a1.truncate(b.cap)
+    return const.truncate(b.cap) + apply(eq.op, b * a1 if eq.form == INHOM_RIGHT else a1 * b)
+
+
+def _rhs(eq: EquationSpec, b: TruncatedSeries) -> TruncatedSeries:
+    """The right-hand side of the equation at b, at full cap."""
+    return _picard_step(eq, _constant(eq), b)
 
 
 def picard_solve(eq: EquationSpec) -> TruncatedSeries:
-    """Unique fixed point of the equation at the truncation cap."""
-    b = TruncatedSeries.zero(eq.a1.ring, eq.a1.cap)
-    for _ in range(eq.a1.cap + 2):
-        nxt = _rhs(eq, b)
-        if nxt == b:
-            return b
-        b = nxt
-    return b
+    """Unique fixed point of the equation at the truncation cap.
+
+    P acts coefficientwise and val(a1) >= 1, so coefficient c of the right-hand
+    side depends only on b below t^c: the lift computes the constant term once
+    and settles one coefficient per step. Raises ConvergenceError if the
+    result is not fixed by the full right-hand side.
+    """
+    const = _constant(eq)
+    b = _lift(lambda b: _picard_step(eq, const, b), eq.a1.ring, eq.a1.cap)
+    return _require_fixed("picard_solve", b, _rhs(eq, b))
 
 
 def spitzer_closed(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
@@ -113,19 +164,21 @@ def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
 def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     """BCH-recursion: fixed point of x = a + w^-1 BCH(P(x), Pt(x)).
 
-    Splits exp(-w*a) into exp(P(chi)) * exp(Pt(chi)); requires nonzero weight.
+    Splits exp(-w*a) into exp(P(chi)) * exp(Pt(chi)); requires nonzero weight
+    and val(a) >= 1. BCH has no term of degree below 2, so the map raises the
+    valuation of differences and the fixed point is lifted one coefficient per
+    step. Raises ConvergenceError if the result is not fixed at full cap.
     """
     w = op.weight
     if w == 0:
         raise SolverUsageError("chi_lambda requires nonzero weight; use chi_zero")
     inv_w = 1 / w
-    x = a
-    for _ in range(a.cap + 1):
-        nxt = a + bch(apply(op, x), tilde_apply(op, x)).scale(inv_w)
-        if nxt == x:
-            return x
-        x = nxt
-    return x
+
+    def step(x: TruncatedSeries) -> TruncatedSeries:
+        return a.truncate(x.cap) + bch(apply(op, x), tilde_apply(op, x)).scale(inv_w)
+
+    x = _lift(step, a.ring, a.cap)
+    return _require_fixed("chi_lambda", x, step(x))
 
 
 _BERNOULLI_CACHE = [Q(1)]
@@ -148,30 +201,26 @@ def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     """Magnus-type recursion for weight 0.
 
     Fixed point of x = (1 + sum_k (B_k/k!) ad_{P(x)}^k)(a); then exp(P(chi0(a)))
-    solves the homogeneous equation b = 1 + P(a*b).
+    solves the homogeneous equation b = 1 + P(a*b). With val(a) >= 1 every
+    ad term has degree at least 2, so the fixed point is lifted one
+    coefficient per step. Raises ConvergenceError if the result is not fixed
+    at full cap.
     """
     if op.weight != 0:
         raise SolverUsageError("chi_zero requires weight 0")
-    cap = a.cap
 
     def step(x: TruncatedSeries) -> TruncatedSeries:
         p = apply(op, x)
-        out = a
-        term = a
-        for k in range(1, cap + 1):
+        out = term = a.truncate(x.cap)
+        for k in range(1, x.cap + 1):
             term = p * term - term * p
             if term.is_zero():
                 break
             out = out + term.scale(bernoulli(k) / factorial(k))
         return out
 
-    x = a
-    for _ in range(cap + 1):
-        nxt = step(x)
-        if nxt == x:
-            return x
-        x = nxt
-    return x
+    x = _lift(step, a.ring, a.cap)
+    return _require_fixed("chi_zero", x, step(x))
 
 
 def inhom_closed_noncommutative(eq: EquationSpec, side: str = "left") -> TruncatedSeries:

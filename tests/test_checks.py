@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -15,11 +16,13 @@ from rbseries.checks import (
     load_manifest,
     poch,
     q_product,
+    random_series,
     run_check,
     run_suite,
     suite_ok,
 )
-from rbseries.rings import Q, rational
+from rbseries.rings import Q, matrix_ring, random_element, rational
+from rbseries.series import TruncatedSeries
 
 from conftest import SCALAR
 from test_series import S
@@ -176,3 +179,26 @@ def test_default_manifest_covers_every_identity():
             assert e.expected == FAIL
         else:
             assert e.expected == PASS
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("min_valuation", [0, 1, 3])
+def test_random_series_draws_as_random_element(dim, min_valuation):
+    """The same series and the same RNG state after it as the construction
+    from one rings.random_element per coefficient."""
+    ring = SCALAR if dim == 1 else matrix_ring(dim)
+    for cap in (0, 2, 7):
+        fast, slow = random.Random(cap), random.Random(cap)
+        for bound in (1, 5):
+            coeffs = [ring.zero()] * min_valuation
+            coeffs += [random_element(ring, slow, bound)
+                       for _ in range(cap + 1 - min_valuation)]
+            if min_valuation > cap + 1:
+                with pytest.raises(ValueError):
+                    random_series(ring, cap, fast, bound, min_valuation)
+                continue
+            x = random_series(ring, cap, fast, bound, min_valuation)
+            assert x == TruncatedSeries(ring, cap, tuple(coeffs))
+        assert fast.random() == slow.random()
+    with pytest.raises(ValueError):
+        random_series(ring, 2, random.Random(0), bound=0)

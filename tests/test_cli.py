@@ -190,3 +190,38 @@ def test_matrix_dim_flag(capsys):
                        "--q", "2/3", "--dim", "2", "--order", "8",
                        "--samples", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("text", ["", "{not json", "[1, 2]", '"entries"',
+                                  '{"x": 1}', '{"entries": {}}', '{"entries": [1]}',
+                                  '{"entries": [{"params": {}}]}',
+                                  '{"entries": [{"id": "spitzer", "params": [1]}]}'],
+                         ids=["empty", "not-json", "array", "string", "no-entries",
+                              "entries-not-a-list", "entry-not-an-object", "entry-without-id",
+                              "params-not-an-object"])
+def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "suite", "--manifest", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --manifest")
+
+
+def test_suite_rejects_a_manifest_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "suite", "--manifest", str(tmp_path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("q_args", [["--q", "-1/2"], ["--q=-1/2"]],
+                         ids=["separate", "joined"])
+def test_negative_q(capsys, q_args):
+    code, out, err = run(capsys, "verify", "rb-axiom", *q_args, "--order", "4",
+                         "--samples", "2")
+    assert code == 0 and err == ""
+    assert "q=-1/2" in out and out.rstrip().endswith("PASS")
+    code, out, _ = run(capsys, "solve", "--operator", "qscale", *q_args,
+                       "--a0", "0,1", "--a1", "0,1", "--order", "3")
+    # b = P((1 - t) t) + P(t b) with P(t^n) = t^n / (1 - (-1/2)^n)
+    assert code == 0 and out.strip() == "0,2/3,-4/9,-32/81"
+

@@ -1,0 +1,187 @@
+"""The lifted fixed-point solvers against the full-cap iterations they replace,
+and the convergence proof that ends every lift."""
+
+import random
+from math import factorial
+
+import pytest
+
+from rbseries import solvers
+from rbseries.checks import run_check
+from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
+from rbseries.rings import matrix_ring, rational
+from rbseries.series import TruncatedSeries
+from rbseries.solvers import (
+    FORMS,
+    HOMOGENEOUS,
+    INHOM_LEFT,
+    ConvergenceError,
+    EquationSpec,
+    bch,
+    bernoulli,
+    chi_lambda,
+    chi_zero,
+    picard_solve,
+)
+
+from conftest import MAT2, SCALAR
+from test_series import random_series
+
+MAT3 = matrix_ring(3)
+RINGS = {"scalar": SCALAR, "2x2": MAT2, "3x3": MAT3}
+OPS = {
+    "qint-1/2": OperatorSpec(QINT, rational("1/2")),
+    "qscale--1/2": OperatorSpec(QSCALE, rational("-1/2")),
+    "antider": OperatorSpec(ANTIDER),
+}
+CAPS = (0, 1, 2, 6, 10)
+
+
+# ------------------------------------------- reference: full-cap iterations
+#
+# The iterations the lifted solvers replaced: every step runs at full cap,
+# Picard starts from zero and chi from a, and each stops when a step returns
+# its input.
+
+
+def reference_rhs(eq, b):
+    w = eq.op.weight
+    one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
+    if eq.form == HOMOGENEOUS:
+        return one + apply(eq.op, eq.a1 * b)
+    unit_shift = one + eq.a1.scale(w)
+    if eq.form == INHOM_LEFT:
+        return apply(eq.op, unit_shift * eq.a0) + apply(eq.op, eq.a1 * b)
+    return apply(eq.op, eq.a0 * unit_shift) + apply(eq.op, b * eq.a1)
+
+
+def reference_picard(eq):
+    b = TruncatedSeries.zero(eq.a1.ring, eq.a1.cap)
+    for _ in range(eq.a1.cap + 2):
+        nxt = reference_rhs(eq, b)
+        if nxt == b:
+            return b
+        b = nxt
+    return b
+
+
+def reference_chi_lambda(op, a):
+    inv_w = 1 / op.weight
+    x = a
+    for _ in range(a.cap + 1):
+        nxt = a + bch(apply(op, x), tilde_apply(op, x)).scale(inv_w)
+        if nxt == x:
+            return x
+        x = nxt
+    return x
+
+
+def reference_chi_zero(op, a):
+    def step(x):
+        p = apply(op, x)
+        out = term = a
+        for k in range(1, a.cap + 1):
+            term = p * term - term * p
+            if term.is_zero():
+                break
+            out = out + term.scale(bernoulli(k) / factorial(k))
+        return out
+
+    x = a
+    for _ in range(a.cap + 1):
+        nxt = step(x)
+        if nxt == x:
+            return x
+        x = nxt
+    return x
+
+
+def inputs(ring_name, op_name, cap, count=2):
+    rng = random.Random(f"{ring_name} {op_name} {cap}")
+    ring = RINGS[ring_name]
+    return [(random_series(ring, cap, rng, 1, 3), random_series(ring, cap, rng, 1, 3))
+            for _ in range(count)]
+
+
+# --------------------------------------------------- lifted == reference
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("op_name", OPS)
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_lifted_picard_matches_full_cap(ring_name, op_name, cap):
+    op = OPS[op_name]
+    for a0, a1 in inputs(ring_name, op_name, cap):
+        for form in FORMS:
+            eq = EquationSpec(form, op, a1, None if form == HOMOGENEOUS else a0)
+            b = picard_solve(eq)
+            assert b == reference_picard(eq)
+            assert reference_rhs(eq, b) == b
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("op_name", OPS)
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_lifted_chi_matches_full_cap(ring_name, op_name, cap):
+    op = OPS[op_name]
+    lifted, reference = ((chi_zero, reference_chi_zero) if op.weight == 0
+                         else (chi_lambda, reference_chi_lambda))
+    for a, _ in inputs(ring_name, op_name, cap):
+        x = lifted(op, a)
+        assert x == reference(op, a)
+        assert x.cap == cap and x.ring == a.ring
+
+
+# ------------------------------------------------------ non-convergence
+
+
+def lowering(op, x):
+    """A wrong operator: t^n -> t^(n-1) for n >= 2, with t^0 and t^1 dropped.
+
+    It lowers the valuation, so no fixed-point map built on it settles a
+    coefficient per step; it keeps every constant term zero, so exp and log
+    stay defined and only the convergence proof can catch it.
+    """
+    zero = x.ring.zero()
+    coeffs = x.coeffs
+    return TruncatedSeries(x.ring, x.cap, (zero,) + coeffs[2:] + (zero,) * min(1, x.cap))
+
+
+def test_lowering_operator_lowers_valuation():
+    t = TruncatedSeries.var(MAT2, 4)
+    assert lowering(None, t * t * t) == t * t
+    assert lowering(None, t).is_zero()
+
+
+@pytest.fixture
+def wrong_operator(monkeypatch):
+    monkeypatch.setattr(solvers, "apply", lowering)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_picard_raises_on_a_wrong_operator(wrong_operator, form):
+    a0, a1 = inputs("2x2", "qint-1/2", 6)[0]
+    eq = EquationSpec(form, OPS["qint-1/2"], a1, None if form == HOMOGENEOUS else a0)
+    with pytest.raises(ConvergenceError, match="picard_solve"):
+        picard_solve(eq)
+
+
+@pytest.mark.parametrize("op_name", ["qint-1/2", "qscale--1/2"])
+def test_chi_lambda_raises_on_a_wrong_operator(wrong_operator, op_name):
+    a, _ = inputs("2x2", op_name, 6)[0]
+    with pytest.raises(ConvergenceError, match="chi_lambda"):
+        chi_lambda(OPS[op_name], a)
+
+
+def test_chi_zero_raises_on_a_wrong_operator(wrong_operator):
+    a, _ = inputs("2x2", "antider", 6)[0]
+    with pytest.raises(ConvergenceError, match="chi_zero"):
+        chi_zero(OPS["antider"], a)
+
+
+def test_run_check_does_not_report_non_convergence_as_domain_error(wrong_operator):
+    params = {"operator": "qint", "q": "1/2", "dim": 2, "order": 6, "samples": 2}
+    with pytest.raises(ConvergenceError):
+        run_check("bch-chl-factorization", params)
+    with pytest.raises(ConvergenceError):
+        run_check("gen-spitzer-noncomm", params)

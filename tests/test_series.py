@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -252,3 +253,39 @@ def test_first_mismatch_strings_match_coefficients(ring):
         assert mm.lhs == "[" + ",".join(
             "[" + ",".join(str(v) for v in row) + "]" for row in expected) + "]"
     assert first_mismatch(x, x.scale(1)) is None
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_extend_pads_with_zero_coefficients(ring):
+    x = random_series(ring, 3, random.Random(34), 1, 5)
+    y = x.extend(6)
+    assert y.cap == 6 and y.truncate(3) == x
+    assert y.coeffs[4:] == (ring.zero(),) * 3
+    assert x.extend(3) == x and x.truncate(3) is x
+    with pytest.raises(ValueError):
+        y.extend(5)
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_from_numerators_reduces_and_validates(ring):
+    x = random_series(ring, 4, random.Random(35), 0, 7)
+    assert TruncatedSeries.from_numerators(ring, 4, [6 * v for v in x._num], 6 * x._den) == x
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_numerators(ring, 4, x._num[:-1], x._den)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_numerators(ring, 4, x._num, 0)
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_exp_and_geom_inv_match_their_defining_sums(ring):
+    """The fused product-and-scale terms against x^n/n! and (-lam x)^n built
+    by plain products and scale."""
+    cap = 7
+    x = random_series(ring, cap, random.Random(36), 1, 5)
+    exp_sum = geom_sum = TruncatedSeries.zero(ring, cap)
+    lam = Q(-3, 2)
+    for n in range(cap + 1):
+        exp_sum = exp_sum + x.pow(n).scale(Q(1, factorial(n)))
+        geom_sum = geom_sum + x.pow(n).scale((-lam) ** n)
+    assert x.exp() == exp_sum
+    assert x.geom_inv(lam) == geom_sum
