@@ -81,6 +81,25 @@ def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> Optional[Misma
 # ------------------------------------------------------------------ utilities
 
 
+# The integer params and the least value each may take; None is no bound.
+INT_PARAMS = {"order": 0, "dim": 1, "seed": None, "samples": 1, "nmax": 0, "kmax": 0}
+
+
+def int_param(name: str, value) -> int:
+    """`value` as the integer param `name`: an int, or a string of one, at
+    least the param's bound. Raises ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    least = INT_PARAMS[name]
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return number
+
+
 def _operator(params: Mapping) -> OperatorSpec:
     kind = params.get("operator", QINT)
     if kind == ANTIDER:
@@ -415,22 +434,35 @@ class SuiteManifest:
 
 class ManifestError(ValueError):
     """A manifest that is not a JSON object with an `entries` list of objects,
-    each with an `id` and, optionally, an object of `params`."""
+    each with a string `id`, optionally an object of valid `params` and an
+    `expect` of pass, fail or domain-error."""
+
+
+def _entry(e) -> ManifestEntry:
+    """The manifest entry `e`, its integer params parsed and its operator
+    built, so that a bad value stops the suite before any check runs."""
+    if not isinstance(e, dict) or not isinstance(e.get("id"), str) \
+            or not isinstance(e.get("params", {}), dict):
+        raise ManifestError(f"entry {e!r} is not an object with a string 'id' and object 'params'")
+    expected = e.get("expect", PASS)
+    if expected not in (PASS, FAIL, DOMAIN_ERROR):
+        raise ManifestError(
+            f"entry {e['id']!r}: expect must be pass, fail or domain-error, not {expected!r}")
+    params = dict(e.get("params", {}))
+    try:
+        for name in INT_PARAMS:
+            if name in params:
+                params[name] = int_param(name, params[name])
+        _operator(params)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ManifestError(f"entry {e['id']!r}: {exc}") from None
+    return ManifestEntry(e["id"], params, expected)
 
 
 def load_manifest(data: dict) -> SuiteManifest:
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ManifestError("a manifest is a JSON object with an 'entries' list")
-    for e in data["entries"]:
-        if not isinstance(e, dict) or "id" not in e or not isinstance(e.get("params", {}), dict):
-            raise ManifestError(f"entry {e!r} is not an object with an 'id' and object 'params'")
-    entries = tuple(
-        ManifestEntry(
-            e["id"], dict(e.get("params", {})), e.get("expect", PASS)
-        )
-        for e in data["entries"]
-    )
-    return SuiteManifest(entries)
+    return SuiteManifest(tuple(_entry(e) for e in data["entries"]))
 
 
 def load_manifest_file(path: str) -> SuiteManifest:

@@ -21,6 +21,7 @@ from .checks import (
     ManifestError,
     UnknownIdentityError,
     default_manifest,
+    int_param,
     load_manifest_file,
     run_check,
     run_suite,
@@ -101,9 +102,11 @@ def _check_params(args: argparse.Namespace) -> dict:
 def _validate(args: argparse.Namespace) -> OperatorSpec:
     """Reject out-of-range values of the flags common to verify and solve, and
     return the operator they name."""
-    for flag, least in (("order", 0), ("dim", 1), ("samples", 1)):
-        if getattr(args, flag) < least:
-            raise UsageError(f"--{flag} must be >= {least}")
+    for flag in ("order", "dim", "samples"):
+        try:
+            int_param(flag, getattr(args, flag))
+        except ValueError as exc:
+            raise UsageError(f"--{exc}")
     if args.operator == ANTIDER:
         return OperatorSpec(ANTIDER)
     q = _parse_rational(args.q, "--q")

@@ -55,27 +55,50 @@ class OperatorSpec:
         return Q(0)
 
 
-@lru_cache(maxsize=64)
-def _multipliers(op: OperatorSpec, cap: int) -> tuple[tuple[int, ...], int]:
-    """The operator's factors for t^0..t^cap as integers over one denominator."""
+def _factor(op: OperatorSpec, n: int) -> Q:
+    """The operator's factor for t^n."""
     if op.kind == ANTIDER:
-        factors = [Q(1, n + 1) for n in range(cap + 1)]
-    else:
-        factors = [Q(0)]
-        qn = Q(1)
-        for _ in range(cap):
-            qn = qn * op.q
-            factors.append(qn / (1 - qn) if op.kind == QINT else 1 / (1 - qn))
-    den = lcm(*(f.denominator for f in factors))
-    return tuple(f.numerator * (den // f.denominator) for f in factors), den
+        return Q(1, n + 1)
+    if n == 0:
+        return Q(0)
+    qn = op.q**n
+    return qn / (1 - qn) if op.kind == QINT else 1 / (1 - qn)
+
+
+@lru_cache(maxsize=64)
+def _table(op: OperatorSpec) -> tuple[list, dict]:
+    """One operator's factors, grown by multipliers, and the integer form of
+    each prefix of them asked for, by cap."""
+    return [], {}
+
+
+def multipliers(op: OperatorSpec, cap: int) -> tuple[tuple[int, ...], int]:
+    """The factors for t^0..t^cap as integers over their least common denominator.
+
+    Each operator keeps one table of factors, grown when a larger cap is asked
+    for; a cap reads the prefix of it up to that cap.
+    """
+    factors, by_cap = _table(op)
+    found = by_cap.get(cap)
+    if found is None:
+        factors.extend(_factor(op, n) for n in range(len(factors), cap + 1))
+        prefix = factors[: cap + 1]
+        den = lcm(*(f.denominator for f in prefix))
+        found = by_cap[cap] = tuple(f.numerator * (den // f.denominator) for f in prefix), den
+    return found
+
+
+def require_domain(op: OperatorSpec, x: TruncatedSeries) -> None:
+    """Raise DomainError unless the operator is defined on x."""
+    if op.kind != ANTIDER and x.valuation() == 0:
+        raise DomainError(f"{op.kind}: operator undefined on constant term")
 
 
 def apply(op: OperatorSpec, x: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise action of the operator; preserves the filtration."""
-    if op.kind != ANTIDER and x.valuation() == 0:
-        raise DomainError(f"{op.kind}: operator undefined on constant term")
-    multipliers, den = _multipliers(op, x.cap)
-    return x.termwise(multipliers, den, shift=1 if op.kind == ANTIDER else 0)
+    require_domain(op, x)
+    nums, den = multipliers(op, x.cap)
+    return x.termwise(nums, den, shift=1 if op.kind == ANTIDER else 0)
 
 
 def tilde_apply(op: OperatorSpec, x: TruncatedSeries) -> TruncatedSeries:

@@ -10,7 +10,8 @@ coefficient of t^k sits at index k*d*d + e (row-major), so a scalar series is
 the d = 1 case. The pair (numerators, denominator) is kept reduced, gcd 1
 and the zero series over 1, so equal series have equal representations and
 equality is a plain compare. Arithmetic runs on the integers alone;
-RingElement values are built only at the API and text boundary.
+RingElement values are built only at the API and text boundary. RelaxedSeries
+keeps the same layout for a series settled one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -201,6 +202,12 @@ class TruncatedSeries:
         )
         return RingElement(self.ring, rows)
 
+    def block(self, k: int) -> "Block":
+        """The coefficient of t^k as a Block: its numerators over the series'
+        denominator."""
+        dd = self.ring.dim**2
+        return self._num[k * dd : (k + 1) * dd], self._den
+
     @property
     def coeffs(self) -> tuple:
         """cap+1 RingElements, coefficient of t^k at index k."""
@@ -372,6 +379,87 @@ class TruncatedSeries:
         if self.ring.kind == "scalar-rational":
             return [str(c.value) for c in self.coeffs]
         return [[[str(a) for a in row] for row in c.value] for c in self.coeffs]
+
+
+# A Block is one coefficient: its d*d numerators (row-major) over a positive
+# denominator.
+Block = tuple[list, int]
+
+
+def combine(*terms: tuple) -> Block:
+    """The sum of r*block over (r, block) pairs, r an int or a Fraction, reduced."""
+    den = lcm(*(d * r.denominator for r, (_, d) in terms))
+    out = [0] * len(terms[0][1][0])
+    for r, (num, d) in terms:
+        m = r.numerator * (den // (d * r.denominator))
+        if m:
+            for e, v in enumerate(num):
+                out[e] += m * v
+    g = gcd(den, *out)
+    return [v // g for v in out], den // g
+
+
+class RelaxedSeries:
+    """A series modulo t^(cap+1) settled one coefficient at a time, in order.
+
+    This is the state of relaxed evaluation: each coefficient is set once,
+    from coefficients settled before it, and unsettled ones read as zero. The
+    numerators are laid out as in TruncatedSeries over one positive
+    denominator, which is raised to the least common one, rescaling the
+    settled numerators, when a coefficient over a new denominator is set.
+    """
+
+    __slots__ = ("ring", "cap", "_num", "_den")
+
+    def __init__(self, ring: RingDescriptor, cap: int):
+        self.ring = ring
+        self.cap = cap
+        self._num = [0] * ((cap + 1) * ring.dim**2)
+        self._den = 1
+
+    def product_coefficient(self, other: "RelaxedSeries", c: int, lo: int = 1) -> Block:
+        """Sum of self[j]*other[c-j] for j = lo..c-1, not reduced.
+
+        When both series have zero constant term and lo is self's valuation,
+        this is coefficient c of self*other, read from coefficients below c
+        alone.
+        """
+        d = self.ring.dim
+        xs, ys = self._num, other._num
+        if d == 1:
+            out = [sum(xs[j] * ys[c - j] for j in range(lo, c))]
+        else:
+            dd = d * d
+            out = [0] * dd
+            prods = _products(d)
+            for j in range(lo, c):
+                a = xs[j * dd : (j + 1) * dd]
+                if not any(a):
+                    continue
+                b = ys[(c - j) * dd : (c - j + 1) * dd]
+                for o, l, r in prods:
+                    out[o] += a[l] * b[r]
+        return out, self._den * other._den
+
+    def set(self, c: int, block: Block) -> Block:
+        """Settle coefficient c to `block`; return the block reduced."""
+        num, den = block
+        g = gcd(den, *num)
+        den //= g
+        old = self._den
+        new = lcm(old, den)
+        if new != old:
+            k = new // old
+            self._num = [k * v for v in self._num]
+            self._den = new
+        dd = len(num)
+        k = new // den
+        num = [v // g for v in num]
+        self._num[c * dd : (c + 1) * dd] = [k * v for v in num]
+        return num, den
+
+    def series(self) -> TruncatedSeries:
+        return TruncatedSeries._make(self.ring, self.cap, list(self._num), self._den)
 
 
 def parse_series(text: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:

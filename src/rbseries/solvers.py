@@ -3,12 +3,13 @@
 The fixed-point maps here (Picard's, and the chi recursions) raise the
 t-valuation of differences: coefficient c of the image depends only on the
 coefficients below c. Each fixed point is therefore lifted one coefficient at a
-time, with step c run at truncation c (relaxed evaluation, van der Hoeven,
-"Relax, but don't be too lazy", JSC 2002), and then proved by one step at full
-cap that must return its input. The closed forms implement the exponential
-solutions: Spitzer for the homogeneous equation and the generalized identities
-for the inhomogeneous ones, with the chi recursions handling the
-non-commutative cases.
+time (relaxed evaluation, van der Hoeven, "Relax, but don't be too lazy", JSC
+2002) and then proved by one step at full cap that must return its input.
+Picard and chi_zero run lift step c at truncation c; chi_lambda settles only
+coefficient c of each series inside its BCH map. The closed forms implement
+the exponential solutions: Spitzer for the homogeneous equation and the
+generalized identities for the inhomogeneous ones, with the chi recursions
+handling the non-commutative cases.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Optional
 
-from .operators import OperatorSpec, apply, tilde_apply
+from .operators import OperatorSpec, apply, multipliers, require_domain, tilde_apply
 from .rings import Q, RingDescriptor
-from .series import TruncatedSeries
+from .series import RelaxedSeries, TruncatedSeries, combine
 
 HOMOGENEOUS = "homogeneous"
 INHOM_LEFT = "inhom-left"
@@ -161,24 +162,70 @@ def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     return (x.exp() * y.exp() - one).log1p() - x - y
 
 
+def _settle_powers(base: RelaxedSeries, terms: list, c: int, exp: bool) -> list:
+    """Settle coefficient c of base^n, or of base^n/n! when exp, in terms[n - 2]
+    for n = 2..c, each from coefficients below c of base and of the power
+    before it; return those coefficients."""
+    prev, out = base, []
+    for n in range(2, c + 1):
+        num, den = prev.product_coefficient(base, c, n - 1)
+        prev = terms[n - 2]
+        out.append(prev.set(c, (num, den * n if exp else den)))
+    return out
+
+
 def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     """BCH-recursion: fixed point of x = a + w^-1 BCH(P(x), Pt(x)).
 
     Splits exp(-w*a) into exp(P(chi)) * exp(Pt(chi)); requires nonzero weight
     and val(a) >= 1. BCH has no term of degree below 2, so the map raises the
-    valuation of differences and the fixed point is lifted one coefficient per
-    step. Raises ConvergenceError if the result is not fixed at full cap.
+    valuation of differences and the fixed point is settled one coefficient
+    per step by _relaxed_chi. Raises ConvergenceError if the result is not
+    fixed by one full-cap step of the map.
     """
     w = op.weight
     if w == 0:
         raise SolverUsageError("chi_lambda requires nonzero weight; use chi_zero")
-    inv_w = 1 / w
+    require_domain(op, a)
+    x = _relaxed_chi(op, a)
+    return _require_fixed(
+        "chi_lambda", x, a + bch(apply(op, x), tilde_apply(op, x)).scale(1 / w)
+    )
 
-    def step(x: TruncatedSeries) -> TruncatedSeries:
-        return a.truncate(x.cap) + bch(apply(op, x), tilde_apply(op, x)).scale(inv_w)
 
-    x = _lift(step, a.ring, a.cap)
-    return _require_fixed("chi_lambda", x, step(x))
+def _relaxed_chi(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
+    """The fixed point of x = a + w^-1 BCH(X, Y), X = P(x), Y = Pt(x) = -w*x - X.
+
+    With E = exp(X) - 1, F = exp(Y) - 1 and Z = (1 + E)(1 + F) - 1,
+    BCH = log(1 + Z) - X - Y is the sum of the X^n/n! and Y^n/n! for n >= 2,
+    the cross term E*F, and the (-1)^(n-1) Z^n/n for n >= 2. Step c settles
+    coefficient c of every one of these series. Its nonlinear part reads only
+    coefficients below c, and the linear X[c] and Y[c] cancel against -X - Y,
+    so BCH[c] is known before x[c]; then x[c] = a[c] + BCH[c]/w, and P,
+    diagonal for both nonzero weights, gives X[c] = m_c*x[c].
+    """
+    ring, cap = a.ring, a.cap
+    w = op.weight
+    mults, den = multipliers(op, cap)
+    x, X, Y, E, F, Z = (RelaxedSeries(ring, cap) for _ in range(6))
+    # X^n/n!, Y^n/n! and Z^n for n = 2..cap, at index n - 2
+    x_terms, y_terms, z_terms = ([RelaxedSeries(ring, cap) for _ in range(cap - 1)]
+                                 for _ in range(3))
+    log_scales = [Q((-1) ** (n - 1), n) for n in range(2, cap + 1)]
+    for c in range(1, cap + 1):
+        x_pow = _settle_powers(X, x_terms, c, exp=True)
+        y_pow = _settle_powers(Y, y_terms, c, exp=True)
+        z_pow = _settle_powers(Z, z_terms, c, exp=False)
+        cross = E.product_coefficient(F, c)
+        bch_c = combine((1, cross), *((1, b) for b in x_pow + y_pow),
+                        *zip(log_scales, z_pow))
+        x_c = x.set(c, combine((1, a.block(c)), (1 / w, bch_c)))
+        X_c = X.set(c, combine((Q(mults[c], den), x_c)))
+        Y_c = Y.set(c, combine((-w, x_c), (-1, X_c)))
+        E_c = E.set(c, combine((1, X_c), *((1, b) for b in x_pow)))
+        F_c = F.set(c, combine((1, Y_c), *((1, b) for b in y_pow)))
+        Z.set(c, combine((1, E_c), (1, F_c), (1, cross)))
+    return x.series()
 
 
 _BERNOULLI_CACHE = [Q(1)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rbseries.checks import CheckReport, Mismatch
+from rbseries.checks import CheckReport, Mismatch, load_manifest
 from rbseries.cli import emit_report, main
 
 
@@ -205,6 +205,39 @@ def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
     code, out, err = run(capsys, "suite", "--manifest", str(path))
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: --manifest")
+
+
+@pytest.mark.parametrize("entry", [
+    {"id": "rb-axiom", "expect": "bogus", "params": {"order": 3}},
+    {"id": "rb-axiom", "params": {"q": "1"}},
+    {"id": "rb-axiom", "params": {"q": "1/0"}},
+    {"id": "rb-axiom", "params": {"q": [1]}},
+    {"id": "rb-axiom", "params": {"operator": "nope"}},
+    {"id": "rb-axiom", "params": {"order": "x"}},
+    {"id": "rb-axiom", "params": {"order": 2.5}},
+    {"id": "rb-axiom", "params": {"dim": True}},
+    {"id": "rb-axiom", "params": {"order": -3, "samples": 0}},
+    {"id": "rb-axiom", "params": {"dim": 0}},
+    {"id": "kingman", "params": {"nmax": -1}},
+    {"id": "lemma-iter-a", "params": {"kmax": -1}},
+    {"id": ["rb-axiom"]},
+], ids=["expect-bogus", "q-one", "q-zero-denominator", "q-list", "operator-unknown",
+        "order-not-a-number", "order-float", "dim-bool", "vacuous-pass", "dim-zero",
+        "nmax-negative", "kmax-negative", "id-not-a-string"])
+def test_suite_rejects_a_bad_manifest_value_before_any_check(tmp_path, capsys, entry):
+    good = {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": 4}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": [good, entry]}))
+    code, out, err = run(capsys, "suite", "--manifest", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --manifest: ")
+    assert "Traceback" not in err
+
+
+def test_manifest_integer_params_are_parsed():
+    manifest = load_manifest({"entries": [
+        {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": "4", "seed": "-2"}}]})
+    assert manifest.entries[0].params == {"q": "1/2", "order": 4, "seed": -2}
 
 
 def test_suite_rejects_a_manifest_directory(tmp_path, capsys):

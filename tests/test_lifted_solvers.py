@@ -10,7 +10,7 @@ from rbseries import solvers
 from rbseries.checks import run_check
 from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
 from rbseries.rings import matrix_ring, rational
-from rbseries.series import TruncatedSeries
+from rbseries.series import DomainError, TruncatedSeries
 from rbseries.solvers import (
     FORMS,
     HOMOGENEOUS,
@@ -130,6 +130,23 @@ def test_lifted_chi_matches_full_cap(ring_name, op_name, cap):
         x = lifted(op, a)
         assert x == reference(op, a)
         assert x.cap == cap and x.ring == a.ring
+
+
+@pytest.mark.parametrize("op_name", ["qint-1/2", "qscale--1/2"])
+@pytest.mark.parametrize("ring_name", ["scalar", "2x2"])
+def test_relaxed_chi_lambda_matches_full_cap_at_cap_16(ring_name, op_name):
+    op = OPS[op_name]
+    a, _ = inputs(ring_name, op_name, 16, count=1)[0]
+    assert chi_lambda(op, a) == reference_chi_lambda(op, a)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 6])
+@pytest.mark.parametrize("op_name", ["qint-1/2", "qscale--1/2"])
+def test_chi_lambda_rejects_a_nonzero_constant_term(op_name, cap):
+    op = OPS[op_name]
+    a = TruncatedSeries.from_coeffs(MAT2, cap, [[[1, 0], [0, 2]], [[1, 1], [0, 1]]])
+    with pytest.raises(DomainError, match=f"^{op.kind}: operator undefined on constant term$"):
+        chi_lambda(op, a)
 
 
 # ------------------------------------------------------ non-convergence

@@ -1,7 +1,9 @@
 import random
+from math import lcm
 
 import pytest
 
+from rbseries import operators
 from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
 from rbseries.rings import Q, rational
 from rbseries.series import DomainError, TruncatedSeries
@@ -98,3 +100,29 @@ def test_linearity(op):
         y = random_series(SCALAR, 8, rng, 1)
         lhs = apply(op, x.scale(a) + y.scale(b))
         assert lhs == apply(op, x).scale(a) + apply(op, y).scale(b)
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=str)
+def test_one_multiplier_table_per_operator_grows_and_is_sliced(op):
+    """A larger cap grows the operator's one table of factors, a smaller cap
+    reads a prefix of it over that prefix's least common denominator, and
+    apply gives the same series as from a fresh table."""
+    x = random_series(MAT2, 4, random.Random(39), 1, 5)
+    operators._table.cache_clear()
+    fresh = apply(op, x)
+    nums, den = operators.multipliers(op, 12)
+    factors, _ = operators._table(op)
+    assert len(factors) == 13
+    assert apply(op, x) == fresh
+    small, small_den = operators.multipliers(op, 4)
+    assert len(factors) == 13
+    assert [Q(m, small_den) for m in small] == [Q(m, den) for m in nums[:5]] == factors[:5]
+    assert small_den == lcm(*(f.denominator for f in factors[:5]))
+    for k, factor in enumerate(factors):
+        if op.kind == ANTIDER:
+            assert factor == Q(1, k + 1)
+        elif k:
+            qk = op.q ** k
+            assert factor == (qk if op.kind == QINT else 1) / (1 - qk)
+        else:
+            assert factor == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rbseries.checks import first_mismatch
 from rbseries.rings import Q, RingMismatchError, matrix_ring, random_element, rational
-from rbseries.series import DomainError, TruncatedSeries, parse_series
+from rbseries.series import DomainError, RelaxedSeries, TruncatedSeries, combine, parse_series
 
 from conftest import MAT2, SCALAR, rationals
 
@@ -289,3 +289,38 @@ def test_exp_and_geom_inv_match_their_defining_sums(ring):
         geom_sum = geom_sum + x.pow(n).scale((-lam) ** n)
     assert x.exp() == exp_sum
     assert x.geom_inv(lam) == geom_sum
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_relaxed_series_settles_a_product_one_coefficient_at_a_time(ring):
+    """Coefficient c of x*y read from coefficients below c, set in order,
+    gives the truncated product, whatever the denominators met on the way."""
+    cap = 6
+    rng = random.Random(37)
+    x, y = (random_series(ring, cap, rng, 1, 7) for _ in range(2))
+    rx, ry, rxy = (RelaxedSeries(ring, cap) for _ in range(3))
+    for c in range(cap + 1):
+        rxy.set(c, rx.product_coefficient(ry, c))
+        rx.set(c, x.block(c))
+        ry.set(c, y.block(c))
+    assert rx.series() == x and ry.series() == y
+    assert rxy.series() == x * y
+    assert RelaxedSeries(ring, cap).series() == TruncatedSeries.zero(ring, cap)
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_relaxed_set_rescales_the_settled_coefficients(ring):
+    x = random_series(ring, 3, random.Random(38), 0, 9)
+    r = RelaxedSeries(ring, 3)
+    for c in (0, 1, 2, 3):
+        num, den = x.block(c)
+        r.set(c, ([5 * v for v in num], 5 * den))
+        assert r.series().truncate(c) == x.truncate(c)
+    assert r.series() == x
+
+
+def test_combine_sums_scaled_blocks_reduced():
+    one_half, one_third = ([1], 2), ([2], 6)
+    assert combine((1, one_half), (1, one_third)) == ([5], 6)
+    assert combine((Q(3, 5), one_half), (-1, ([3], 10))) == ([0], 1)
+    assert combine((Q(-2, 3), ([3, 6, 0, 9], 4))) == ([-1, -2, 0, -3], 2)
