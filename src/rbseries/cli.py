@@ -28,8 +28,8 @@ from .checks import (
     suite_ok,
 )
 from .operators import ANTIDER, KINDS, OperatorSpec
-from .rings import matrix_ring, rational, scalar_ring
-from .series import DomainError, parse_series
+from .rings import RingDescriptor, matrix_ring, rational, scalar_ring
+from .series import DomainError, TruncatedSeries, parse_series
 from .solvers import FORMS, HOMOGENEOUS, INHOM_LEFT, EquationSpec, closed_solve, picard_solve
 
 
@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=10)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--a0", help="series coefficients c0,c1,... e.g. 0,1")
-        p.add_argument("--a1", help="series coefficients c0,c1,...")
 
     p_verify = sub.add_parser("verify", help="run a single identity check")
     p_verify.add_argument("identity", help="identity id, e.g. eulerian-prop-two")
@@ -79,6 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("picard", "closed"), default="picard"
     )
     common(p_solve)
+    p_solve.add_argument("--a0", help="series coefficients c0,c1,... e.g. 0,1")
+    p_solve.add_argument("--a1", help="series coefficients c0,c1,...")
     return parser
 
 
@@ -92,11 +92,14 @@ def _check_params(args: argparse.Namespace) -> dict:
     }
     if args.operator != ANTIDER:
         params["q"] = args.q
-    if getattr(args, "a0", None):
-        params["a0"] = args.a0
-    if getattr(args, "a1", None):
-        params["a1"] = args.a1
     return params
+
+
+def _parse_series(text: str, flag: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
+    try:
+        return parse_series(text, ring, cap)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag}: malformed series {text!r}")
 
 
 def _validate(args: argparse.Namespace) -> OperatorSpec:
@@ -179,9 +182,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError("solve requires --a1")
     if args.equation != HOMOGENEOUS and not args.a0:
         raise UsageError(f"--equation {args.equation} requires --a0")
+    a1 = _parse_series(args.a1, "--a1", ring, args.order)
+    a0 = _parse_series(args.a0, "--a0", ring, args.order) if args.a0 else None
     try:
-        a1 = parse_series(args.a1, ring, args.order)
-        a0 = parse_series(args.a0, ring, args.order) if args.a0 else None
         eq = EquationSpec(args.equation, op, a1, None if args.equation == HOMOGENEOUS else a0)
         solution = picard_solve(eq) if args.method == "picard" else closed_solve(eq)
     except (ValueError, DomainError) as exc:

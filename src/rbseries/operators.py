@@ -94,11 +94,16 @@ def require_domain(op: OperatorSpec, x: TruncatedSeries) -> None:
         raise DomainError(f"{op.kind}: operator undefined on constant term")
 
 
+def power_shift(op: OperatorSpec) -> int:
+    """The power the operator adds to t^n: 1 for antider, 0 for the q kinds."""
+    return 1 if op.kind == ANTIDER else 0
+
+
 def apply(op: OperatorSpec, x: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise action of the operator; preserves the filtration."""
     require_domain(op, x)
     nums, den = multipliers(op, x.cap)
-    return x.termwise(nums, den, shift=1 if op.kind == ANTIDER else 0)
+    return x.termwise(nums, den, shift=power_shift(op))
 
 
 def tilde_apply(op: OperatorSpec, x: TruncatedSeries) -> TruncatedSeries:

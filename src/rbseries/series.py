@@ -417,8 +417,23 @@ class RelaxedSeries:
         self._num = [0] * ((cap + 1) * ring.dim**2)
         self._den = 1
 
-    def product_coefficient(self, other: "RelaxedSeries", c: int, lo: int = 1) -> Block:
-        """Sum of self[j]*other[c-j] for j = lo..c-1, not reduced.
+    @classmethod
+    def of(cls, series: TruncatedSeries) -> "RelaxedSeries":
+        """A known series, with every coefficient settled."""
+        self = cls(series.ring, series.cap)
+        self._num, self._den = list(series._num), series._den
+        return self
+
+    def block(self, c: int) -> Block:
+        """Coefficient c as a Block, over the current denominator."""
+        dd = self.ring.dim**2
+        return self._num[c * dd : (c + 1) * dd], self._den
+
+    def product_coefficient(
+        self, other: "RelaxedSeries", c: int, lo: int = 1, hi: int | None = None
+    ) -> Block:
+        """Sum of self[j]*other[c-j] for j = lo..hi (hi = c - 1 by default),
+        not reduced.
 
         When both series have zero constant term and lo is self's valuation,
         this is coefficient c of self*other, read from coefficients below c
@@ -426,13 +441,14 @@ class RelaxedSeries:
         """
         d = self.ring.dim
         xs, ys = self._num, other._num
+        top = c if hi is None else hi + 1
         if d == 1:
-            out = [sum(xs[j] * ys[c - j] for j in range(lo, c))]
+            out = [sum(xs[j] * ys[c - j] for j in range(lo, top))]
         else:
             dd = d * d
             out = [0] * dd
             prods = _products(d)
-            for j in range(lo, c):
+            for j in range(lo, top):
                 a = xs[j * dd : (j + 1) * dd]
                 if not any(a):
                     continue

@@ -2,24 +2,31 @@
 
 The fixed-point maps here (Picard's, and the chi recursions) raise the
 t-valuation of differences: coefficient c of the image depends only on the
-coefficients below c. Each fixed point is therefore lifted one coefficient at a
-time (relaxed evaluation, van der Hoeven, "Relax, but don't be too lazy", JSC
-2002) and then proved by one step at full cap that must return its input.
-Picard and chi_zero run lift step c at truncation c; chi_lambda settles only
-coefficient c of each series inside its BCH map. The closed forms implement
-the exponential solutions: Spitzer for the homogeneous equation and the
-generalized identities for the inhomogeneous ones, with the chi recursions
-handling the non-commutative cases.
+coefficients below c. Each fixed point is therefore settled one coefficient
+at a time on series.RelaxedSeries (relaxed evaluation, van der Hoeven, "Relax,
+but don't be too lazy", JSC 2002): step c computes only coefficient c of every
+series the map builds, from the coefficients below c. The result is then
+proved at full cap, through the module-level `apply` and from the result
+alone, or ConvergenceError is raised.
+
+chi_lambda is settled in product form: x = a + w^-1 BCH(P x, Pt x) holds
+exactly when exp(P x) exp(Pt x) = exp(-w a), since Pt x = -w x - P x and log
+is a bijection; the proof computes both exponentials afresh and multiplies
+them. The closed forms implement the exponential solutions: Spitzer for the
+homogeneous equation and the generalized identities for the inhomogeneous
+ones. Over a non-commutative ring at nonzero weight, closed_solve settles the
+split of (1 + w a1)^-1 and builds its solution from the two exponentials the
+proof computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Optional
 
-from .operators import OperatorSpec, apply, multipliers, require_domain, tilde_apply
-from .rings import Q, RingDescriptor
+from .operators import OperatorSpec, apply, multipliers, power_shift, require_domain
+from .rings import Q
 from .series import RelaxedSeries, TruncatedSeries, combine
 
 HOMOGENEOUS = "homogeneous"
@@ -34,7 +41,7 @@ class SolverUsageError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A lifted iterate is not fixed by its map at full cap.
+    """A settled result fails its full-cap check.
 
     The maps raise the valuation of differences, so this signals a fault in the
     operator or the map, never a bad input.
@@ -74,30 +81,19 @@ class EquationSpec:
                 raise ValueError("a0 must have valuation >= 1")
 
 
-def _lift(
-    step: Callable[[TruncatedSeries], TruncatedSeries], ring: RingDescriptor, cap: int
-) -> TruncatedSeries:
-    """The fixed point of `step` modulo t^(cap+1), one coefficient per step.
-
-    `step` maps a series to one at the same truncation, and coefficient c of
-    its image must depend only on the coefficients below c of its argument.
-    Step c runs at truncation c on the iterate extended by one zero
-    coefficient, so it settles coefficient c and repeats the settled ones.
-    """
-    x = TruncatedSeries.zero(ring, 0)
-    for c in range(cap + 1):
-        x = step(x.extend(c))
-    return x
-
-
-def _require_fixed(solver: str, x: TruncatedSeries, image: TruncatedSeries) -> TruncatedSeries:
-    """x, once its image under one full-cap step is shown to be x itself."""
-    if image != x:
+def _require_equal(solver: str, got: TruncatedSeries, want: TruncatedSeries) -> None:
+    """Pass if the full-cap check of a settled result gives `want`."""
+    if got != want:
         raise ConvergenceError(
-            f"{solver}: the lifted iterate is not a fixed point; "
-            f"the full-cap step changes t^{(image - x).valuation()}"
+            f"{solver}: the settled result fails its full-cap check "
+            f"at t^{(got - want).valuation()}"
         )
-    return x
+
+
+def _diagonal(op: OperatorSpec, cap: int) -> tuple[int, list]:
+    """(shift, factors): P moves coefficient k to power k + shift, times factors[k]."""
+    mults, den = multipliers(op, cap)
+    return power_shift(op), [Q(m, den) for m in mults]
 
 
 def _constant(eq: EquationSpec) -> TruncatedSeries:
@@ -111,28 +107,35 @@ def _constant(eq: EquationSpec) -> TruncatedSeries:
     return apply(eq.op, eq.a0 * unit_shift)
 
 
-def _picard_step(eq: EquationSpec, const: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """const + P(a1*b), or const + P(b*a1) on the right, at b's truncation."""
-    a1 = eq.a1.truncate(b.cap)
-    return const.truncate(b.cap) + apply(eq.op, b * a1 if eq.form == INHOM_RIGHT else a1 * b)
-
-
 def _rhs(eq: EquationSpec, b: TruncatedSeries) -> TruncatedSeries:
     """The right-hand side of the equation at b, at full cap."""
-    return _picard_step(eq, _constant(eq), b)
+    return _constant(eq) + apply(eq.op, b * eq.a1 if eq.form == INHOM_RIGHT else eq.a1 * b)
 
 
 def picard_solve(eq: EquationSpec) -> TruncatedSeries:
     """Unique fixed point of the equation at the truncation cap.
 
     P acts coefficientwise and val(a1) >= 1, so coefficient c of the right-hand
-    side depends only on b below t^c: the lift computes the constant term once
-    and settles one coefficient per step. Raises ConvergenceError if the
-    result is not fixed by the full right-hand side.
+    side depends only on b below t^c. Step c settles
+    b[c] = const[c] + m*(a1 b)[c - shift], with m the factor P puts on that
+    power, or (b a1) on the right. Raises ConvergenceError if the result is
+    not fixed by the full right-hand side.
     """
     const = _constant(eq)
-    b = _lift(lambda b: _picard_step(eq, const, b), eq.a1.ring, eq.a1.cap)
-    return _require_fixed("picard_solve", b, _rhs(eq, b))
+    ring, cap = const.ring, const.cap
+    shift, factors = _diagonal(eq.op, cap)
+    right = eq.form == INHOM_RIGHT
+    a1, b = RelaxedSeries.of(eq.a1), RelaxedSeries(ring, cap)
+    for c in range(cap + 1):
+        k = c - shift
+        terms = [(1, const.block(c))]
+        if k >= 0:
+            prod = b.product_coefficient(a1, k, 0) if right else a1.product_coefficient(b, k, 1, k)
+            terms.append((factors[k], prod))
+        b.set(c, combine(*terms))
+    b = b.series()
+    _require_equal("picard_solve", _rhs(eq, b), b)
+    return b
 
 
 def spitzer_closed(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
@@ -162,70 +165,75 @@ def bch(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     return (x.exp() * y.exp() - one).log1p() - x - y
 
 
-def _settle_powers(base: RelaxedSeries, terms: list, c: int, exp: bool) -> list:
-    """Settle coefficient c of base^n, or of base^n/n! when exp, in terms[n - 2]
-    for n = 2..c, each from coefficients below c of base and of the power
-    before it; return those coefficients."""
+def _settle_powers(base: RelaxedSeries, terms: list, c: int) -> list:
+    """Settle coefficient c of base^n/n! in terms[n - 2] for n = 2..c, each
+    from coefficients below c of base and of the power before it; return
+    those coefficients."""
     prev, out = base, []
     for n in range(2, c + 1):
         num, den = prev.product_coefficient(base, c, n - 1)
         prev = terms[n - 2]
-        out.append(prev.set(c, (num, den * n if exp else den)))
+        out.append(prev.set(c, (num, den * n)))
     return out
+
+
+def _settle_split(op: OperatorSpec, g: TruncatedSeries, mirror: bool) -> TruncatedSeries:
+    """The x with exp(X) exp(Y) = g, or exp(Y) exp(X) = g when mirror, where
+    X = P(x) and Y = Pt(x) = -w*x - X; g must have constant term 1.
+
+    With E = exp(X) - 1 and F = exp(Y) - 1, coefficient c of the product is
+    X[c] + Y[c] = -w*x[c], plus the X^n/n! and Y^n/n! for n >= 2 and the
+    cross term E*F (F*E when mirror), all read from coefficients below c. So
+    step c settles x[c] = w^-1 (sum of those - g[c]), and P, diagonal for both
+    nonzero weights, gives X[c] = m_c*x[c].
+    """
+    ring, cap = g.ring, g.cap
+    w = op.weight
+    inv_w = 1 / w
+    _, factors = _diagonal(op, cap)
+    x, X, Y, E, F = (RelaxedSeries(ring, cap) for _ in range(5))
+    # X^n/n! and Y^n/n! for n = 2..cap, at index n - 2
+    x_terms, y_terms = ([RelaxedSeries(ring, cap) for _ in range(cap - 1)] for _ in range(2))
+    first, second = (F, E) if mirror else (E, F)
+    for c in range(1, cap + 1):
+        x_pow = _settle_powers(X, x_terms, c)
+        y_pow = _settle_powers(Y, y_terms, c)
+        cross = first.product_coefficient(second, c)
+        x_c = x.set(c, combine((inv_w, cross), *((inv_w, b) for b in x_pow + y_pow),
+                               (-inv_w, g.block(c))))
+        X_c = X.set(c, combine((factors[c], x_c)))
+        Y_c = Y.set(c, combine((-w, x_c), (-1, X_c)))
+        E.set(c, combine((1, X_c), *((1, b) for b in x_pow)))
+        F.set(c, combine((1, Y_c), *((1, b) for b in y_pow)))
+    return x.series()
+
+
+def _split(
+    solver: str, op: OperatorSpec, g: TruncatedSeries, mirror: bool
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+    """(x, exp(P x), exp(Pt x)) for the x of _settle_split, proved at full cap:
+    both exponentials are computed afresh from x alone and their product must
+    be g. Raises ConvergenceError naming `solver` otherwise."""
+    x = _settle_split(op, g, mirror)
+    p = apply(op, x)
+    e_p, e_pt = p.exp(), (x.scale(-op.weight) - p).exp()
+    _require_equal(solver, e_pt * e_p if mirror else e_p * e_pt, g)
+    return x, e_p, e_pt
 
 
 def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     """BCH-recursion: fixed point of x = a + w^-1 BCH(P(x), Pt(x)).
 
-    Splits exp(-w*a) into exp(P(chi)) * exp(Pt(chi)); requires nonzero weight
-    and val(a) >= 1. BCH has no term of degree below 2, so the map raises the
-    valuation of differences and the fixed point is settled one coefficient
-    per step by _relaxed_chi. Raises ConvergenceError if the result is not
-    fixed by one full-cap step of the map.
+    Splits exp(-w*a) into exp(P(chi)) * exp(Pt(chi)), which is the same
+    equation; requires nonzero weight and val(a) >= 1. The split is settled
+    one coefficient per step by _settle_split and proved by _split. Raises
+    ConvergenceError if exp(P(chi)) * exp(Pt(chi)) is not exp(-w*a) at full cap.
     """
     w = op.weight
     if w == 0:
         raise SolverUsageError("chi_lambda requires nonzero weight; use chi_zero")
     require_domain(op, a)
-    x = _relaxed_chi(op, a)
-    return _require_fixed(
-        "chi_lambda", x, a + bch(apply(op, x), tilde_apply(op, x)).scale(1 / w)
-    )
-
-
-def _relaxed_chi(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
-    """The fixed point of x = a + w^-1 BCH(X, Y), X = P(x), Y = Pt(x) = -w*x - X.
-
-    With E = exp(X) - 1, F = exp(Y) - 1 and Z = (1 + E)(1 + F) - 1,
-    BCH = log(1 + Z) - X - Y is the sum of the X^n/n! and Y^n/n! for n >= 2,
-    the cross term E*F, and the (-1)^(n-1) Z^n/n for n >= 2. Step c settles
-    coefficient c of every one of these series. Its nonlinear part reads only
-    coefficients below c, and the linear X[c] and Y[c] cancel against -X - Y,
-    so BCH[c] is known before x[c]; then x[c] = a[c] + BCH[c]/w, and P,
-    diagonal for both nonzero weights, gives X[c] = m_c*x[c].
-    """
-    ring, cap = a.ring, a.cap
-    w = op.weight
-    mults, den = multipliers(op, cap)
-    x, X, Y, E, F, Z = (RelaxedSeries(ring, cap) for _ in range(6))
-    # X^n/n!, Y^n/n! and Z^n for n = 2..cap, at index n - 2
-    x_terms, y_terms, z_terms = ([RelaxedSeries(ring, cap) for _ in range(cap - 1)]
-                                 for _ in range(3))
-    log_scales = [Q((-1) ** (n - 1), n) for n in range(2, cap + 1)]
-    for c in range(1, cap + 1):
-        x_pow = _settle_powers(X, x_terms, c, exp=True)
-        y_pow = _settle_powers(Y, y_terms, c, exp=True)
-        z_pow = _settle_powers(Z, z_terms, c, exp=False)
-        cross = E.product_coefficient(F, c)
-        bch_c = combine((1, cross), *((1, b) for b in x_pow + y_pow),
-                        *zip(log_scales, z_pow))
-        x_c = x.set(c, combine((1, a.block(c)), (1 / w, bch_c)))
-        X_c = X.set(c, combine((Q(mults[c], den), x_c)))
-        Y_c = Y.set(c, combine((-w, x_c), (-1, X_c)))
-        E_c = E.set(c, combine((1, X_c), *((1, b) for b in x_pow)))
-        F_c = F.set(c, combine((1, Y_c), *((1, b) for b in y_pow)))
-        Z.set(c, combine((1, E_c), (1, F_c), (1, cross)))
-    return x.series()
+    return _split("chi_lambda", op, a.scale(-w).exp(), mirror=False)[0]
 
 
 _BERNOULLI_CACHE = [Q(1)]
@@ -244,30 +252,53 @@ def bernoulli(k: int) -> Q:
     return _BERNOULLI_CACHE[k]
 
 
+def _chi_zero_map(op: OperatorSpec, a: TruncatedSeries, x: TruncatedSeries) -> TruncatedSeries:
+    """(1 + sum_k (B_k/k!) ad_{P(x)}^k)(a) at full cap."""
+    p = apply(op, x)
+    out = term = a
+    for k in range(1, x.cap + 1):
+        term = p * term - term * p
+        if term.is_zero():
+            break
+        out = out + term.scale(bernoulli(k) / factorial(k))
+    return out
+
+
 def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     """Magnus-type recursion for weight 0.
 
     Fixed point of x = (1 + sum_k (B_k/k!) ad_{P(x)}^k)(a); then exp(P(chi0(a)))
-    solves the homogeneous equation b = 1 + P(a*b). With val(a) >= 1 every
-    ad term has degree at least 2, so the fixed point is lifted one
-    coefficient per step. Raises ConvergenceError if the result is not fixed
-    at full cap.
+    solves the homogeneous equation b = 1 + P(a*b). P = P(x) raises the power
+    by one, so coefficient c of ad_P^k(a) = P ad_P^(k-1)(a) - ad_P^(k-1)(a) P
+    reads P[1..c] = P(x)[1..c], known from x below c, and ad_P^(k-1)(a) below
+    c; it is zero for k > c and while ad_P^(k-1)(a) is zero below c. Step c
+    settles P[c], then coefficient c of each ad_P^k(a) that can be nonzero,
+    then x[c]. Raises ConvergenceError if the result is not fixed at full cap.
     """
     if op.weight != 0:
         raise SolverUsageError("chi_zero requires weight 0")
-
-    def step(x: TruncatedSeries) -> TruncatedSeries:
-        p = apply(op, x)
-        out = term = a.truncate(x.cap)
-        for k in range(1, x.cap + 1):
-            term = p * term - term * p
-            if term.is_zero():
-                break
-            out = out + term.scale(bernoulli(k) / factorial(k))
-        return out
-
-    x = _lift(step, a.ring, a.cap)
-    return _require_fixed("chi_zero", x, step(x))
+    ring, cap = a.ring, a.cap
+    shift, factors = _diagonal(op, cap)
+    scales = [bernoulli(k) / factorial(k) for k in range(cap + 1)]
+    x, p = RelaxedSeries(ring, cap), RelaxedSeries(ring, cap)
+    # ad_P^k(a) at index k; those from index `live` on are zero so far
+    ads = [RelaxedSeries.of(a)] + [RelaxedSeries(ring, cap) for _ in range(cap)]
+    live = 1
+    for c in range(cap + 1):
+        if c >= shift:
+            p.set(c, combine((factors[c - shift], x.block(c - shift))))
+        terms = [(1, a.block(c))]
+        for k in range(1, min(live, c) + 1):
+            prev = ads[k - 1]
+            ad_c = ads[k].set(c, combine((1, p.product_coefficient(prev, c, 1, c)),
+                                         (-1, prev.product_coefficient(p, c, 0))))
+            if any(ad_c[0]):
+                live = max(live, k + 1)
+                terms.append((scales[k], ad_c))
+        x.set(c, combine(*terms))
+    x = x.series()
+    _require_equal("chi_zero", _chi_zero_map(op, a, x), x)
+    return x
 
 
 def inhom_closed_noncommutative(eq: EquationSpec, side: str = "left") -> TruncatedSeries:
@@ -298,29 +329,37 @@ def closed_solve(eq: EquationSpec) -> TruncatedSeries:
     An inhomogeneous equation is solved by exp(P(chi)) P(exp(-P(chi)) a0), or
     on the right by its mirror P(a0 exp(-P(chi))) exp(P(chi)). With
     u = w^-1 log(1 + w*a1), chi is u itself over a commutative ring, where
-    both recursions reduce to the identity; otherwise it is chi(u) on the left
-    and -chi(-u) on the right, with chi_lambda or
-    chi_zero chosen by the weight. The reversed recursion splits exp(-w*a) with
-    the exponential factors in the opposite order (BCH(-x,-y) = -BCH(y,x)).
+    both recursions reduce to the identity. At weight 0 it is chi_zero(u) on
+    the left and -chi_zero(-u) on the right.
+
+    At nonzero weight over a non-commutative ring, chi = chi_lambda(u) splits
+    g = exp(-w*u) = (1 + w*a1)^-1 as exp(P chi) exp(Pt chi), so
+    exp(-P chi) = exp(Pt chi)(1 + w*a1): the split of g is settled directly
+    and its two proved exponentials give the solution, with no log of a1.
+    On the right, chi = -chi_lambda(-u) splits g in the opposite order,
+    exp(Pt chi) exp(P chi) = g, and exp(-P chi) = (1 + w*a1) exp(Pt chi).
 
     The homogeneous equation b = 1 + P(a1*b) is Spitzer's exponential over a
     commutative ring. Otherwise b = 1 + c, where c solves the
     inhomogeneous-left equation with a0 = (1 + w*a1)^-1 * a1.
     """
+    op, a1, w = eq.op, eq.a1, eq.op.weight
+    one = TruncatedSeries.one(a1.ring, a1.cap)
     if eq.form == HOMOGENEOUS:
-        if eq.a1.ring.commutative:
-            return spitzer_closed(eq.op, eq.a1)
-        a0 = eq.a1.geom_inv(eq.op.weight) * eq.a1
-        one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
-        return one + closed_solve(EquationSpec(INHOM_LEFT, eq.op, eq.a1, a0))
+        if a1.ring.commutative:
+            return spitzer_closed(op, a1)
+        return one + closed_solve(EquationSpec(INHOM_LEFT, op, a1, a1.geom_inv(w) * a1))
     left = eq.form == INHOM_LEFT
-    chi = eq.a1.lambda_log(eq.op.weight)
-    if not eq.a1.ring.commutative:
-        recursion = chi_lambda if eq.op.weight != 0 else chi_zero
-        chi = recursion(eq.op, chi) if left else -recursion(eq.op, -chi)
-    p_chi = apply(eq.op, chi)
-    e_plus = p_chi.exp()
-    e_minus = (-p_chi).exp()
+    if a1.ring.commutative or w == 0:
+        chi = a1.lambda_log(w)
+        if not a1.ring.commutative:
+            chi = chi_zero(op, chi) if left else -chi_zero(op, -chi)
+        p_chi = apply(op, chi)
+        e_plus, e_minus = p_chi.exp(), (-p_chi).exp()
+    else:
+        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w), mirror=not left)
+        unit_shift = one + a1.scale(w)
+        e_minus = e_pt * unit_shift if left else unit_shift * e_pt
     if left:
-        return e_plus * apply(eq.op, e_minus * eq.a0)
-    return apply(eq.op, eq.a0 * e_minus) * e_plus
+        return e_plus * apply(op, e_minus * eq.a0)
+    return apply(op, eq.a0 * e_minus) * e_plus

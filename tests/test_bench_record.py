@@ -1,0 +1,49 @@
+"""The recorded benchmark files at the repository root keep one key set."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+SIDES = {"parent", "change"}
+
+
+def test_a_record_exists():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_key_set(path):
+    record = json.loads(path.read_text())
+    assert set(record) == {"environment", "method", "workloads", "solvers_fastest_ms"}
+    assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
+    assert set(record["method"]) == {"command", "seconds", "pairs", "seeds", "order"}
+    pairs = record["method"]["pairs"]
+    assert pairs >= 10 and len(record["method"]["seeds"]) == pairs
+
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    metrics = {m["name"] for m in BENCHMARK["end_to_end"]}
+    assert set(record["workloads"]) == workloads
+    for entry in record["workloads"].values():
+        assert set(entry) == metrics | {"failed", "attempted"}
+        assert set(entry["failed"]) == set(entry["attempted"]) == SIDES
+        for name in metrics:
+            m = entry[name]
+            assert set(m) == {"unit", "parent", "change", "change_wins", "runs"}
+            for side in SIDES:
+                assert set(m[side]) == {"median", "q1", "q3"}
+                assert m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]
+                assert len(m["runs"][side]) == pairs
+            assert 0 <= m["change_wins"] <= pairs
+
+    timings = record["solvers_fastest_ms"]
+    assert set(timings) == SIDES
+    expected = {f"{solver} {d}x{d} cap {cap}"
+                for solver in ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
+                for d in (2, 3) for cap in (6, 10, 16)}
+    for side in SIDES:
+        assert set(timings[side]) == expected
+        assert all(ms > 0 for ms in timings[side].values())

@@ -258,3 +258,25 @@ def test_negative_q(capsys, q_args):
     # b = P((1 - t) t) + P(t b) with P(t^n) = t^n / (1 - (-1/2)^n)
     assert code == 0 and out.strip() == "0,2/3,-4/9,-32/81"
 
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--a1", ["--a1", "0,1/0", "--a0", "0,1"]),
+    ("--a0", ["--a0", "0,1/0", "--a1", "0,1"]),
+    ("--a0", ["--a0", "0,1/0", "--a1", "0,1", "--dim", "2"]),
+    ("--a1", ["--a1", "0,1/0", "--a0", "0,1", "--dim", "2", "--method", "closed"]),
+    ("--a1", ["--a1", "0,x", "--a0", "0,1"]),
+], ids=["a1", "a0", "a0-2x2", "a1-2x2-closed", "a1-not-a-number"])
+def test_solve_rejects_a_malformed_series(capsys, flag, argv):
+    code, out, err = run(capsys, "solve", *argv, "--order", "4")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: malformed series")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_takes_no_series_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "spitzer", "--a1", "0,1", "--order", "3"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --a1" in out.err and "Traceback" not in out.err

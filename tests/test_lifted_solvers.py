@@ -202,3 +202,54 @@ def test_run_check_does_not_report_non_convergence_as_domain_error(wrong_operato
         run_check("bch-chl-factorization", params)
     with pytest.raises(ConvergenceError):
         run_check("gen-spitzer-noncomm", params)
+
+
+# ------------------------------------------ the relaxed kernel at cap 16
+
+
+@pytest.mark.parametrize("op_name", OPS)
+@pytest.mark.parametrize("ring_name", ["2x2", "3x3"])
+def test_relaxed_picard_matches_full_cap_at_cap_16(ring_name, op_name):
+    op = OPS[op_name]
+    a0, a1 = inputs(ring_name, op_name, 16, count=1)[0]
+    for form in FORMS:
+        eq = EquationSpec(form, op, a1, None if form == HOMOGENEOUS else a0)
+        assert picard_solve(eq) == reference_picard(eq)
+
+
+@pytest.mark.parametrize("ring_name", ["2x2", "3x3"])
+def test_relaxed_chi_zero_matches_full_cap_at_cap_16(ring_name):
+    a, _ = inputs(ring_name, "antider", 16, count=1)[0]
+    assert chi_zero(OPS["antider"], a) == reference_chi_zero(OPS["antider"], a)
+
+
+def test_chi_zero_of_a_series_with_a_constant_term():
+    """antider is defined on a constant term; then P(x) starts at t^1."""
+    a = TruncatedSeries.from_coeffs(MAT2, 6, [[[1, 2], [0, -1]], [[0, 1], [3, 0]],
+                                              [[1, 0], [1, 1]]])
+    assert chi_zero(OPS["antider"], a) == reference_chi_zero(OPS["antider"], a)
+
+
+# --------------------------------- closed_solve on the proved exponentials
+
+CLOSED_OPS = [OperatorSpec(kind, rational(q)) for kind in (QINT, QSCALE)
+              for q in ("1/2", "-1/2", "3")]
+
+
+@pytest.mark.parametrize("cap", [10, 16])
+@pytest.mark.parametrize("ring_name", ["2x2", "3x3"])
+@pytest.mark.parametrize("op", CLOSED_OPS, ids=lambda op: f"{op.kind}-{op.q}")
+def test_closed_solve_matches_picard(op, ring_name, cap):
+    a0, a1 = inputs(ring_name, f"{op.kind} {op.q}", cap, count=1)[0]
+    for form in FORMS:
+        eq = EquationSpec(form, op, a1, None if form == HOMOGENEOUS else a0)
+        assert solvers.closed_solve(eq) == picard_solve(eq)
+
+
+@pytest.mark.parametrize("op_name", ["qint-1/2", "qscale--1/2"])
+@pytest.mark.parametrize("form", FORMS)
+def test_closed_solve_raises_on_a_wrong_operator(wrong_operator, form, op_name):
+    a0, a1 = inputs("2x2", op_name, 6)[0]
+    eq = EquationSpec(form, OPS[op_name], a1, None if form == HOMOGENEOUS else a0)
+    with pytest.raises(ConvergenceError, match="closed_solve"):
+        solvers.closed_solve(eq)
