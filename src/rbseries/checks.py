@@ -37,6 +37,7 @@ from .solvers import (
     INHOM_RIGHT,
     EquationSpec,
     SolverUsageError,
+    bch,
     chi_lambda,
     closed_solve,
     picard_solve,
@@ -278,12 +279,15 @@ def _generalized_spitzer(params: Mapping) -> Pairs:
 
 
 def _bch_chl_factorization(params: Mapping) -> Pairs:
-    """exp(-w a) = exp(P(chi(a))) exp(Pt(chi(a)))."""
+    """chi(a) is the fixed point of the BCH recursion x = a + w^-1 BCH(P(x), Pt(x)),
+    and exp(-w a) = exp(P(chi(a))) exp(Pt(chi(a)))."""
     op = _nonzero_weight(params)
     ring = _ring(params)
     for (a,) in _samples(params, ring, int(params.get("order", 10)), var_first=False):
         chi = chi_lambda(op, a)
-        yield a.scale(-op.weight).exp(), apply(op, chi).exp() * tilde_apply(op, chi).exp()
+        px, ptx = apply(op, chi), tilde_apply(op, chi)
+        yield chi, a + bch(px, ptx).scale(1 / op.weight)
+        yield a.scale(-op.weight).exp(), px.exp() * ptx.exp()
 
 
 def _special_equality(params: Mapping) -> Pairs:

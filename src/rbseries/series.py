@@ -424,10 +424,8 @@ class RelaxedSeries:
         self._num, self._den = list(series._num), series._den
         return self
 
-    def block(self, c: int) -> Block:
-        """Coefficient c as a Block, over the current denominator."""
-        dd = self.ring.dim**2
-        return self._num[c * dd : (c + 1) * dd], self._den
+    # Coefficient c as a Block, over the current denominator.
+    block = TruncatedSeries.block
 
     def product_coefficient(
         self, other: "RelaxedSeries", c: int, lo: int = 1, hi: int | None = None

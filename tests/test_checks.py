@@ -91,6 +91,27 @@ def test_spitzer_check():
     assert r.passed
 
 
+def test_bch_chl_check_holds_chi_against_the_bch_recursion(monkeypatch):
+    """The check compares chi with a + w^-1 BCH(P chi, Pt chi) itself, not
+    only the product of the exponentials: the fixed point of the mirrored
+    recursion, exp(Pt x) exp(P x) = exp(-w a), fails at the first pair."""
+    from rbseries import checks, solvers
+
+    settled = []
+
+    def mirrored(op, a):
+        settled.append(solvers._split("chi_lambda", op, a.scale(-op.weight).exp(), mirror=True)[0])
+        return settled[-1]
+
+    params = {"operator": "qint", "q": "1/2", "order": 8, "dim": 2, "samples": 2, "seed": 7}
+    assert run_check("bch-chl-factorization", params).passed
+    monkeypatch.setattr(checks, "chi_lambda", mirrored)
+    pairs = checks.IDENTITIES["bch-chl-factorization"][0](params)
+    chi, recursion = next(pairs)
+    assert chi is settled[0]
+    assert first_mismatch(chi, recursion) is not None
+    assert run_check("bch-chl-factorization", params).status == FAIL
+
 def test_special_equality_check():
     for op, q in (("qint", "1/2"), ("qscale", "1/3")):
         r = run_check("special-equality", {"operator": op, "q": q, "order": 12,

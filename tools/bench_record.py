@@ -105,7 +105,6 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     if args.layers is not None:
@@ -117,7 +116,7 @@ def main() -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     runs = {w: {side: [] for side in sides} for w in workloads}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

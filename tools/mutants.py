@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = "src/rbseries/solvers.py"
 SERIES = "src/rbseries/series.py"
+CHECKS = "src/rbseries/checks.py"
 LIFTED = ("tests/test_lifted_solvers.py",)
 SOLVING = ("tests/test_lifted_solvers.py", "tests/test_solvers.py")
 TIMEOUT_S = 600
@@ -78,6 +79,10 @@ MUTANTS = (
            "combine((-1, p.product_coefficient(prev, c, 1, c)),\n"
            "                                         (1, prev.product_coefficient(p, c, 0)))",
            LIFTED),
+    # The suite holds chi_lambda against the BCH recursion, not only the split.
+    Mutant("bch-chl-check-recursion-dropped", CHECKS,
+           "        yield chi, a + bch(px, ptx).scale(1 / op.weight)\n",
+           "", ("tests/test_checks.py",)),
     # The coefficient kernel and the exponential the proofs use.
     Mutant("relaxed-set-no-rescale", SERIES,
            "self._num = [k * v for v in self._num]",
