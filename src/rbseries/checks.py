@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from math import factorial, lcm
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .operators import ANTIDER, QINT, OperatorSpec, apply, tilde_apply
 from .rings import (
@@ -374,25 +374,35 @@ def _eulerian_first_partial(params: Mapping) -> Pairs:
 
 # ------------------------------------------------------------------- registry
 
-# id -> (pair generator, the params that id fixes; they override the caller's
-# and appear in the report)
-IDENTITIES: dict[str, tuple[Callable[[Mapping], Pairs], dict]] = {
-    "rb-axiom": (_rb_axiom, {}),
-    "kingman": (_kingman, {}),
-    "lemma-iter-a": (_lemma_iteration, {"item": "A"}),
-    "lemma-iter-b": (_lemma_iteration, {"item": "B"}),
-    "spitzer": (_spitzer, {}),
-    "gen-spitzer-comm": (_generalized_spitzer, {}),
-    "gen-spitzer-noncomm": (_generalized_spitzer, {}),
-    "gen-spitzer-weight0": (_generalized_spitzer, {}),
-    "bch-chl-factorization": (_bch_chl_factorization, {}),
-    "special-equality": (_special_equality, {}),
-    **{f"eulerian-{v}": (_eulerian, {"variant": v})
+class Identity(NamedTuple):
+    pairs: Callable[[Mapping], Pairs]
+    # the params this id fixes; they override the caller's and appear in the report
+    fixed: dict
+    # the caller's params the pairs read
+    reads: frozenset
+
+
+_SAMPLED = frozenset({"order", "seed", "samples"})
+_OPERATOR_SAMPLED = _SAMPLED | {"operator", "q", "dim"}
+_Q_SERIES = frozenset({"q", "order"})
+
+IDENTITIES: dict[str, Identity] = {
+    "rb-axiom": Identity(_rb_axiom, {}, _OPERATOR_SAMPLED),
+    "kingman": Identity(_kingman, {}, _OPERATOR_SAMPLED | {"nmax"}),
+    "lemma-iter-a": Identity(_lemma_iteration, {"item": "A"}, _SAMPLED | {"kmax"}),
+    "lemma-iter-b": Identity(_lemma_iteration, {"item": "B"}, _SAMPLED | {"kmax"}),
+    "spitzer": Identity(_spitzer, {}, _OPERATOR_SAMPLED - {"dim"}),
+    "gen-spitzer-comm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED),
+    "gen-spitzer-noncomm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED),
+    "gen-spitzer-weight0": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED),
+    "bch-chl-factorization": Identity(_bch_chl_factorization, {}, _OPERATOR_SAMPLED),
+    "special-equality": Identity(_special_equality, {}, _OPERATOR_SAMPLED - {"dim"}),
+    **{f"eulerian-{v}": Identity(_eulerian, {"variant": v}, _Q_SERIES)
        for v in ("prop-one-printed", "prop-one-corrected", "prop-two",
                  "qbinomial-printed", "qbinomial-corrected", "interior-lemma")},
-    "computation-one": (_computation_one, {}),
-    "eulerian-third": (_eulerian_third, {}),
-    "eulerian-first-partial": (_eulerian_first_partial, {}),
+    "computation-one": Identity(_computation_one, {}, _Q_SERIES),
+    "eulerian-third": Identity(_eulerian_third, {}, _Q_SERIES),
+    "eulerian-first-partial": Identity(_eulerian_first_partial, {}, _Q_SERIES),
 }
 
 
@@ -404,7 +414,7 @@ def run_check(identity_id: str, params: Mapping) -> CheckReport:
     """Compare the identity's pairs in order; the first mismatching pair fails
     the check, and a DomainError or SolverUsageError makes it a domain-error."""
     try:
-        pairs, fixed = IDENTITIES[identity_id]
+        pairs, fixed, _ = IDENTITIES[identity_id]
     except KeyError:
         raise UnknownIdentityError(identity_id) from None
     params = {**params, **fixed}

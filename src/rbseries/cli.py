@@ -7,6 +7,7 @@ errors. Rationals are always rendered as exact 'p/q' strings, never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,7 +28,7 @@ from .checks import (
     run_suite,
     suite_ok,
 )
-from .operators import ANTIDER, KINDS, OperatorSpec
+from .operators import ANTIDER, KINDS, QINT, OperatorSpec
 from .rings import RingDescriptor, matrix_ring, rational, scalar_ring
 from .series import DomainError, TruncatedSeries, parse_series
 from .solvers import FORMS, HOMOGENEOUS, INHOM_LEFT, EquationSpec, closed_solve, picard_solve
@@ -44,7 +45,11 @@ def _parse_rational(text: str, flag: str):
         raise UsageError(f"{flag}: malformed rational {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one. Do not mutate it: parse_args only reads it, filling a fresh
+    Namespace per call."""
     parser = argparse.ArgumentParser(
         prog="rbseries",
         description="Exact verification and solving of Rota-Baxter series identities",
@@ -82,17 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_params(args: argparse.Namespace) -> dict:
-    params: dict = {
-        "operator": args.operator,
-        "order": args.order,
-        "dim": args.dim,
-        "seed": args.seed,
-        "samples": args.samples,
-    }
-    if args.operator != ANTIDER:
-        params["q"] = args.q
-    return params
+def _check_params(args: argparse.Namespace, reads: frozenset) -> dict:
+    """The flags among `reads`, the params a check reads; q only if the check
+    takes no operator flag or the operator takes a q."""
+    has_q = "operator" not in reads or args.operator != ANTIDER
+    return {name: getattr(args, name)
+            for name in ("operator", "order", "dim", "seed", "samples", "q")
+            if name in reads and (name != "q" or has_q)}
 
 
 def _parse_series(text: str, flag: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
@@ -102,19 +103,20 @@ def _parse_series(text: str, flag: str, ring: RingDescriptor, cap: int) -> Trunc
         raise UsageError(f"{flag}: malformed series {text!r}")
 
 
-def _validate(args: argparse.Namespace) -> OperatorSpec:
+def _validate(args: argparse.Namespace, kind: Optional[str] = None) -> OperatorSpec:
     """Reject out-of-range values of the flags common to verify and solve, and
-    return the operator they name."""
+    return the operator of `kind` (by default the one they name) and --q."""
     for flag in ("order", "dim", "samples"):
         try:
             int_param(flag, getattr(args, flag))
         except ValueError as exc:
             raise UsageError(f"--{exc}")
-    if args.operator == ANTIDER:
+    kind = kind or args.operator
+    if kind == ANTIDER:
         return OperatorSpec(ANTIDER)
     q = _parse_rational(args.q, "--q")
     try:
-        return OperatorSpec(args.operator, q)
+        return OperatorSpec(kind, q)
     except ValueError as exc:
         raise UsageError(f"--q: {exc}")
 
@@ -153,8 +155,10 @@ def emit_report(reports: Sequence[CheckReport], fmt: str) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.identity not in IDENTITIES:
         raise UsageError(f"unknown identity id: {args.identity!r}")
-    _validate(args)
-    report = run_check(args.identity, _check_params(args))
+    reads = IDENTITIES[args.identity].reads
+    # a check that takes no operator flag reads q as the q-integral's
+    _validate(args, None if "operator" in reads else QINT)
+    report = run_check(args.identity, _check_params(args, reads))
     print(emit_report([report], args.format))
     return 0 if report.status == args.expect else 1
 

@@ -181,13 +181,6 @@ class TruncatedSeries:
         num = self._num[: (cap + 1) * self.ring.dim**2]
         return TruncatedSeries._make(self.ring, cap, num, self._den)
 
-    def extend(self, cap: int) -> "TruncatedSeries":
-        """The same series at a cap at least as large; the new coefficients are zero."""
-        if cap < self.cap:
-            raise ValueError("cannot extend to a smaller cap")
-        num = self._num + [0] * ((cap - self.cap) * self.ring.dim**2)
-        return TruncatedSeries._make(self.ring, cap, num, self._den)
-
     def coefficient(self, k: int) -> RingElement:
         """The coefficient of t^k as a RingElement."""
         if not 0 <= k <= self.cap:

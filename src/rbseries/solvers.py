@@ -341,14 +341,20 @@ def closed_solve(eq: EquationSpec) -> TruncatedSeries:
 
     The homogeneous equation b = 1 + P(a1*b) is Spitzer's exponential over a
     commutative ring. Otherwise b = 1 + c, where c solves the
-    inhomogeneous-left equation with a0 = (1 + w*a1)^-1 * a1.
+    inhomogeneous-left equation with a0 = (1 + w*a1)^-1 * a1: at weight 0 that
+    a0 is a1, and at nonzero weight exp(-P chi) a0 = exp(Pt chi) a1, so
+    b = 1 + exp(P chi) P(exp(Pt chi) a1) straight from the split of
+    (1 + w*a1)^-1.
     """
     op, a1, w = eq.op, eq.a1, eq.op.weight
     one = TruncatedSeries.one(a1.ring, a1.cap)
     if eq.form == HOMOGENEOUS:
         if a1.ring.commutative:
             return spitzer_closed(op, a1)
-        return one + closed_solve(EquationSpec(INHOM_LEFT, op, a1, a1.geom_inv(w) * a1))
+        if w == 0:
+            return one + closed_solve(EquationSpec(INHOM_LEFT, op, a1, a1))
+        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w), mirror=False)
+        return one + e_plus * apply(op, e_pt * a1)
     left = eq.form == INHOM_LEFT
     if a1.ring.commutative or w == 0:
         chi = a1.lambda_log(w)

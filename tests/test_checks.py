@@ -190,6 +190,31 @@ def test_load_manifest_roundtrip():
     assert manifest.entries[1].expected == FAIL
 
 
+class _Recording(dict):
+    """Params that record the names a check reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+
+@pytest.mark.parametrize("identity_id", sorted(IDENTITIES))
+def test_identity_declares_the_params_it_reads(identity_id):
+    pairs, fixed, reads = IDENTITIES[identity_id]
+    params = _Recording({"order": 3, "samples": 2, "nmax": 1, "kmax": 1, **fixed})
+    for _ in pairs(params):
+        pass
+    assert params.read - set(fixed) == reads
+
+
 def test_default_manifest_covers_every_identity():
     manifest = default_manifest()
     ids = {e.identity_id for e in manifest.entries}

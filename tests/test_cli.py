@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -280,3 +281,53 @@ def test_verify_takes_no_series_flags(capsys):
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
     assert "unrecognized arguments: --a1" in out.err and "Traceback" not in out.err
+
+
+def test_verify_echoes_only_the_params_the_check_reads(capsys):
+    code, out, _ = run(capsys, "verify", "eulerian-prop-two", "--q", "1/2",
+                       "--order", "4", "--dim", "3")
+    assert code == 0
+    assert out.strip() == "eulerian-prop-two [order=4 q=1/2 variant=prop-two] PASS"
+
+
+def test_verify_validates_q_of_a_check_without_an_operator(capsys):
+    code, out, err = run(capsys, "verify", "eulerian-prop-two", "--operator", "antider",
+                         "--q", "1", "--order", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --q: ") and len(err.strip().splitlines()) == 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(capsys, "verify", "eulerian-prop-two", "--order", "4")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["verify", "eulerian-prop-two", "--order", "4"],
+                 ["solve", "--operator", "antider", "--a0", "0,1", "--a1", "0,1", "--order", "4"],
+                 ["verify", "not-an-identity"]):
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_calls_in_a_row_do_not_share_state(capsys):
+    code, out, _ = run(capsys, "verify", "spitzer", "--samples", "3", "--order", "4",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)[0]["params"]["samples"] == "3"
+    code, out, _ = run(capsys, "verify", "spitzer", "--order", "4")
+    assert code == 0 and "samples=10" in out and out.rstrip().endswith("PASS")
+
+    solve = ["solve", "--operator", "antider", "--a0", "0,1", "--a1", "0,1", "--order", "4"]
+    code, out, _ = run(capsys, *solve)
+    assert code == 0 and out.strip() == "0,0,1/2,0,1/8"
+    code, out, err = run(capsys, "verify", "rb-axiom", "--dim", "0", "--order", "4")
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--method", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *solve) == (0, "0,0,1/2,0,1/8\n", "")

@@ -256,14 +256,12 @@ def test_first_mismatch_strings_match_coefficients(ring):
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
-def test_extend_pads_with_zero_coefficients(ring):
-    x = random_series(ring, 3, random.Random(34), 1, 5)
-    y = x.extend(6)
-    assert y.cap == 6 and y.truncate(3) == x
-    assert y.coeffs[4:] == (ring.zero(),) * 3
-    assert x.extend(3) == x and x.truncate(3) is x
+def test_truncate_drops_the_higher_coefficients(ring):
+    y = random_series(ring, 6, random.Random(34), 1, 5)
+    x = TruncatedSeries.from_coeffs(ring, 3, y.coeffs[:4])
+    assert y.truncate(3) == x and x.truncate(3) is x
     with pytest.raises(ValueError):
-        y.extend(5)
+        x.truncate(4)
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])

@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = "src/rbseries/solvers.py"
 SERIES = "src/rbseries/series.py"
 CHECKS = "src/rbseries/checks.py"
+CLI = "src/rbseries/cli.py"
 LIFTED = ("tests/test_lifted_solvers.py",)
 SOLVING = ("tests/test_lifted_solvers.py", "tests/test_solvers.py")
 TIMEOUT_S = 600
@@ -69,6 +70,9 @@ MUTANTS = (
     Mutant("split-multiplier-of-previous-power", SOLVERS,
            "X.set(c, combine((factors[c], x_c)))",
            "X.set(c, combine((factors[c - 1], x_c)))", LIFTED),
+    Mutant("closed-homogeneous-factor-order", SOLVERS,
+           "return one + e_plus * apply(op, e_pt * a1)",
+           "return one + e_plus * apply(op, a1 * e_pt)", LIFTED),
     # Relaxed Picard and chi_zero.
     Mutant("picard-last-term-dropped", SOLVERS,
            "a1.product_coefficient(b, k, 1, k)",
@@ -90,6 +94,12 @@ MUTANTS = (
     Mutant("exp-no-reciprocal", SERIES,
            "term = term._mul(self, n)", "term = term._mul(self)",
            ("tests/test_series.py",)),
+    # The command line: one parser per process, and verify's echo of params.
+    Mutant("cli-parser-rebuilt-per-call", CLI,
+           "@functools.cache\ndef build_parser", "def build_parser", ("tests/test_cli.py",)),
+    Mutant("verify-echoes-unread-flags", CLI,
+           "if name in reads and (name != \"q\" or has_q)", "if name != \"q\" or has_q",
+           ("tests/test_cli.py",)),
 )
 
 
