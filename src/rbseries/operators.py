@@ -8,7 +8,9 @@ kinds and weights:
 The two q kinds are only defined on series with zero constant term (the
 n = 0 formula divides by 1 - q^0 = 0); q must avoid {0, 1, -1} so that
 1 - q^n is invertible for every n >= 1. Over matrix rings all three act
-coefficientwise.
+coefficientwise. Each operator and its tilde companion Pt = -w*id - P is
+diagonal: t^n goes to a factor times t^(n + shift), so applying one is a single
+multiply of the numerators by a cached per-entry vector.
 """
 
 from __future__ import annotations
@@ -67,24 +69,52 @@ def _factor(op: OperatorSpec, n: int) -> Q:
 
 @lru_cache(maxsize=64)
 def _table(op: OperatorSpec) -> tuple[list, dict]:
-    """One operator's factors, grown by multipliers, and the integer form of
-    each prefix of them asked for, by cap."""
+    """One operator's factors, grown by `factors`, and the per-entry vectors
+    built from them, by (cap, dim, companion)."""
     return [], {}
 
 
-def multipliers(op: OperatorSpec, cap: int) -> tuple[tuple[int, ...], int]:
-    """The factors for t^0..t^cap as integers over their least common denominator.
+def factors(op: OperatorSpec, cap: int) -> list:
+    """The factors for t^0..t^cap: a prefix of the operator's one table of
+    factors, grown when a larger cap is asked for."""
+    found = _table(op)[0]
+    if len(found) <= cap:
+        found.extend(_factor(op, n) for n in range(len(found), cap + 1))
+    return found[: cap + 1]
 
-    Each operator keeps one table of factors, grown when a larger cap is asked
-    for; a cap reads the prefix of it up to that cap.
+
+def entry_vector(
+    op: OperatorSpec, cap: int, dim: int, companion: bool = False
+) -> tuple[tuple[int, ...], int]:
+    """The multiplier of every numerator entry of a series at this cap over
+    dim x dim matrices, as integers over a common denominator: the vector
+    TruncatedSeries.termwise takes. Entry e of t^k gets factor k of P, or of
+    its companion Pt = -w*id - P, for k = 0..cap - shift.
+
+    Pt is diagonal with P's shift: its factor for t^n is -w - f_n, where f_n
+    is P's. That is -1/(1 - q^n) for qint, -q^n/(1 - q^n) for qscale and
+    -1/(n + 1) for antider. The weight is an integer, so -w - f_n has f_n's
+    denominator, and over P's common denominator D its multiplier is
+    -w*D - m_n. Every vector is cached in the operator's table; a matrix
+    vector repeats the scalar one's multipliers, not copies of them. The
+    vectors are tuples, as every caller shares them.
     """
-    factors, by_cap = _table(op)
-    found = by_cap.get(cap)
+    vectors = _table(op)[1]
+    key = cap, dim, companion
+    found = vectors.get(key)
     if found is None:
-        factors.extend(_factor(op, n) for n in range(len(factors), cap + 1))
-        prefix = factors[: cap + 1]
-        den = lcm(*(f.denominator for f in prefix))
-        found = by_cap[cap] = tuple(f.numerator * (den // f.denominator) for f in prefix), den
+        if dim > 1:
+            scalar, den = entry_vector(op, cap, 1, companion)
+            found = tuple(m for m in scalar for _ in range(dim * dim)), den
+        elif companion:
+            mults, den = entry_vector(op, cap, 1)
+            w = int(op.weight)
+            found = tuple(-w * den - m for m in mults), den
+        else:
+            used = factors(op, cap - power_shift(op))
+            den = lcm(*(f.denominator for f in used))
+            found = tuple(f.numerator * (den // f.denominator) for f in used), den
+        vectors[key] = found
     return found
 
 
@@ -99,13 +129,22 @@ def power_shift(op: OperatorSpec) -> int:
     return 1 if op.kind == ANTIDER else 0
 
 
+def _diagonal_apply(op: OperatorSpec, x: TruncatedSeries, companion: bool) -> TruncatedSeries:
+    """P(x), or Pt(x) when companion: one multiply over the cached entry vector."""
+    require_domain(op, x)
+    vector, den = entry_vector(op, x.cap, x.ring.dim, companion)
+    return x.termwise(vector, den, power_shift(op))
+
+
 def apply(op: OperatorSpec, x: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise action of the operator; preserves the filtration."""
-    require_domain(op, x)
-    nums, den = multipliers(op, x.cap)
-    return x.termwise(nums, den, shift=power_shift(op))
+    return _diagonal_apply(op, x, False)
 
 
 def tilde_apply(op: OperatorSpec, x: TruncatedSeries) -> TruncatedSeries:
-    """The companion operator -weight*x - P(x), Rota-Baxter of the same weight."""
-    return x.scale(-op.weight) - apply(op, x)
+    """The companion -w*x - P(x), Rota-Baxter of the same weight.
+
+    Pt is the diagonal operator with factors -w - f_n and P's shift (see
+    entry_vector), so it is applied in one pass, like P, on P's domain.
+    """
+    return _diagonal_apply(op, x, True)

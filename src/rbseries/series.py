@@ -224,9 +224,14 @@ class TruncatedSeries:
         return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._make(
-            self.ring, self.cap, [-v for v in self._num], self._den
-        )
+        # Negating a reduced pair leaves it reduced, so no gcd pass.
+        out = object.__new__(TruncatedSeries)
+        _set = object.__setattr__
+        _set(out, "ring", self.ring)
+        _set(out, "cap", self.cap)
+        _set(out, "_num", [-v for v in self._num])
+        _set(out, "_den", self._den)
+        return out
 
     def _mul(self, other: "TruncatedSeries", q: int = 1) -> "TruncatedSeries":
         """Cauchy product truncated at cap, divided by the positive integer q:
@@ -266,26 +271,28 @@ class TruncatedSeries:
     def scale(self, r) -> "TruncatedSeries":
         """Multiply every coefficient by a central rational."""
         r = rational(r)
-        p = r.numerator
+        p, q = r.numerator, r.denominator
+        if q == 1 and p == 1:
+            return self
+        if q == 1 and p == -1:
+            return -self
         return TruncatedSeries._make(
-            self.ring, self.cap, [p * v for v in self._num], self._den * r.denominator
+            self.ring, self.cap, [p * v for v in self._num], self._den * q
         )
 
     def termwise(
-        self, multipliers: Sequence[int], den: int, shift: int = 0
+        self, vector: Sequence[int], den: int, shift: int = 0
     ) -> "TruncatedSeries":
-        """Coefficient k times multipliers[k]/den, moved to power k + shift.
+        """Numerator entry i times vector[i]/den, moved up `shift` powers.
 
-        Terms moved past the cap are dropped; den must be positive. This is
-        the kernel of every coefficientwise operator.
+        The vector holds one multiplier per numerator entry that stays below
+        the cap, so entries of t^k share the operator's factor for t^k (see
+        operators.entry_vector); den must be positive. This is the kernel of
+        every coefficientwise operator: one multiply per entry, one gcd pass.
         """
-        dd = self.ring.dim**2
-        n = self.cap + 1
-        num = [0] * (min(shift, n) * dd)
-        xs = self._num
-        for k in range(n - shift):
-            m = multipliers[k]
-            num.extend(m * v for v in xs[k * dd : (k + 1) * dd])
+        num = [m * v for m, v in zip(vector, self._num)]
+        if shift:
+            num[:0] = [0] * (min(shift, self.cap + 1) * self.ring.dim**2)
         return TruncatedSeries._make(self.ring, self.cap, num, self._den * den)
 
     def pow(self, n: int) -> "TruncatedSeries":

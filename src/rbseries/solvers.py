@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Optional
 
-from .operators import OperatorSpec, apply, multipliers, power_shift, require_domain
+from .operators import OperatorSpec, apply, factors, power_shift, require_domain
 from .rings import Q
 from .series import RelaxedSeries, TruncatedSeries, combine
 
@@ -92,8 +92,7 @@ def _require_equal(solver: str, got: TruncatedSeries, want: TruncatedSeries) -> 
 
 def _diagonal(op: OperatorSpec, cap: int) -> tuple[int, list]:
     """(shift, factors): P moves coefficient k to power k + shift, times factors[k]."""
-    mults, den = multipliers(op, cap)
-    return power_shift(op), [Q(m, den) for m in mults]
+    return power_shift(op), factors(op, cap)
 
 
 def _constant(eq: EquationSpec) -> TruncatedSeries:

@@ -1,4 +1,5 @@
-"""The recorded benchmark files at the repository root keep one key set."""
+"""The recorded benchmark files at the repository root keep one key set:
+kernel timings are required from BENCH_9.json on, and absent before it."""
 
 import json
 from pathlib import Path
@@ -18,7 +19,10 @@ def test_a_record_exists():
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_record_key_set(path):
     record = json.loads(path.read_text())
-    assert set(record) == {"environment", "method", "workloads", "solvers_fastest_ms"}
+    keys = {"environment", "method", "workloads", "solvers_fastest_ms"}
+    if int(path.stem.split("_")[1]) >= 9:
+        keys.add("kernels_fastest_ms")
+    assert set(record) == keys
     assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
     assert set(record["method"]) == {"command", "seconds", "pairs", "seeds", "order"}
     pairs = record["method"]["pairs"]
@@ -47,3 +51,13 @@ def test_record_key_set(path):
     for side in SIDES:
         assert set(timings[side]) == expected
         assert all(ms > 0 for ms in timings[side].values())
+
+    if "kernels_fastest_ms" in keys:
+        kernels = record["kernels_fastest_ms"]
+        assert set(kernels) == SIDES
+        expected = {f"{kernel} {d}x{d} cap {cap}"
+                    for kernel in ("mul", "apply", "tilde_apply", "exp")
+                    for d in (1, 2, 3) for cap in (6, 10, 16)}
+        for side in SIDES:
+            assert set(kernels[side]) == expected
+            assert all(ms > 0 for ms in kernels[side].values())

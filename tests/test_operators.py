@@ -5,11 +5,13 @@ import pytest
 
 from rbseries import operators
 from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
-from rbseries.rings import Q, rational
+from rbseries.rings import Q, matrix_ring, rational
 from rbseries.series import DomainError, TruncatedSeries
 
 from conftest import MAT2, SCALAR
 from test_series import S, random_series
+
+MAT3 = matrix_ring(3)
 
 QI = OperatorSpec(QINT, rational("1/2"))
 QS = OperatorSpec(QSCALE, rational("1/2"))
@@ -19,6 +21,10 @@ ALL_OPS = [
     OperatorSpec(QINT, rational(q)) for q in ("1/2", "2/3", "-1/2", "3")
 ] + [
     OperatorSpec(QSCALE, rational(q)) for q in ("1/2", "2/3", "-1/2", "3")
+] + [J]
+
+TILDE_OPS = [
+    OperatorSpec(kind, rational(q)) for kind in (QINT, QSCALE) for q in ("1/2", "-1/2", "3")
 ] + [J]
 
 
@@ -102,23 +108,40 @@ def test_linearity(op):
         assert lhs == apply(op, x).scale(a) + apply(op, y).scale(b)
 
 
+def _companion_factor(op, k):
+    """Pt's factor for t^k, from the closed forms."""
+    if op.kind == ANTIDER:
+        return -Q(1, k + 1)
+    if not k:
+        return -op.weight
+    qk = op.q**k
+    return -1 / (1 - qk) if op.kind == QINT else -qk / (1 - qk)
+
+
 @pytest.mark.parametrize("op", ALL_OPS, ids=str)
 def test_one_multiplier_table_per_operator_grows_and_is_sliced(op):
-    """A larger cap grows the operator's one table of factors, a smaller cap
-    reads a prefix of it over that prefix's least common denominator, and
-    apply gives the same series as from a fresh table."""
-    x = random_series(MAT2, 4, random.Random(39), 1, 5)
+    """A larger cap grows the operator's one table of factors and a smaller
+    cap reads a prefix of it. The per-entry vectors of P and of its companion,
+    cached after calls at other caps and dims, give the same series as a
+    fresh table and hold each power's factor once per matrix entry."""
+    rng = random.Random(39)
+    inputs = [random_series(ring, cap, rng, 1, 5)
+              for ring in (SCALAR, MAT2, MAT3) for cap in (0, 1, 4, 12)]
+    fresh = []
+    for x in inputs:
+        operators._table.cache_clear()
+        fresh.append((apply(op, x), tilde_apply(op, x)))
     operators._table.cache_clear()
-    fresh = apply(op, x)
-    nums, den = operators.multipliers(op, 12)
-    factors, _ = operators._table(op)
-    assert len(factors) == 13
-    assert apply(op, x) == fresh
-    small, small_den = operators.multipliers(op, 4)
-    assert len(factors) == 13
-    assert [Q(m, small_den) for m in small] == [Q(m, den) for m in nums[:5]] == factors[:5]
-    assert small_den == lcm(*(f.denominator for f in factors[:5]))
-    for k, factor in enumerate(factors):
+    for x in reversed(inputs):
+        apply(op, x), tilde_apply(op, x)
+    assert [(apply(op, x), tilde_apply(op, x)) for x in inputs] == fresh
+
+    table, vectors = operators._table(op)
+    shift = operators.power_shift(op)
+    assert len(table) == 13 - shift
+    assert operators.factors(op, 4) == table[:5]
+    assert len(table) == 13 - shift
+    for k, factor in enumerate(table):
         if op.kind == ANTIDER:
             assert factor == Q(1, k + 1)
         elif k:
@@ -126,3 +149,33 @@ def test_one_multiplier_table_per_operator_grows_and_is_sliced(op):
             assert factor == (qk if op.kind == QINT else 1) / (1 - qk)
         else:
             assert factor == 0
+    assert {(cap, dim) for cap, dim, _ in vectors} == {(0, 1), (1, 1), (4, 1), (12, 1),
+                                                       (0, 2), (1, 2), (4, 2), (12, 2),
+                                                       (0, 3), (1, 3), (4, 3), (12, 3)}
+    for (cap, dim, companion), (vector, den) in vectors.items():
+        used = range(cap + 1 - shift)
+        want = [_companion_factor(op, k) if companion else table[k] for k in used]
+        assert [Q(m, den) for m in vector] == [f for f in want for _ in range(dim * dim)]
+        assert den == lcm(*(f.denominator for f in want))
+
+
+@pytest.mark.parametrize("ring", [SCALAR, MAT2, MAT3], ids=["scalar", "mat2", "mat3"])
+@pytest.mark.parametrize("op", TILDE_OPS, ids=str)
+def test_tilde_apply_is_minus_weight_times_x_minus_p(op, ring):
+    """The one-pass companion against its definition -w*x - P(x)."""
+    rng = random.Random(40)
+    for cap in (0, 1, 6, 16):
+        min_val = 0 if op.kind == ANTIDER else 1
+        for x in (random_series(ring, cap, rng, min_val, 5), TruncatedSeries.zero(ring, cap)):
+            assert tilde_apply(op, x) == x.scale(-op.weight) - apply(op, x)
+    # antider on a series with a constant term
+    x = random_series(ring, 6, rng, 0, 5)
+    assert x.valuation() == 0
+    assert tilde_apply(J, x) == -apply(J, x)
+
+
+@pytest.mark.parametrize("op", TILDE_OPS[:-1], ids=str)
+def test_tilde_apply_rejects_constant_term(op):
+    for ring in (SCALAR, MAT2):
+        with pytest.raises(DomainError):
+            tilde_apply(op, TruncatedSeries.one(ring, 3))

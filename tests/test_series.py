@@ -1,5 +1,5 @@
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +272,28 @@ def test_from_numerators_reduces_and_validates(ring):
         TruncatedSeries.from_numerators(ring, 4, x._num[:-1], x._den)
     with pytest.raises(ValueError):
         TruncatedSeries.from_numerators(ring, 4, x._num, 0)
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_negation_and_unit_scales_match_the_generic_path(ring):
+    """-x, x.scale(1) and x.scale(-1) build their results without a gcd pass;
+    each equals the generic path's result, every numerator and the denominator
+    multiplied by 3 and then reduced, and has gcd 1 with its denominator."""
+    rng = random.Random(37)
+    inputs = [TruncatedSeries.zero(ring, 3)]
+    inputs += [random_series(ring, cap, rng, v, 7) for cap, v in ((0, 0), (5, 0), (5, 2))]
+    for x in inputs:
+        def generic(sign):
+            return TruncatedSeries.from_numerators(
+                ring, x.cap, [3 * sign * v for v in x._num], 3 * x._den)
+
+        for got, want in ((-x, generic(-1)), (x.scale(-1), generic(-1)),
+                          (x.scale(Q(-1)), generic(-1)), (x.scale(1), generic(1)),
+                          (x.scale(Q(1)), generic(1))):
+            assert got == want
+            assert gcd(got._den, *got._num) == 1
+        assert x.scale(1) is x
+        assert -(-x) == x
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])

@@ -10,9 +10,17 @@ every workload in the change's BENCHMARK.json runs once on each side with
 `perfbench/run.py --seed <seed + i>`, the parent first on even i and the
 change first on odd i. The file holds, per workload and end-to-end metric,
 each side's median, quartiles and runs, the pairs the change won (ties count
-for neither) and the failed operations; then fastest-of-k timings of the solvers
-on each side at caps 6, 10 and 16 over 2x2 and 3x3 matrices; and the
-environment. Standard library only.
+for neither) and the failed operations; then fastest-of-k timings on each side
+of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices, and of the
+kernels (x*y, apply, tilde_apply, exp) at the same caps over scalars and 2x2
+and 3x3 matrices, taken in two runs per side (parent, change, change, parent)
+and each the faster of its side's two; and the environment. Standard library
+only.
+
+    python3 tools/bench_record.py --layers DIR
+
+prints only those fastest-of-k timings for the checkout at DIR, as one JSON
+object with the keys solvers_fastest_ms and kernels_fastest_ms.
 """
 
 from __future__ import annotations
@@ -26,11 +34,15 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
 
 CAPS = (6, 10, 16)
 DIMS = (2, 3)
 SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
+KERNEL_DIMS = (1, 2, 3)
+KERNELS = ("mul", "apply", "tilde_apply", "exp")
+LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
 
 
 def quartiles(values: list) -> dict:
@@ -60,19 +72,24 @@ def layer_timings(root: Path) -> dict:
 
 
 def _layers(root: Path) -> dict:
-    """Fastest-of-k milliseconds of each solver, importing rbseries from root."""
+    """Fastest-of-k milliseconds of each solver and kernel, importing rbseries
+    from root, under LAYER_KEYS."""
     sys.path.insert(0, str(root / "src"))
     import rbseries as rb
     from rbseries import solvers
 
     def series(ring, cap, rng):
+        """A series with zero constant term and entries p/q, |p| <= 3, q <= 3."""
+        def entry():
+            return rb.rational(rng.randint(-3, 3), rng.randint(1, 3))
+        d = ring.dim
         return rb.TruncatedSeries.from_coeffs(ring, cap, [ring.zero()] + [
-            [[rb.rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ring.dim)]
-             for _ in range(ring.dim)] for _ in range(cap)])
+            entry() if d == 1 else [[entry() for _ in range(d)] for _ in range(d)]
+            for _ in range(cap)])
 
     qint = rb.OperatorSpec(rb.QINT, rb.rational("1/2"))
     antider = rb.OperatorSpec(rb.ANTIDER)
-    out = {}
+    solver_ms = {}
     for d in DIMS:
         for cap in CAPS:
             rng = random.Random(100 * d + cap)
@@ -91,8 +108,28 @@ def _layers(root: Path) -> dict:
                     start = time.perf_counter()
                     calls[name]()
                     best = min(best, time.perf_counter() - start)
-                out[f"{name} {d}x{d} cap {cap}"] = round(best * 1000, 3)
-    return out
+                solver_ms[f"{name} {d}x{d} cap {cap}"] = round(best * 1000, 3)
+
+    # A kernel call takes microseconds, so each of 5 tries times a batch of
+    # calls lasting about 10 ms, and the fastest batch gives the per-call time.
+    kernel_ms = {}
+    for d in KERNEL_DIMS:
+        ring = rb.scalar_ring() if d == 1 else rb.matrix_ring(d)
+        for cap in CAPS:
+            rng = random.Random(1000 + 100 * d + cap)
+            x, y = series(ring, cap, rng), series(ring, cap, rng)
+            calls = {
+                "mul": lambda: x * y,
+                "apply": lambda: rb.apply(qint, x),
+                "tilde_apply": lambda: rb.tilde_apply(qint, x),
+                "exp": lambda: x.exp(),
+            }
+            for name in KERNELS:
+                timer = timeit.Timer(calls[name])
+                number = max(1, round(0.01 / timer.timeit(1)))
+                best = min(timer.repeat(5, number)) / number
+                kernel_ms[f"{name} {d}x{d} cap {cap}"] = round(best * 1000, 5)
+    return dict(zip(LAYER_KEYS, (solver_ms, kernel_ms)))
 
 
 def main() -> int:
@@ -164,8 +201,17 @@ def main() -> int:
             "order": "parent first on even pairs, change first on odd pairs",
         },
         "workloads": report,
-        "solvers_fastest_ms": {side: layer_timings(root) for side, root in sides.items()},
     }
+    # Two layer runs per side, in the order parent, change, change, parent, so
+    # a drift in the machine's speed reaches both sides alike; each figure is
+    # the faster of its side's two.
+    layers = {side: [] for side in sides}
+    for side in ("parent", "change", "change", "parent"):
+        layers[side].append(layer_timings(sides[side]))
+    for key in LAYER_KEYS:
+        record[key] = {side: {name: min(run[key][name] for run in runs)
+                              for name in runs[0][key]}
+                       for side, runs in layers.items()}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -34,6 +34,7 @@ SOLVERS = "src/rbseries/solvers.py"
 SERIES = "src/rbseries/series.py"
 CHECKS = "src/rbseries/checks.py"
 CLI = "src/rbseries/cli.py"
+OPERATORS = "src/rbseries/operators.py"
 LIFTED = ("tests/test_lifted_solvers.py",)
 SOLVING = ("tests/test_lifted_solvers.py", "tests/test_solvers.py")
 TIMEOUT_S = 600
@@ -94,6 +95,13 @@ MUTANTS = (
     Mutant("exp-no-reciprocal", SERIES,
            "term = term._mul(self, n)", "term = term._mul(self)",
            ("tests/test_series.py",)),
+    Mutant("scale-minus-one-is-identity", SERIES,
+           "return -self", "return self", ("tests/test_series.py",)),
+    # One-pass operator application over cached per-entry factor vectors.
+    Mutant("companion-factor-plus-weight", OPERATORS,
+           "-w * den - m", "w * den - m", ("tests/test_operators.py",)),
+    Mutant("entry-vector-repeated-dim-times", OPERATORS,
+           "for _ in range(dim * dim)", "for _ in range(dim)", ("tests/test_operators.py",)),
     # The command line: one parser per process, and verify's echo of params.
     Mutant("cli-parser-rebuilt-per-call", CLI,
            "@functools.cache\ndef build_parser", "def build_parser", ("tests/test_cli.py",)),
