@@ -7,7 +7,6 @@ from .rings import (
     RingDescriptor,
     RingElement,
     RingMismatchError,
-    commutator,
     matrix_ring,
     random_element,
     rational,
@@ -45,7 +44,6 @@ __all__ = [
     "RingDescriptor",
     "RingElement",
     "RingMismatchError",
-    "commutator",
     "matrix_ring",
     "random_element",
     "rational",

@@ -1,9 +1,10 @@
 """Exact coefficient rings: arbitrary-precision rationals and square rational matrices.
 
-Every value is immutable and carries its ring descriptor; binary operations
-require matching descriptors. No floating point anywhere. Rationals are the
-standard library's Fraction: series arithmetic runs on plain Python ints (see
-series.py), so no faster rational type is needed.
+A RingDescriptor selects the coefficient ring of a series. A RingElement is one
+coefficient at the API and text boundary: it has a value, equality and a text
+form, and no arithmetic, since every sum and product runs on the integer
+numerators of a series (see series.py). No floating point anywhere: rational()
+rejects floats. Rationals are the standard library's Fraction.
 """
 
 from __future__ import annotations
@@ -11,30 +12,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Union
 
 SCALAR = "scalar-rational"
 MATRIX = "matrix-rational"
 
-RationalLike = Union[int, str, "Q"]
-
 
 class RingMismatchError(ValueError):
-    """Binary operation on elements of different rings."""
+    """Values of different rings used together."""
 
 
-def rational(value: RationalLike = 0, den: int | None = None) -> Q:
-    """Build an exact rational. Accepts ints, 'p/q' strings and rationals."""
+def rational(value=0, den: int | None = None) -> Q:
+    """Build an exact rational. Accepts ints, 'p/q' strings and rationals; a
+    float or a bool raises TypeError, as a float is not the number written."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(
+            f"expected an int, a 'p/q' string or a rational, not {type(value).__name__} {value!r}")
     if den is not None:
         return Q(value, den)
     if isinstance(value, str):
         return Q(value.strip())
     return Q(value)
-
-
-def rational_str(x: Q) -> str:
-    """Canonical text form 'p/q', or 'p' when the denominator is 1."""
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -57,35 +54,28 @@ class RingDescriptor:
         return self.kind == SCALAR or self.dim == 1
 
     def zero(self) -> "RingElement":
-        if self.kind == SCALAR:
-            return RingElement(self, Q(0))
-        z = Q(0)
-        row = (z,) * self.dim
-        return RingElement(self, (row,) * self.dim)
+        return self.element(0)
 
     def one(self) -> "RingElement":
-        if self.kind == SCALAR:
-            return RingElement(self, Q(1))
-        d = self.dim
-        rows = tuple(
-            tuple(Q(1) if i == j else Q(0) for j in range(d)) for i in range(d)
-        )
-        return RingElement(self, rows)
+        return self.element(1)
 
     def element(self, value) -> "RingElement":
-        """Coerce ints, rationals, strings or nested row lists into this ring."""
+        """Coerce ints, rationals, strings or nested row lists into this ring;
+        a single number in a matrix ring is that multiple of the identity."""
         if isinstance(value, RingElement):
             if value.ring != self:
                 raise RingMismatchError("element belongs to a different ring")
             return value
         if self.kind == SCALAR:
             return RingElement(self, rational(value))
-        if isinstance(value, (int, str)) or type(value) is Q:
-            # scalar multiple of the identity
-            return self.one().scale(rational(value))
-        rows = tuple(tuple(rational(v) for v in row) for row in value)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
+        d = self.dim
+        if isinstance(value, (int, str, float, Q)):
+            r, z = rational(value), Q(0)
+            rows = tuple(tuple(r if i == j else z for j in range(d)) for i in range(d))
+        else:
+            rows = tuple(tuple(rational(v) for v in row) for row in value)
+            if len(rows) != d or any(len(r) != d for r in rows):
+                raise ValueError(f"expected a {d}x{d} matrix")
         return RingElement(self, rows)
 
 
@@ -99,92 +89,24 @@ def matrix_ring(dim: int) -> RingDescriptor:
 
 @dataclass(frozen=True)
 class RingElement:
-    """Element of a fixed coefficient ring; supports +, -, *, unary - and scaling."""
+    """One coefficient of a fixed ring, as the API and the text form see it."""
 
     ring: RingDescriptor
     value: object  # Q for scalar rings, tuple of row tuples of Q for matrices
 
-    def _check(self, other: "RingElement") -> None:
-        if not isinstance(other, RingElement):
-            raise TypeError(f"expected RingElement, got {type(other).__name__}")
-        if self.ring != other.ring:
-            raise RingMismatchError("ring descriptors do not match")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        if self.ring.kind == SCALAR:
-            return RingElement(self.ring, self.value + other.value)
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.value, other.value)
-        )
-        return RingElement(self.ring, rows)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "RingElement":
-        if self.ring.kind == SCALAR:
-            return RingElement(self.ring, -self.value)
-        rows = tuple(tuple(-a for a in row) for row in self.value)
-        return RingElement(self.ring, rows)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        if self.ring.kind == SCALAR:
-            return RingElement(self.ring, self.value * other.value)
-        d = self.ring.dim
-        b_cols = tuple(zip(*other.value))
-        rows = tuple(
-            tuple(sum((ra[k] * col[k] for k in range(d)), Q(0)) for col in b_cols)
-            for ra in self.value
-        )
-        return RingElement(self.ring, rows)
-
-    def scale(self, r: RationalLike) -> "RingElement":
-        """Multiply by a central rational scalar."""
-        r = rational(r)
-        if self.ring.kind == SCALAR:
-            return RingElement(self.ring, self.value * r)
-        rows = tuple(tuple(a * r for a in row) for row in self.value)
-        return RingElement(self.ring, rows)
-
-    def is_zero(self) -> bool:
-        if self.ring.kind == SCALAR:
-            return self.value == 0
-        return all(a == 0 for row in self.value for a in row)
-
     def __str__(self) -> str:
         if self.ring.kind == SCALAR:
-            return rational_str(self.value)
-        return (
-            "["
-            + ",".join(
-                "[" + ",".join(rational_str(a) for a in row) + "]"
-                for row in self.value
-            )
-            + "]"
-        )
-
-
-def commutator(a: RingElement, b: RingElement) -> RingElement:
-    """ab - ba; identically zero in commutative rings."""
-    return a * b - b * a
-
-
-def random_rational(rng: random.Random, bound: int) -> Q:
-    """A fraction p/q with |p| <= bound and 1 <= q <= bound."""
-    return Q(rng.randint(-bound, bound), rng.randint(1, bound))
+            return str(self.value)
+        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in self.value) + "]"
 
 
 def random_element(ring: RingDescriptor, rng: random.Random, bound: int = 10) -> RingElement:
-    """Deterministic (given rng state) random element with bounded entries."""
+    """Deterministic (given rng state) random element: each entry, row by row,
+    is p/q with p drawn from -bound..bound, then q from 1..bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    d = ring.dim
+    entries = [Q(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(d * d)]
     if ring.kind == SCALAR:
-        return RingElement(ring, random_rational(rng, bound))
-    rows = tuple(
-        tuple(random_rational(rng, bound) for _ in range(ring.dim))
-        for _ in range(ring.dim)
-    )
-    return RingElement(ring, rows)
+        return RingElement(ring, entries[0])
+    return RingElement(ring, tuple(tuple(entries[r * d : (r + 1) * d]) for r in range(d)))

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .rings import (
     Q,
+    SCALAR,
     RingDescriptor,
     RingElement,
     RingMismatchError,
@@ -59,7 +60,7 @@ class TruncatedSeries:
         for c in coeffs:
             if c.ring != ring:
                 raise RingMismatchError("coefficient belongs to a different ring")
-            if ring.kind == "scalar-rational":
+            if ring.kind == SCALAR:
                 values.append(c.value)
             else:
                 for row in c.value:
@@ -188,7 +189,7 @@ class TruncatedSeries:
         d = self.ring.dim
         den = self._den
         block = self._num[k * d * d : (k + 1) * d * d]
-        if self.ring.kind == "scalar-rational":
+        if self.ring.kind == SCALAR:
             return RingElement(self.ring, Q(block[0], den))
         rows = tuple(
             tuple(Q(v, den) for v in block[r * d : (r + 1) * d]) for r in range(d)
@@ -322,16 +323,9 @@ class TruncatedSeries:
         return result
 
     def log1p(self) -> "TruncatedSeries":
-        """log(1 + x) = sum of (-1)^(n-1) x^n / n; needs valuation >= 1."""
-        self._require_positive_valuation("log")
-        result = TruncatedSeries.zero(self.ring, self.cap)
-        power = TruncatedSeries.one(self.ring, self.cap)
-        for n in range(1, self.cap + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            result = result + power.scale(Q((-1) ** (n - 1), n))
-        return result
+        """log(1 + x) = sum of (-1)^(n-1) x^n / n, the weight-1 logarithm;
+        needs valuation >= 1."""
+        return self.lambda_log(1)
 
     def lambda_log(self, lam) -> "TruncatedSeries":
         """The weight-lambda logarithm sum of (-lam)^(n-1) x^n / n.
@@ -376,7 +370,7 @@ class TruncatedSeries:
 
     def to_json(self) -> list:
         """Array of rational strings, or of row-major matrices of strings."""
-        if self.ring.kind == "scalar-rational":
+        if self.ring.kind == SCALAR:
             return [str(c.value) for c in self.coeffs]
         return [[[str(a) for a in row] for row in c.value] for c in self.coeffs]
 

@@ -90,11 +90,6 @@ def _require_equal(solver: str, got: TruncatedSeries, want: TruncatedSeries) -> 
         )
 
 
-def _diagonal(op: OperatorSpec, cap: int) -> tuple[int, list]:
-    """(shift, factors): P moves coefficient k to power k + shift, times factors[k]."""
-    return power_shift(op), factors(op, cap)
-
-
 def _constant(eq: EquationSpec) -> TruncatedSeries:
     """The term of the equation's right-hand side that does not depend on b."""
     one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
@@ -122,7 +117,7 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
     """
     const = _constant(eq)
     ring, cap = const.ring, const.cap
-    shift, factors = _diagonal(eq.op, cap)
+    shift, factor = power_shift(eq.op), factors(eq.op, cap)
     right = eq.form == INHOM_RIGHT
     a1, b = RelaxedSeries.of(eq.a1), RelaxedSeries(ring, cap)
     for c in range(cap + 1):
@@ -130,7 +125,7 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
         terms = [(1, const.block(c))]
         if k >= 0:
             prod = b.product_coefficient(a1, k, 0) if right else a1.product_coefficient(b, k, 1, k)
-            terms.append((factors[k], prod))
+            terms.append((factor[k], prod))
         b.set(c, combine(*terms))
     b = b.series()
     _require_equal("picard_solve", _rhs(eq, b), b)
@@ -189,7 +184,7 @@ def _settle_split(op: OperatorSpec, g: TruncatedSeries, mirror: bool) -> Truncat
     ring, cap = g.ring, g.cap
     w = op.weight
     inv_w = 1 / w
-    _, factors = _diagonal(op, cap)
+    factor = factors(op, cap)
     x, X, Y, E, F = (RelaxedSeries(ring, cap) for _ in range(5))
     # X^n/n! and Y^n/n! for n = 2..cap, at index n - 2
     x_terms, y_terms = ([RelaxedSeries(ring, cap) for _ in range(cap - 1)] for _ in range(2))
@@ -200,7 +195,7 @@ def _settle_split(op: OperatorSpec, g: TruncatedSeries, mirror: bool) -> Truncat
         cross = first.product_coefficient(second, c)
         x_c = x.set(c, combine((inv_w, cross), *((inv_w, b) for b in x_pow + y_pow),
                                (-inv_w, g.block(c))))
-        X_c = X.set(c, combine((factors[c], x_c)))
+        X_c = X.set(c, combine((factor[c], x_c)))
         Y_c = Y.set(c, combine((-w, x_c), (-1, X_c)))
         E.set(c, combine((1, X_c), *((1, b) for b in x_pow)))
         F.set(c, combine((1, Y_c), *((1, b) for b in y_pow)))
@@ -277,7 +272,7 @@ def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     if op.weight != 0:
         raise SolverUsageError("chi_zero requires weight 0")
     ring, cap = a.ring, a.cap
-    shift, factors = _diagonal(op, cap)
+    shift, factor = power_shift(op), factors(op, cap)
     scales = [bernoulli(k) / factorial(k) for k in range(cap + 1)]
     x, p = RelaxedSeries(ring, cap), RelaxedSeries(ring, cap)
     # ad_P^k(a) at index k; those from index `live` on are zero so far
@@ -285,7 +280,7 @@ def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     live = 1
     for c in range(cap + 1):
         if c >= shift:
-            p.set(c, combine((factors[c - shift], x.block(c - shift))))
+            p.set(c, combine((factor[c - shift], x.block(c - shift))))
         terms = [(1, a.block(c))]
         for k in range(1, min(live, c) + 1):
             prev = ads[k - 1]

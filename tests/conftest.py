@@ -2,10 +2,12 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from rbseries.rings import Q, RingElement, matrix_ring, scalar_ring
+from rbseries.rings import Q, matrix_ring, scalar_ring
+from rbseries.series import TruncatedSeries
 
 SCALAR = scalar_ring()
 MAT2 = matrix_ring(2)
+MAT3 = matrix_ring(3)
 
 
 def rationals(max_num: int = 20, max_den: int = 12):
@@ -15,15 +17,9 @@ def rationals(max_num: int = 20, max_den: int = 12):
     ).map(lambda f: Q(f.numerator, f.denominator))
 
 
-def scalar_elements():
-    return rationals().map(lambda x: RingElement(SCALAR, x))
-
-
-def matrix_elements():
-    return st.tuples(
-        *[st.tuples(*[rationals(5, 5) for _ in range(2)]) for _ in range(2)]
-    ).map(lambda rows: RingElement(MAT2, rows))
-
-
-def ring_elements():
-    return st.one_of(scalar_elements(), matrix_elements())
+def constants(ring, max_num: int = 5, max_den: int = 5):
+    """Cap-0 series over `ring`: one coefficient, its entries from rationals()."""
+    d = ring.dim
+    entries = st.lists(rationals(max_num, max_den), min_size=d * d, max_size=d * d)
+    return entries.map(lambda v: TruncatedSeries.from_coeffs(
+        ring, 0, [v[0] if d == 1 else [v[r * d : (r + 1) * d] for r in range(d)]]))

@@ -222,9 +222,11 @@ def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
     {"id": "kingman", "params": {"nmax": -1}},
     {"id": "lemma-iter-a", "params": {"kmax": -1}},
     {"id": ["rb-axiom"]},
+    {"id": "eulerian-prop-one-printed", "params": {"q": 0.1, "order": 2}},
+    {"id": "eulerian-prop-one-printed", "params": {"q": 0.5, "order": 2}},
 ], ids=["expect-bogus", "q-one", "q-zero-denominator", "q-list", "operator-unknown",
         "order-not-a-number", "order-float", "dim-bool", "vacuous-pass", "dim-zero",
-        "nmax-negative", "kmax-negative", "id-not-a-string"])
+        "nmax-negative", "kmax-negative", "id-not-a-string", "q-float-tenth", "q-float-half"])
 def test_suite_rejects_a_bad_manifest_value_before_any_check(tmp_path, capsys, entry):
     good = {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": 4}}
     path = tmp_path / "manifest.json"

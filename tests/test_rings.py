@@ -1,3 +1,7 @@
+"""The coefficient rings. A RingElement is a boundary value with no arithmetic,
+so the ring axioms are checked on cap-0 series, the code that multiplies and
+adds coefficients."""
+
 import random
 
 import pytest
@@ -6,15 +10,29 @@ from hypothesis import strategies as st
 
 from rbseries.rings import (
     Q,
+    RingElement,
     RingMismatchError,
-    commutator,
     matrix_ring,
     random_element,
     rational,
     scalar_ring,
 )
+from rbseries.series import TruncatedSeries
 
-from conftest import MAT2, SCALAR, matrix_elements, scalar_elements
+from conftest import MAT2, MAT3, SCALAR, constants
+
+
+def const(ring, value):
+    """The cap-0 series whose one coefficient is ring.element(value)."""
+    return TruncatedSeries.from_coeffs(ring, 0, [value])
+
+
+def commutator(a, b):
+    return a * b - b * a
+
+
+E12 = const(MAT2, [[0, 1], [0, 0]])
+E21 = const(MAT2, [[0, 0], [1, 0]])
 
 
 def test_rational_arithmetic_exact():
@@ -29,6 +47,15 @@ def test_rational_parse_errors():
         rational("abc")
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True, False])
+def test_rational_rejects_float_and_bool(value):
+    with pytest.raises(TypeError):
+        rational(value)
+    for ring in (SCALAR, MAT2):
+        with pytest.raises(TypeError):
+            ring.element(value)
+
+
 def test_descriptor_invariants():
     assert scalar_ring().commutative
     assert not matrix_ring(2).commutative
@@ -36,46 +63,67 @@ def test_descriptor_invariants():
         matrix_ring(0)
 
 
+def test_ring_element_defines_no_arithmetic():
+    a, b = SCALAR.element("1/2"), SCALAR.element("1/3")
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale", "is_zero"):
+        assert not hasattr(RingElement, name)
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(TypeError):
+        a * b
+
+
+def test_element_is_a_multiple_of_the_identity():
+    assert MAT3.element("2/3").value == (
+        (Q(2, 3), 0, 0), (0, Q(2, 3), 0), (0, 0, Q(2, 3)))
+    assert str(MAT2.element(-1)) == "[[-1,0],[0,-1]]"
+    assert MAT2.zero() == MAT2.element([[0, 0], [0, 0]])
+    for ring in (SCALAR, MAT2, MAT3):
+        assert ring.zero() == ring.element(0)
+        assert ring.one() == ring.element(1)
+        assert const(ring, ring.one()) == TruncatedSeries.one(ring, 0)
+        assert const(ring, ring.zero()).is_zero()
+    with pytest.raises(ValueError):
+        MAT2.element([[1, 2]])
+
+
 def test_scalar_ops():
-    a = SCALAR.element("1/2")
-    b = SCALAR.element("1/3")
-    assert (a + b).value == Q(5, 6)
-    assert (a * b) == (b * a)
-    assert (-a).value == Q(-1, 2)
-    assert a.scale("2/3").value == Q(1, 3)
+    a, b = const(SCALAR, "1/2"), const(SCALAR, "1/3")
+    assert (a + b).coefficient(0).value == Q(5, 6)
+    assert a * b == b * a
+    assert (-a).coefficient(0).value == Q(-1, 2)
+    assert a.scale("2/3").coefficient(0).value == Q(1, 3)
 
 
 def test_matrix_product_example():
     # E12 * E21 = E11
-    e12 = MAT2.element([[0, 1], [0, 0]])
-    e21 = MAT2.element([[0, 0], [1, 0]])
-    assert e12 * e21 == MAT2.element([[1, 0], [0, 0]])
-    assert e21 * e12 == MAT2.element([[0, 0], [0, 1]])
+    assert E12 * E21 == const(MAT2, [[1, 0], [0, 0]])
+    assert E21 * E12 == const(MAT2, [[0, 0], [0, 1]])
 
 
 def test_commutator_examples():
-    a = SCALAR.element("3/7")
-    b = SCALAR.element("-2/5")
+    a, b = const(SCALAR, "3/7"), const(SCALAR, "-2/5")
     assert commutator(a, b).is_zero()
-    e12 = MAT2.element([[0, 1], [0, 0]])
-    e21 = MAT2.element([[0, 0], [1, 0]])
-    assert commutator(e12, e21) == MAT2.element([[1, 0], [0, -1]])
-    assert commutator(e12, e12).is_zero()
+    assert commutator(E12, E21) == const(MAT2, [[1, 0], [0, -1]])
+    assert commutator(E12, E12).is_zero()
 
 
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        SCALAR.element(1) + matrix_ring(2).one()
+        const(SCALAR, 1) + TruncatedSeries.one(MAT2, 0)
     with pytest.raises(RingMismatchError):
-        SCALAR.element(1) * matrix_ring(3).one()
+        const(SCALAR, 1) * TruncatedSeries.one(MAT3, 0)
+    with pytest.raises(RingMismatchError):
+        MAT2.element(SCALAR.element(1))
 
 
 def test_identities():
-    for ring in (SCALAR, MAT2, matrix_ring(3)):
-        x = random_element(ring, random.Random(5), 7)
-        assert x + ring.zero() == x
-        assert x * ring.one() == x
-        assert ring.one() * x == x
+    for ring in (SCALAR, MAT2, MAT3):
+        x = const(ring, random_element(ring, random.Random(5), 7))
+        assert not x.is_zero()
+        assert x + TruncatedSeries.zero(ring, 0) == x
+        assert x * TruncatedSeries.one(ring, 0) == x
+        assert TruncatedSeries.one(ring, 0) * x == x
 
 
 def test_random_element_deterministic():
@@ -106,7 +154,7 @@ def test_random_element_bad_bound():
         random_element(SCALAR, random.Random(0), 0)
 
 
-@given(scalar_elements(), scalar_elements(), scalar_elements())
+@given(constants(SCALAR, 20, 12), constants(SCALAR, 20, 12), constants(SCALAR, 20, 12))
 def test_scalar_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b * c) == (a * b) * c
@@ -114,15 +162,22 @@ def test_scalar_ring_axioms(a, b, c):
     assert a * b == b * a
 
 
-@given(matrix_elements(), matrix_elements(), matrix_elements())
-def test_matrix_ring_axioms(a, b, c):
+matrix_triples = st.sampled_from([MAT2, MAT3]).flatmap(
+    lambda ring: st.tuples(constants(ring), constants(ring), constants(ring)))
+
+
+@given(matrix_triples)
+def test_matrix_ring_axioms(abc):
+    a, b, c = abc
     assert (a + b) + c == a + (b + c)
     assert a * (b * c) == (a * b) * c
     assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
 
 
-@given(matrix_elements(), matrix_elements())
-def test_commutator_antisymmetry(a, b):
+@given(matrix_triples)
+def test_commutator_antisymmetry(abc):
+    a, b, _ = abc
     assert commutator(a, b) == -commutator(b, a)
 
 

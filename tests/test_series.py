@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbseries import checks
 from rbseries.checks import first_mismatch
-from rbseries.rings import Q, RingMismatchError, matrix_ring, random_element, rational
+from rbseries.rings import Q, RingMismatchError, matrix_ring, rational
 from rbseries.series import DomainError, RelaxedSeries, TruncatedSeries, combine, parse_series
 
 from conftest import MAT2, SCALAR, rationals
@@ -20,9 +21,9 @@ def S(text, cap=None, ring=SCALAR):
 
 
 def random_series(ring, cap, rng, min_val=0, bound=5):
-    coeffs = [ring.zero()] * min_val
-    coeffs += [random_element(ring, rng, bound) for _ in range(cap + 1 - min_val)]
-    return TruncatedSeries(ring, cap, tuple(coeffs))
+    """checks.random_series, whose draws are one rings.random_element per
+    coefficient from t^min_val up, with this module's argument order."""
+    return checks.random_series(ring, cap, rng, bound, min_val)
 
 
 series_strategy = st.builds(
@@ -51,7 +52,8 @@ def test_matrix_noncommutative_product():
     x = TruncatedSeries.from_coeffs(MAT2, 3, [0, a])
     y = TruncatedSeries.from_coeffs(MAT2, 3, [0, b])
     assert x * y != y * x
-    assert (x * y).coefficient(2) == a * b
+    assert (x * y).coefficient(2) == MAT2.element([[1, 0], [0, 0]])
+    assert (y * x).coefficient(2) == MAT2.element([[0, 0], [0, 1]])
 
 
 def test_valuation():

@@ -154,7 +154,8 @@ def test_bch_leading_term_is_half_commutator():
     y = TruncatedSeries.from_coeffs(MAT2, 4, [0, b])
     z = bch(x, y)
     assert z.valuation() == 2
-    assert z.coefficient(2) == (a * b - b * a).scale(Q(1, 2))
+    # [a, b]/2 with ab = E11 and ba = E22
+    assert z.coefficient(2) == MAT2.element([["1/2", 0], [0, "-1/2"]])
 
 
 def test_bch_valuation_superadditive():

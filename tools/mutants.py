@@ -35,6 +35,7 @@ SERIES = "src/rbseries/series.py"
 CHECKS = "src/rbseries/checks.py"
 CLI = "src/rbseries/cli.py"
 OPERATORS = "src/rbseries/operators.py"
+RINGS = "src/rbseries/rings.py"
 LIFTED = ("tests/test_lifted_solvers.py",)
 SOLVING = ("tests/test_lifted_solvers.py", "tests/test_solvers.py")
 TIMEOUT_S = 600
@@ -69,8 +70,8 @@ MUTANTS = (
            "prev.product_coefficient(base, c, n - 1)",
            "prev.product_coefficient(base, c, n)", LIFTED),
     Mutant("split-multiplier-of-previous-power", SOLVERS,
-           "X.set(c, combine((factors[c], x_c)))",
-           "X.set(c, combine((factors[c - 1], x_c)))", LIFTED),
+           "X.set(c, combine((factor[c], x_c)))",
+           "X.set(c, combine((factor[c - 1], x_c)))", LIFTED),
     Mutant("closed-homogeneous-factor-order", SOLVERS,
            "return one + e_plus * apply(op, e_pt * a1)",
            "return one + e_plus * apply(op, a1 * e_pt)", LIFTED),
@@ -97,6 +98,14 @@ MUTANTS = (
            ("tests/test_series.py",)),
     Mutant("scale-minus-one-is-identity", SERIES,
            "return -self", "return self", ("tests/test_series.py",)),
+    Mutant("log1p-of-weight-minus-one", SERIES,
+           "return self.lambda_log(1)", "return self.lambda_log(-1)", ("tests/test_series.py",)),
+    # Ring elements at the boundary: the identity's multiples, and no floats.
+    Mutant("element-scalar-on-every-entry", RINGS,
+           "r if i == j else z", "r", ("tests/test_rings.py",)),
+    Mutant("rational-accepts-float", RINGS,
+           "if isinstance(value, (float, bool)):", "if isinstance(value, bool):",
+           ("tests/test_rings.py", "tests/test_cli.py")),
     # One-pass operator application over cached per-entry factor vectors.
     Mutant("companion-factor-plus-weight", OPERATORS,
            "-w * den - m", "w * den - m", ("tests/test_operators.py",)),
