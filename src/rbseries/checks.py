@@ -70,13 +70,11 @@ class CheckReport:
 
 
 def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> Optional[Mismatch]:
+    """The least power where the sides differ, with both coefficients' text."""
     if lhs == rhs:
         return None
-    for k in range(lhs.cap + 1):
-        a, b = lhs.coefficient(k), rhs.coefficient(k)
-        if a != b:
-            return Mismatch(k, str(a), str(b))
-    return None
+    k = (lhs - rhs).valuation()
+    return Mismatch(k, lhs.coefficient_text(k), rhs.coefficient_text(k))
 
 
 # ------------------------------------------------------------------ utilities
@@ -308,12 +306,15 @@ def _special_equality(params: Mapping) -> Pairs:
 
 def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
            sign: Callable[[int], int] = lambda n: 1) -> TruncatedSeries:
-    """1 + sum over n >= 1 of sign(n) q^exponent(n) t^n / ((1-q)...(1-q^n))."""
-    ring = scalar_ring()
+    """1 + sum over n >= 1 of sign(n) q^exponent(n) t^n / ((1-q)...(1-q^n)),
+    with the q-Pochhammer product poch(q, n) kept as a running product."""
     coeffs = [Q(1)]
+    qn = pochhammer = Q(1)
     for n in range(1, cap + 1):
-        coeffs.append(sign(n) * q ** exponent(n) / poch(q, n))
-    return TruncatedSeries.from_coeffs(ring, cap, coeffs)
+        qn *= q
+        pochhammer *= 1 - qn
+        coeffs.append(sign(n) * q ** exponent(n) / pochhammer)
+    return TruncatedSeries.from_coeffs(scalar_ring(), cap, coeffs)
 
 
 def _eulerian(params: Mapping) -> Pairs:
@@ -454,7 +455,8 @@ class ManifestError(ValueError):
 
 def _entry(e) -> ManifestEntry:
     """The manifest entry `e`, its integer params parsed and its operator
-    built, so that a bad value stops the suite before any check runs."""
+    built, so that a bad value stops the suite before any check runs. A check
+    that reads no operator reads q as the q-integral's."""
     if not isinstance(e, dict) or not isinstance(e.get("id"), str) \
             or not isinstance(e.get("params", {}), dict):
         raise ManifestError(f"entry {e!r} is not an object with a string 'id' and object 'params'")
@@ -467,7 +469,11 @@ def _entry(e) -> ManifestEntry:
         for name in INT_PARAMS:
             if name in params:
                 params[name] = int_param(name, params[name])
-        _operator(params)
+        identity = IDENTITIES.get(e["id"])
+        if identity is None or "operator" in identity.reads:
+            _operator(params)
+        else:
+            _operator({"q": params.get("q", "1/2")})
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ManifestError(f"entry {e['id']!r}: {exc}") from None
     return ManifestEntry(e["id"], params, expected)

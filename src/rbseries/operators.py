@@ -31,6 +31,9 @@ KINDS = (QINT, QSCALE, ANTIDER)
 
 @dataclass(frozen=True)
 class OperatorSpec:
+    """An operator kind and its q. The hash is computed once, as every apply
+    looks the operator's table up by it."""
+
     kind: str
     q: object = None  # rational; None for antider
 
@@ -40,13 +43,17 @@ class OperatorSpec:
         if self.kind == ANTIDER:
             if self.q is not None:
                 raise ValueError("antider takes no q parameter")
-            return
-        if self.q is None:
-            raise ValueError(f"{self.kind} requires a q parameter")
-        q = rational(self.q)
-        if q in (Q(0), Q(1), Q(-1)):
-            raise ValueError("q must avoid {0, 1, -1}")
-        object.__setattr__(self, "q", q)
+        else:
+            if self.q is None:
+                raise ValueError(f"{self.kind} requires a q parameter")
+            q = rational(self.q)
+            if q in (Q(0), Q(1), Q(-1)):
+                raise ValueError("q must avoid {0, 1, -1}")
+            object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_hash", hash((self.kind, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def weight(self) -> Q:

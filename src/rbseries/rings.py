@@ -1,15 +1,18 @@
 """Exact coefficient rings: arbitrary-precision rationals and square rational matrices.
 
-A RingDescriptor selects the coefficient ring of a series. A RingElement is one
-coefficient at the API and text boundary: it has a value, equality and a text
-form, and no arithmetic, since every sum and product runs on the integer
-numerators of a series (see series.py). No floating point anywhere: rational()
-rejects floats. Rationals are the standard library's Fraction.
+A RingDescriptor selects the coefficient ring of a series and coerces values
+into its entries. A RingElement is one coefficient at the API boundary, as a
+series' `coefficient` and `coeffs` return it: it has a value, equality and a
+text form, and no arithmetic, since every sum and product, and the text form
+of a series, run on the integer numerators of a series (see series.py). No
+floating point anywhere: rational() rejects floats. Rationals are the standard
+library's Fraction.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -32,6 +35,28 @@ def rational(value=0, den: int | None = None) -> Q:
     if isinstance(value, str):
         return Q(value.strip())
     return Q(value)
+
+
+# An integer or p/q, the forms str() writes: read without building a Fraction.
+_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*\Z")
+
+
+def rational_entry(value) -> tuple[int, int]:
+    """rational(value) as a (numerator, positive denominator) pair, not
+    reduced. An int, a Fraction, or an integer or 'p/q' string builds no
+    Fraction; other values go through rational() and raise as it does."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Q):
+        return value.numerator, value.denominator
+    if isinstance(value, str):
+        found = _RATIONAL.match(value)
+        if found and found[2] is None:
+            return int(found[1]), 1
+        if found and int(found[2]):
+            return int(found[1]), int(found[2])
+    value = rational(value)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -60,23 +85,34 @@ class RingDescriptor:
         return self.element(1)
 
     def element(self, value) -> "RingElement":
-        """Coerce ints, rationals, strings or nested row lists into this ring;
-        a single number in a matrix ring is that multiple of the identity."""
+        """Coerce a RingElement of this ring, or what `entries` coerces."""
+        if isinstance(value, RingElement) and value.ring == self:
+            return value
+        values = [Q(p, q) for p, q in self.entries(value)]
+        if self.kind == SCALAR:
+            return RingElement(self, values[0])
+        d = self.dim
+        return RingElement(self, tuple(tuple(values[r * d : (r + 1) * d]) for r in range(d)))
+
+    def entries(self, value) -> list:
+        """The d*d entries of `value` in this ring, row-major, each a pair
+        from rational_entry. Coerces ints, rationals, strings, nested row
+        lists and RingElements of this ring; a single number in a matrix ring
+        is that multiple of the identity."""
         if isinstance(value, RingElement):
             if value.ring != self:
                 raise RingMismatchError("element belongs to a different ring")
-            return value
+            value = value.value
         if self.kind == SCALAR:
-            return RingElement(self, rational(value))
+            return [rational_entry(value)]
         d = self.dim
         if isinstance(value, (int, str, float, Q)):
-            r, z = rational(value), Q(0)
-            rows = tuple(tuple(r if i == j else z for j in range(d)) for i in range(d))
-        else:
-            rows = tuple(tuple(rational(v) for v in row) for row in value)
-            if len(rows) != d or any(len(r) != d for r in rows):
-                raise ValueError(f"expected a {d}x{d} matrix")
-        return RingElement(self, rows)
+            diagonal = rational_entry(value)
+            return [diagonal if i % (d + 1) == 0 else (0, 1) for i in range(d * d)]
+        rows = [[rational_entry(v) for v in row] for row in value]
+        if len(rows) != d or any(len(row) != d for row in rows):
+            raise ValueError(f"expected a {d}x{d} matrix")
+        return [e for row in rows for e in row]
 
 
 def scalar_ring() -> RingDescriptor:

@@ -9,9 +9,11 @@ numerators, over one shared positive denominator. Entry e of the d x d
 coefficient of t^k sits at index k*d*d + e (row-major), so a scalar series is
 the d = 1 case. The pair (numerators, denominator) is kept reduced, gcd 1
 and the zero series over 1, so equal series have equal representations and
-equality is a plain compare. Arithmetic runs on the integers alone;
-RingElement values are built only at the API and text boundary. RelaxedSeries
-keeps the same layout for a series settled one coefficient at a time.
+equality is a plain compare. Arithmetic runs on the integers alone, and so
+do the text form and JSON, read and written entry by entry from numerators
+over one denominator; RingElement values are built only when `coefficient` or
+`coeffs` is read. RelaxedSeries keeps the same layout for a series settled one
+coefficient at a time.
 """
 
 from __future__ import annotations
@@ -56,18 +58,11 @@ class TruncatedSeries:
             raise ValueError("cap must be >= 0")
         if len(coeffs) != cap + 1:
             raise ValueError("expected cap+1 coefficients")
-        values = []
         for c in coeffs:
             if c.ring != ring:
                 raise RingMismatchError("coefficient belongs to a different ring")
-            if ring.kind == SCALAR:
-                values.append(c.value)
-            else:
-                for row in c.value:
-                    values.extend(row)
-        den = lcm(*(v.denominator for v in values))
-        num = [v.numerator * (den // v.denominator) for v in values]
-        self._init(ring, cap, num, den)
+        self._init(ring, cap, *_over_one_denominator(
+            [e for c in coeffs for e in ring.entries(c.value)]))
 
     def _init(self, ring: RingDescriptor, cap: int, num: list, den: int) -> None:
         g = gcd(den, *num)
@@ -135,10 +130,17 @@ class TruncatedSeries:
     def from_coeffs(
         cls, ring: RingDescriptor, cap: int, values: Iterable
     ) -> "TruncatedSeries":
-        """Coefficients c_0 upward; missing ones are zero, excess is truncated."""
-        vals = [ring.element(v) for v in values][: cap + 1]
-        vals += [ring.zero()] * (cap + 1 - len(vals))
-        return cls(ring, cap, vals)
+        """Coefficients c_0 upward; missing ones are zero, excess is truncated.
+
+        Every value, the excess too, is coerced by RingDescriptor.entries,
+        straight into numerators over one denominator.
+        """
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        size = (cap + 1) * ring.dim**2
+        num, den = _over_one_denominator(
+            [e for v in values for e in ring.entries(v)][:size])
+        return cls._make(ring, cap, num + [0] * (size - len(num)), den)
 
     # --------------------------------------------------------------- structure
 
@@ -195,6 +197,13 @@ class TruncatedSeries:
             tuple(Q(v, den) for v in block[r * d : (r + 1) * d]) for r in range(d)
         )
         return RingElement(self.ring, rows)
+
+    def coefficient_text(self, k: int) -> str:
+        """The coefficient of t^k as text: str(self.coefficient(k)), written
+        from the numerators."""
+        if not 0 <= k <= self.cap:
+            raise IndexError("coefficient index out of range")
+        return self._coefficient_texts(k, k + 1)[0]
 
     def block(self, k: int) -> "Block":
         """The coefficient of t^k as a Block: its numerators over the series'
@@ -311,8 +320,22 @@ class TruncatedSeries:
             raise DomainError(f"{what}: series with zero constant term required")
 
     def exp(self) -> "TruncatedSeries":
-        """Sum of x^n/n! for n = 0..cap; needs valuation >= 1."""
+        """Sum of x^n/n! for n = 0..cap; needs valuation >= 1.
+
+        Over a commutative ring y = exp(x) solves t*y' = (t*x')*y, so
+        n*y_n = sum of k*x_k*y_(n-k) for k = 1..n (Brent and Kung, JACM 1978),
+        settled one coefficient at a time. Elsewhere y' = x'*y fails, and the
+        powers x^n/n! are summed.
+        """
         self._require_positive_valuation("exp")
+        if self.ring.commutative:
+            dd = self.ring.dim**2
+            tdx = RelaxedSeries.of(self.termwise([i // dd for i in range(len(self._num))], 1))
+            y = RelaxedSeries.of(TruncatedSeries.one(self.ring, self.cap))
+            for n in range(1, self.cap + 1):
+                num, den = tdx.product_coefficient(y, n, 1, n)
+                y.set(n, (num, den * n))
+            return y.series()
         result = TruncatedSeries.one(self.ring, self.cap)
         term = result
         for n in range(1, self.cap + 1):
@@ -331,11 +354,26 @@ class TruncatedSeries:
         """The weight-lambda logarithm sum of (-lam)^(n-1) x^n / n.
 
         At lam = 0 only the n = 1 term survives and the result is x itself.
+        Over a commutative ring L = lambda_log(x) has L' = x'/(1 + lam*x), so
+        M = t*L' solves M = t*x' - lam*x*M: M_n = n*x_n - lam*(x*M)_n, where
+        (x*M)_n reads M below n, and L_n = M_n/n. Elsewhere the powers are
+        summed.
         """
         self._require_positive_valuation("lambda_log")
         lam = rational(lam)
         if lam == 0:
             return self
+        if self.ring.commutative:
+            p, q = lam.numerator, lam.denominator
+            x = RelaxedSeries.of(self)
+            tdlog, log = RelaxedSeries(self.ring, self.cap), RelaxedSeries(self.ring, self.cap)
+            for n in range(1, self.cap + 1):
+                (xn, xd), (xm, md) = x.block(n), x.product_coefficient(tdlog, n)
+                # M_n = n*x_n - lam*(x*M)_n, over the denominator xd*md*q
+                num, den = tdlog.set(n, ([n * q * md * a - p * xd * b for a, b in zip(xn, xm)],
+                                         xd * md * q))
+                log.set(n, (num, den * n))
+            return log.series()
         result = TruncatedSeries.zero(self.ring, self.cap)
         power = TruncatedSeries.one(self.ring, self.cap)
         sign = Q(1)
@@ -348,31 +386,66 @@ class TruncatedSeries:
         return result
 
     def geom_inv(self, lam) -> "TruncatedSeries":
-        """(1 + lam*x)^(-1) = sum of (-lam*x)^n; needs valuation >= 1."""
+        """(1 + lam*x)^(-1) = sum of (-lam*x)^n; needs valuation >= 1.
+
+        y = 1 - lam*x*y over every ring, so y_n = -lam*(x*y)_n, which reads y
+        below n: y is settled one coefficient at a time.
+        """
         self._require_positive_valuation("geom_inv")
-        ratio = self.scale(-rational(lam))
-        result = TruncatedSeries.one(self.ring, self.cap)
-        power = result
-        for _ in range(self.cap):
-            power = power * ratio
-            if power.is_zero():
-                break
-            result = result + power
-        return result
+        lam = rational(lam)
+        x, y = RelaxedSeries.of(self), RelaxedSeries.of(TruncatedSeries.one(self.ring, self.cap))
+        p, q = lam.numerator, lam.denominator
+        if p:
+            for n in range(1, self.cap + 1):
+                num, den = x.product_coefficient(y, n, 1, n)
+                y.set(n, ([-p * v for v in num], den * q))
+        return y.series()
 
     # ------------------------------------------------------------------- text
 
+    def _coefficient_texts(self, lo: int, hi: int) -> list:
+        """The text of each coefficient of t^lo..t^(hi-1), as RingElement
+        writes it: a rational, or [[a,b],[c,d]] over a matrix ring."""
+        dd = self.ring.dim**2
+        entries = _entry_texts(self._num[lo * dd : hi * dd], self._den)
+        if self.ring.kind == SCALAR:
+            return entries
+        d = self.ring.dim
+        rows = ["[" + ",".join(entries[i : i + d]) + "]" for i in range(0, len(entries), d)]
+        return ["[" + ",".join(rows[i : i + d]) + "]" for i in range(0, len(rows), d)]
+
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(self._coefficient_texts(0, self.cap + 1))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.ring!r}, {self.cap}, '{self}')"
 
     def to_json(self) -> list:
         """Array of rational strings, or of row-major matrices of strings."""
+        entries = _entry_texts(self._num, self._den)
         if self.ring.kind == SCALAR:
-            return [str(c.value) for c in self.coeffs]
-        return [[[str(a) for a in row] for row in c.value] for c in self.coeffs]
+            return entries
+        d = self.ring.dim
+        return [[entries[i : i + d] for i in range(k, k + d * d, d)]
+                for k in range(0, len(entries), d * d)]
+
+
+def _over_one_denominator(entries: list) -> tuple[list, int]:
+    """(numerator, positive denominator) pairs as numerators over their lcm."""
+    den = lcm(*(q for _, q in entries))
+    return [p * (den // q) for p, q in entries], den
+
+
+def _entry_texts(num: Sequence[int], den: int) -> list:
+    """Each numerator over den in lowest terms, as str(Fraction) writes it:
+    one gcd per entry."""
+    if den == 1:
+        return [str(v) for v in num]
+    out = []
+    for v in num:
+        g = gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
 
 
 # A Block is one coefficient: its d*d numerators (row-major) over a positive
@@ -470,8 +543,50 @@ class RelaxedSeries:
         return TruncatedSeries._make(self.ring, self.cap, list(self._num), self._den)
 
 
+def _split_outside_brackets(text: str) -> list:
+    """text split at the commas outside square brackets."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced ']'")
+        elif ch == "," and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth:
+        raise ValueError("unbalanced '['")
+    parts.append(text[start:])
+    return parts
+
+
+def _matrix_value(token: str):
+    """A coefficient token: '[[a,b],[c,d]]' as its rows of entry strings, or
+    any other token as it is."""
+    token = token.strip()
+    if not (token.startswith("[") and token.endswith("]")):
+        return token
+    rows = []
+    for row in _split_outside_brackets(token[1:-1]):
+        row = row.strip()
+        inner = row[1:-1]
+        if not (row.startswith("[") and row.endswith("]")) or "[" in inner or "]" in inner:
+            raise ValueError(f"malformed matrix row {row!r}")
+        rows.append(inner.split(","))
+    return rows
+
+
 def parse_series(text: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
-    """Parse the CLI text form: comma-separated coefficients from c_0 upward."""
+    """Parse the text form str() writes: comma-separated coefficients from c_0
+    upward. Over a matrix ring a coefficient is [[a,b],[c,d]] (rows of
+    entries), or a rational for that multiple of the identity."""
     text = text.strip()
-    values = [] if not text else [v.strip() for v in text.split(",")]
+    if not text:
+        values = []
+    elif ring.kind == SCALAR or "[" not in text:
+        values = text.split(",")
+    else:
+        values = [_matrix_value(t) for t in _split_outside_brackets(text)]
     return TruncatedSeries.from_coeffs(ring, cap, values)

@@ -1,5 +1,6 @@
 """The recorded benchmark files at the repository root keep one key set:
-kernel timings are required from BENCH_9.json on, and absent before it."""
+kernel timings are required from BENCH_9.json on, and absent before it; the
+lambda_log and geom_inv kernels are required from BENCH_11.json on."""
 
 import json
 from pathlib import Path
@@ -20,7 +21,8 @@ def test_a_record_exists():
 def test_record_key_set(path):
     record = json.loads(path.read_text())
     keys = {"environment", "method", "workloads", "solvers_fastest_ms"}
-    if int(path.stem.split("_")[1]) >= 9:
+    number = int(path.stem.split("_")[1])
+    if number >= 9:
         keys.add("kernels_fastest_ms")
     assert set(record) == keys
     assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
@@ -55,9 +57,11 @@ def test_record_key_set(path):
     if "kernels_fastest_ms" in keys:
         kernels = record["kernels_fastest_ms"]
         assert set(kernels) == SIDES
+        names = ("mul", "apply", "tilde_apply", "exp")
+        if number >= 11:
+            names += ("lambda_log", "geom_inv")
         expected = {f"{kernel} {d}x{d} cap {cap}"
-                    for kernel in ("mul", "apply", "tilde_apply", "exp")
-                    for d in (1, 2, 3) for cap in (6, 10, 16)}
+                    for kernel in names for d in (1, 2, 3) for cap in (6, 10, 16)}
         for side in SIDES:
             assert set(kernels[side]) == expected
             assert all(ms > 0 for ms in kernels[side].values())

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rbseries import checks
 from rbseries.checks import (
     DOMAIN_ERROR,
     FAIL,
@@ -53,6 +54,20 @@ def test_poch():
     q = Q(1, 2)
     assert poch(q, 0) == 1
     assert poch(q, 2) == Q(1, 2) * Q(3, 4)
+
+
+@pytest.mark.parametrize("q", EULERIAN_QS)
+def test_q_sum_running_product_matches_poch(q):
+    """Each coefficient of _q_sum, built on a running q-Pochhammer product,
+    against the term computed with poch afresh."""
+    q = rational(q)
+    cap = 12
+    for exponent, sign in ((lambda n: 2 * n - 1, lambda n: 1), (lambda n: 0, lambda n: (-1) ** n),
+                           (lambda n: n * (n + 1) // 2, lambda n: -((-1) ** n))):
+        got = checks._q_sum(cap, q, exponent, sign)
+        for n in range(cap + 1):
+            want = sign(n) * q ** exponent(n) / poch(q, n) if n else 1
+            assert got.coefficient(n).value == want
 
 
 def test_first_mismatch_reports_smallest_power():

@@ -1,5 +1,11 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -193,6 +199,21 @@ def test_matrix_dim_flag(capsys):
     assert code == 0
 
 
+def test_solve_reads_the_matrix_text_it_prints(capsys):
+    """Over a matrix ring a coefficient is a rational (that multiple of the
+    identity) or [[a,b],[c,d]]; the printed solution parses back to itself."""
+    common = ["solve", "--dim", "2", "--operator", "qint", "--q", "1/2", "--order", "3"]
+    code, out, _ = run(capsys, *common, "--a0", "0,[[1,2],[0,1]]", "--a1", "0,1,1/2")
+    assert code == 0
+    assert out.strip() == "[[0,0],[0,0]],[[1,2],[0,1]],[[2/3,4/3],[0,2/3]],[[5/21,10/21],[0,5/21]]"
+    identity = "[[1,0],[0,1]]"
+    code, again, _ = run(capsys, *common, "--a0", "[[0,0],[0,0]], [[1,2],[0,1]]",
+                         "--a1", f"0,{identity},[[1/2,0],[0,1/2]]")
+    assert code == 0 and again == out
+    code, _, err = run(capsys, *common, "--a0", "0,[[1,2],[0,1]", "--a1", "0,1")
+    assert code == 2 and err.startswith("error: --a0: malformed series")
+
+
 @pytest.mark.parametrize("text", ["", "{not json", "[1, 2]", '"entries"',
                                   '{"x": 1}', '{"entries": {}}', '{"entries": [1]}',
                                   '{"entries": [{"params": {}}]}',
@@ -224,9 +245,14 @@ def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
     {"id": ["rb-axiom"]},
     {"id": "eulerian-prop-one-printed", "params": {"q": 0.1, "order": 2}},
     {"id": "eulerian-prop-one-printed", "params": {"q": 0.5, "order": 2}},
+    # a check that reads no operator reads q as the q-integral's
+    {"id": "eulerian-prop-two", "params": {"operator": "antider", "q": "1"}},
+    {"id": "eulerian-prop-two", "params": {"operator": "antider", "q": "-1"}},
+    {"id": "eulerian-prop-two", "params": {"operator": "antider", "q": "0"}},
 ], ids=["expect-bogus", "q-one", "q-zero-denominator", "q-list", "operator-unknown",
         "order-not-a-number", "order-float", "dim-bool", "vacuous-pass", "dim-zero",
-        "nmax-negative", "kmax-negative", "id-not-a-string", "q-float-tenth", "q-float-half"])
+        "nmax-negative", "kmax-negative", "id-not-a-string", "q-float-tenth", "q-float-half",
+        "antider-qint-q-one", "antider-qint-q-minus-one", "antider-qint-q-zero"])
 def test_suite_rejects_a_bad_manifest_value_before_any_check(tmp_path, capsys, entry):
     good = {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": 4}}
     path = tmp_path / "manifest.json"
@@ -333,3 +359,40 @@ def test_calls_in_a_row_do_not_share_state(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert run(capsys, *solve) == (0, "0,0,1/2,0,1/8\n", "")
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _cli_small_solve_argvs(seeds) -> list:
+    """The argv of every `solve` call in the benchmark's cli-small workload for
+    these seeds, read by running its operations against a recording cli.main."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    argvs = []
+    rb = SimpleNamespace(cli=SimpleNamespace(main=argvs.append))
+    for seed in seeds:
+        for op in workloads.cli_ops(seed, rb):
+            op.call()
+    return [argv for argv in argvs if argv[0] == "solve"]
+
+
+def test_solve_output_is_unchanged_byte_for_byte():
+    """Exit code, stdout and stderr of the README example and of every
+    cli-small solve call of seeds 1-3, pinned by a digest of the output the
+    text writer gave when it formatted each coefficient through Fraction."""
+    argvs = [["solve", "--equation", "inhom-left", "--operator", "antider",
+              "--a0", "0,1", "--a1", "0,1", "--order", "4"]]
+    argvs += _cli_small_solve_argvs((1, 2, 3))
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        results.append([code, out.getvalue(), err.getvalue()])
+    assert len(argvs) == 76 and results[0] == [0, "0,0,1/2,0,1/8\n", ""]
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "d89042c96571b53688522ddb07f91d9a7c4525578b615854c62775a15836b876"

@@ -179,3 +179,15 @@ def test_tilde_apply_rejects_constant_term(op):
     for ring in (SCALAR, MAT2):
         with pytest.raises(DomainError):
             tilde_apply(op, TruncatedSeries.one(ring, 3))
+
+
+def test_equal_specs_hash_alike_and_share_one_table():
+    """The hash is computed once, at construction; specs equal as values hash
+    alike and share one factor table, whatever form q was given in."""
+    a, b = OperatorSpec(QINT, "1/2"), OperatorSpec(QINT, Q(1, 2))
+    assert a == b and hash(a) == hash(b) == hash((QINT, Q(1, 2)))
+    assert operators._table(a) is operators._table(b)
+    assert apply(a, S("0,1,1")) == apply(b, S("0,1,1"))
+    assert operators.entry_vector(a, 4, 2) is operators.entry_vector(b, 4, 2)
+    assert hash(OperatorSpec(ANTIDER)) == hash(J)
+    assert OperatorSpec(QSCALE, "1/2") != a and len({a, b, QS, J}) == 3

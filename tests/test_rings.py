@@ -15,6 +15,7 @@ from rbseries.rings import (
     matrix_ring,
     random_element,
     rational,
+    rational_entry,
     scalar_ring,
 )
 from rbseries.series import TruncatedSeries
@@ -186,3 +187,25 @@ def test_canonical_form_stable(p, q):
     x = rational(p, q)
     assert rational(str(x)) == x
     assert x.denominator > 0
+
+
+def _outcome(read, value):
+    """read(value) as a Fraction, or the type of the exception it raised."""
+    try:
+        out = read(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc)
+    return out if isinstance(out, Q) else Q(*out)
+
+
+@pytest.mark.parametrize("value", [
+    "0", "-0", "+7", " 3/4 ", "-12/18", "007/010", "\t5\n", "\u0661\u0662/\u0663",
+    "1.5", "1e3", "-2.5e-1", "1_000", " 1 / 2", "1/0", "0/0", "1/-2", "1//2", "--1", "", "x",
+    "1/2x", 5, -3, Q(-4, 6), True, 0.5, None])
+def test_rational_entry_reads_what_rational_reads(value):
+    """The pair reader's fast path for integer and p/q strings agrees with
+    rational() on every value: the same number, or the same exception."""
+    got = _outcome(rational_entry, value)
+    assert got == _outcome(rational, value)
+    if isinstance(got, Q):
+        assert rational_entry(value)[1] > 0

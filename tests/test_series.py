@@ -10,7 +10,7 @@ from rbseries.checks import first_mismatch
 from rbseries.rings import Q, RingMismatchError, matrix_ring, rational
 from rbseries.series import DomainError, RelaxedSeries, TruncatedSeries, combine, parse_series
 
-from conftest import MAT2, SCALAR, rationals
+from conftest import MAT2, MAT3, SCALAR, rationals
 
 
 def S(text, cap=None, ring=SCALAR):
@@ -346,3 +346,144 @@ def test_combine_sums_scaled_blocks_reduced():
     assert combine((1, one_half), (1, one_third)) == ([5], 6)
     assert combine((Q(3, 5), one_half), (-1, ([3], 10))) == ([0], 1)
     assert combine((Q(-2, 3), ([3, 6, 0, 9], 4))) == ([-1, -2, 0, -3], 2)
+
+
+# exp, lambda_log and geom_inv settle one coefficient at a time; the
+# references below sum the defining powers with plain products and scale.
+
+MAT1 = matrix_ring(1)
+ROUND_TRIP_RINGS = [SCALAR, MAT1, MAT2, MAT3]
+RING_IDS = ["scalar", "mat1", "mat2", "mat3"]
+
+
+def _power_sum(x, weight):
+    """The sum of weight(n) * x^n for n = 0..cap."""
+    out = TruncatedSeries.zero(x.ring, x.cap)
+    power = TruncatedSeries.one(x.ring, x.cap)
+    for n in range(x.cap + 1):
+        out = out + power.scale(weight(n))
+        power = power * x
+    return out
+
+
+@pytest.mark.parametrize("ring", [SCALAR, MAT1], ids=["scalar", "mat1"])
+@pytest.mark.parametrize("cap", [0, 1, 6, 16, 30])
+def test_commutative_exp_and_lambda_log_match_their_power_sums(ring, cap):
+    rng = random.Random(40 + cap)
+    inputs = [TruncatedSeries.zero(ring, cap), TruncatedSeries.var(ring, cap),
+              random_series(ring, cap, rng, 1, 5),
+              random_series(ring, cap, rng, min(2, cap + 1), 9)]
+    for x in inputs:
+        assert x.exp() == _power_sum(x, lambda n: Q(1, factorial(n)))
+        for lam in (Q(-1), Q(0), Q(1), Q(1, 2)):
+            want = _power_sum(x, lambda n: (-lam) ** (n - 1) / n if n else 0)
+            assert x.lambda_log(lam) == want
+        assert x.log1p() == x.lambda_log(1)
+
+
+@pytest.mark.parametrize("ring", [SCALAR, MAT2, MAT3], ids=["scalar", "mat2", "mat3"])
+def test_geom_inv_is_a_two_sided_inverse(ring):
+    rng = random.Random(41)
+    for cap in (0, 1, 6):
+        one = TruncatedSeries.one(ring, cap)
+        for x in (TruncatedSeries.var(ring, cap), random_series(ring, cap, rng, 1, 5)):
+            for lam in (Q(-1), Q(0), Q(1), Q(1, 2), Q(-3, 2)):
+                y = x.geom_inv(lam)
+                shifted = one + x.scale(lam)
+                assert shifted * y == one and y * shifted == one
+
+
+def _coeffs_text(x):
+    """The reference text form: str of each RingElement `coeffs` returns."""
+    return ",".join(str(c) for c in x.coeffs)
+
+
+def _coeffs_json(x):
+    if x.ring.kind == SCALAR.kind:
+        return [str(c.value) for c in x.coeffs]
+    return [[[str(a) for a in row] for row in c.value] for c in x.coeffs]
+
+
+@pytest.mark.parametrize("ring", ROUND_TRIP_RINGS, ids=RING_IDS)
+def test_text_from_numerators_matches_the_coefficients(ring):
+    rng = random.Random(42)
+    inputs = [TruncatedSeries.zero(ring, 4), TruncatedSeries.one(ring, 0)]
+    inputs += [random_series(ring, cap, rng, v, bound)
+               for cap, v, bound in ((0, 0, 7), (4, 0, 9), (6, 2, 12), (3, 0, 1))]
+    inputs.append(inputs[-2].scale(Q(-10**20, 3)))
+    for x in inputs:
+        assert str(x) == _coeffs_text(x)
+        assert x.to_json() == _coeffs_json(x)
+        for k in range(x.cap + 1):
+            assert x.coefficient_text(k) == str(x.coefficient(k))
+    with pytest.raises(IndexError):
+        inputs[0].coefficient_text(5)
+
+
+def _series_of_entries(ring, entries):
+    d = ring.dim
+    if ring.kind == SCALAR.kind:
+        return TruncatedSeries.from_coeffs(ring, len(entries) - 1, entries)
+    blocks = [entries[i : i + d * d] for i in range(0, len(entries), d * d)]
+    return TruncatedSeries.from_coeffs(
+        ring, len(blocks) - 1, [[b[r * d : (r + 1) * d] for r in range(d)] for b in blocks])
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    rationals(10**6, 10**4), min_size=n + 1, max_size=n + 1)))
+@settings(max_examples=60)
+def test_parse_of_str_round_trips_scalar(entries):
+    x = _series_of_entries(SCALAR, entries)
+    assert parse_series(str(x), SCALAR, x.cap) == x
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    rationals(10**6, 10**4), min_size=4 * (n + 1), max_size=4 * (n + 1))))
+@settings(max_examples=60)
+def test_parse_of_str_round_trips_matrix(entries):
+    x = _series_of_entries(MAT2, entries)
+    assert parse_series(str(x), MAT2, x.cap) == x
+
+
+def test_parse_reads_matrices_and_identity_multiples():
+    x = parse_series(" [[1, 2/4],[-3,0]] , 5 ,[[0,0],[0,1/3]]", MAT2, 3)
+    assert x.coefficient(0) == MAT2.element([[1, Q(1, 2)], [-3, 0]])
+    assert x.coefficient(1) == MAT2.element(5)
+    assert x.coefficient(2) == MAT2.element([[0, 0], [0, Q(1, 3)]])
+    assert x.coefficient(3) == MAT2.zero()
+    assert parse_series("[[7]],1/2", MAT1, 1) == TruncatedSeries.from_coeffs(
+        MAT1, 1, [7, Q(1, 2)])
+    # forms rings.rational reads beyond p/q still parse as before
+    assert parse_series("0.5, 1e2, +3, -0", SCALAR, 3) == TruncatedSeries.from_coeffs(
+        SCALAR, 3, [Q(1, 2), 100, 3, 0])
+
+
+@pytest.mark.parametrize("ring,text", [
+    (MAT2, "[[1,2],[3,4]"), (MAT2, "[[1,2],[3,4]]]"), (MAT2, "[[1,2],[3]]"),
+    (MAT2, "[1,2]"), (MAT2, "[12,34]"), (MAT2, "[[[1,2]],[3,4]]"), (MAT2, "[[1,2],[3,x]]"),
+    (MAT2, "[[1,2],[3,4]]x"), (MAT2, "[]"), (MAT2, "1/0"), (SCALAR, "[[1]]"),
+    (SCALAR, "0,,1"), (SCALAR, "1/0"), (SCALAR, "1/-2"), (SCALAR, "0,1,x"),
+])
+def test_parse_rejects_malformed_text(ring, text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        parse_series(text, ring, 1)
+
+
+def test_from_coeffs_coerces_every_kind_of_value():
+    a = MAT2.element([[1, 2], [3, 4]])
+    x = TruncatedSeries.from_coeffs(MAT2, 4, [a, 2, "1/3", Q(1, 5), [["1", Q(1, 2)], [0, -1]]])
+    assert x.coeffs == (a, MAT2.element(2), MAT2.element("1/3"), MAT2.element(Q(1, 5)),
+                        MAT2.element([[1, Q(1, 2)], [0, -1]]))
+    assert TruncatedSeries.from_coeffs(SCALAR, 1, [SCALAR.element(3)]).coeffs == (
+        SCALAR.element(3), SCALAR.zero())
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            TruncatedSeries.from_coeffs(SCALAR, 0, [bad])
+        with pytest.raises(TypeError):
+            TruncatedSeries.from_coeffs(MAT2, 0, [bad])
+    with pytest.raises(RingMismatchError):
+        TruncatedSeries.from_coeffs(MAT2, 0, [MAT3.one()])
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_coeffs(MAT2, 0, [[[1, 2, 3], [4, 5, 6]]])
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_coeffs(SCALAR, -1, [])

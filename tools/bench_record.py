@@ -12,7 +12,8 @@ change first on odd i. The file holds, per workload and end-to-end metric,
 each side's median, quartiles and runs, the pairs the change won (ties count
 for neither) and the failed operations; then fastest-of-k timings on each side
 of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices, and of the
-kernels (x*y, apply, tilde_apply, exp) at the same caps over scalars and 2x2
+kernels (x*y, apply, tilde_apply, exp, lambda_log(1), geom_inv(1)) at the
+same caps over scalars and 2x2
 and 3x3 matrices, taken in two runs per side (parent, change, change, parent)
 and each the faster of its side's two; and the environment. Standard library
 only.
@@ -41,7 +42,7 @@ CAPS = (6, 10, 16)
 DIMS = (2, 3)
 SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
 KERNEL_DIMS = (1, 2, 3)
-KERNELS = ("mul", "apply", "tilde_apply", "exp")
+KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv")
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
 
 
@@ -123,6 +124,8 @@ def _layers(root: Path) -> dict:
                 "apply": lambda: rb.apply(qint, x),
                 "tilde_apply": lambda: rb.tilde_apply(qint, x),
                 "exp": lambda: x.exp(),
+                "lambda_log": lambda: x.lambda_log(1),
+                "geom_inv": lambda: x.geom_inv(1),
             }
             for name in KERNELS:
                 timer = timeit.Timer(calls[name])

@@ -6,8 +6,9 @@
     python3 tools/mutants.py NAME ...   # the named ones
 
 Each mutant is one textual fault: a (file, old text, new text) triple, with the
-test modules that should catch it. For each mutant the script copies src/ and
-tests/ to a temporary directory, replaces the old text (which must occur
+test modules that should catch it. For each mutant the script copies src/,
+tests/ and perfbench/ (whose workloads a CLI test reads) to a temporary
+directory, replaces the old text (which must occur
 exactly once) and runs the named modules with pytest. A mutant survives when
 the tests still pass. Before the mutants, the same modules run on an unmutated
 copy, which must pass. Exit 0 when every mutant is killed, 1 when one survives
@@ -100,9 +101,21 @@ MUTANTS = (
            "return -self", "return self", ("tests/test_series.py",)),
     Mutant("log1p-of-weight-minus-one", SERIES,
            "return self.lambda_log(1)", "return self.lambda_log(-1)", ("tests/test_series.py",)),
+    # exp, lambda_log and geom_inv settled one coefficient at a time, and the
+    # text written from the numerators.
+    Mutant("exp-recurrence-unweighted", SERIES,
+           "RelaxedSeries.of(self.termwise([i // dd for i in range(len(self._num))], 1))",
+           "RelaxedSeries.of(self)", ("tests/test_series.py",)),
+    Mutant("log-recurrence-weight-sign", SERIES,
+           "- p * xd * b for a, b", "+ p * xd * b for a, b",
+           ("tests/test_series.py",)),
+    Mutant("geom-inv-weight-sign", SERIES,
+           "[-p * v for v in num]", "[p * v for v in num]", ("tests/test_series.py",)),
+    Mutant("text-entry-not-reduced", SERIES,
+           "g = gcd(v, den)", "g = 1", ("tests/test_series.py",)),
     # Ring elements at the boundary: the identity's multiples, and no floats.
     Mutant("element-scalar-on-every-entry", RINGS,
-           "r if i == j else z", "r", ("tests/test_rings.py",)),
+           "diagonal if i % (d + 1) == 0 else (0, 1)", "diagonal", ("tests/test_rings.py",)),
     Mutant("rational-accepts-float", RINGS,
            "if isinstance(value, (float, bool)):", "if isinstance(value, bool):",
            ("tests/test_rings.py", "tests/test_cli.py")),
@@ -121,7 +134,7 @@ MUTANTS = (
 
 
 def _copy(dest: Path) -> None:
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
 
