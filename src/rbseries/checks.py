@@ -205,17 +205,28 @@ Pairs = Iterator[tuple[TruncatedSeries, TruncatedSeries]]
 
 
 def _rb_axiom(params: Mapping) -> Pairs:
-    """P(x)P(y) = P(xP(y)) + P(P(x)y) + w P(xy), for P and its tilde companion."""
+    """P(x)P(y) = P(s) with s = xP(y) + P(x)y + w xy, for P and its companion
+    Pt = -w id - P: four products and six applications per sample.
+
+    Each sample yields P's identity in this canonical form, then Pt(x) and
+    Pt(y) against -w x - P(x) and -w y - P(y), then Pt(-s) against
+    w s + P(x)P(y). Once the middle pairs hold, ring arithmetic gives
+    Pt(x)Pt(y) = w s + P(x)P(y) and xPt(y) + Pt(x)y + w xy = -s, so the last
+    pair is Pt's identity on (x, y) without a product of Pt's outputs.
+    """
     op = _operator(params)
     ring = _ring(params)
     cap = int(params.get("order", 16))
     w = op.weight
     min_val = 0 if op.kind == ANTIDER else 1
     for x, y in _samples(params, ring, cap, 2, min_val, var_first=False):
-        xy = x * y  # shared by both operators
-        for p in (lambda s: apply(op, s), lambda s: tilde_apply(op, s)):
-            px, py = p(x), p(y)
-            yield px * py, p(x * py) + p(px * y) + p(xy).scale(w)
+        px, py = apply(op, x), apply(op, y)
+        pxpy = px * py
+        s = x * py + px * y + (x * y).scale(w)
+        yield pxpy, apply(op, s)
+        yield tilde_apply(op, x), x.scale(-w) - px
+        yield tilde_apply(op, y), y.scale(-w) - py
+        yield s.scale(w) + pxpy, tilde_apply(op, -s)
 
 
 def _kingman(params: Mapping) -> Pairs:
@@ -226,9 +237,12 @@ def _kingman(params: Mapping) -> Pairs:
     nmax = int(params.get("nmax", 6))
     for (u,) in _samples(params, ring, cap):
         pu = apply(op, u)
-        ptu = tilde_apply(op, u)
+        minus_ptu = -tilde_apply(op, u)
+        pu_n, minus_ptu_n = pu, minus_ptu  # running powers, n = 1 first
         for n in range(1, nmax + 1):
-            yield pu.pow(n).scale(op.weight), apply(op, (-ptu).pow(n) - pu.pow(n))
+            if n > 1:
+                pu_n, minus_ptu_n = pu_n * pu, minus_ptu_n * minus_ptu
+            yield pu_n.scale(op.weight), apply(op, minus_ptu_n - pu_n)
 
 
 def _nested(op: OperatorSpec, a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -248,9 +262,12 @@ def _lemma_iteration(params: Mapping) -> Pairs:
     for (a,) in _samples(params, ring, cap, min_valuation=0):
         nested = [_nested(op, a, k) for k in range(kmax + 2)]
         pa = apply(op, a)
+        pa_k = TruncatedSeries.one(ring, cap)  # a running power, k = 0 first
         for k in range(kmax + 1):
             if params["item"] == "A":
-                yield nested[k], pa.pow(k).scale(Q(1, factorial(k)))
+                if k:
+                    pa_k = pa_k * pa
+                yield nested[k], pa_k.scale(Q(1, factorial(k)))
             else:
                 acc = TruncatedSeries.zero(ring, cap)
                 for l in range(k + 1):

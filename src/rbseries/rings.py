@@ -98,7 +98,8 @@ class RingDescriptor:
         """The d*d entries of `value` in this ring, row-major, each a pair
         from rational_entry. Coerces ints, rationals, strings, nested row
         lists and RingElements of this ring; a single number in a matrix ring
-        is that multiple of the identity."""
+        is that multiple of the identity. A matrix and each of its rows must
+        be a list or a tuple: a string row is not read as its characters."""
         if isinstance(value, RingElement):
             if value.ring != self:
                 raise RingMismatchError("element belongs to a different ring")
@@ -109,10 +110,14 @@ class RingDescriptor:
         if isinstance(value, (int, str, float, Q)):
             diagonal = rational_entry(value)
             return [diagonal if i % (d + 1) == 0 else (0, 1) for i in range(d * d)]
-        rows = [[rational_entry(v) for v in row] for row in value]
-        if len(rows) != d or any(len(row) != d for row in rows):
-            raise ValueError(f"expected a {d}x{d} matrix")
-        return [e for row in rows for e in row]
+        if not isinstance(value, (list, tuple)) or len(value) != d:
+            raise ValueError(f"expected a {d}x{d} matrix as a list of rows")
+        out = []
+        for row in value:
+            if not isinstance(row, (list, tuple)) or len(row) != d:
+                raise ValueError(f"expected a {d}x{d} matrix, each row a list of {d}")
+            out += [rational_entry(v) for v in row]
+        return out
 
 
 def scalar_ring() -> RingDescriptor:

@@ -308,8 +308,10 @@ class TruncatedSeries:
     def pow(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = TruncatedSeries.one(self.ring, self.cap)
-        for _ in range(n):
+        if n == 0:
+            return TruncatedSeries.one(self.ring, self.cap)
+        result = self
+        for _ in range(n - 1):
             result = result * self
         return result
 
@@ -336,9 +338,9 @@ class TruncatedSeries:
                 num, den = tdx.product_coefficient(y, n, 1, n)
                 y.set(n, (num, den * n))
             return y.series()
-        result = TruncatedSeries.one(self.ring, self.cap)
-        term = result
-        for n in range(1, self.cap + 1):
+        term = self
+        result = TruncatedSeries.one(self.ring, self.cap) + term
+        for n in range(2, self.cap + 1):
             term = term._mul(self, n)
             if term.is_zero():
                 break
@@ -374,10 +376,9 @@ class TruncatedSeries:
                                          xd * md * q))
                 log.set(n, (num, den * n))
             return log.series()
-        result = TruncatedSeries.zero(self.ring, self.cap)
-        power = TruncatedSeries.one(self.ring, self.cap)
-        sign = Q(1)
-        for n in range(1, self.cap + 1):
+        result = power = self
+        sign = -lam
+        for n in range(2, self.cap + 1):
             power = power * self
             if power.is_zero():
                 break

@@ -101,19 +101,14 @@ def _constant(eq: EquationSpec) -> TruncatedSeries:
     return apply(eq.op, eq.a0 * unit_shift)
 
 
-def _rhs(eq: EquationSpec, b: TruncatedSeries) -> TruncatedSeries:
-    """The right-hand side of the equation at b, at full cap."""
-    return _constant(eq) + apply(eq.op, b * eq.a1 if eq.form == INHOM_RIGHT else eq.a1 * b)
-
-
 def picard_solve(eq: EquationSpec) -> TruncatedSeries:
     """Unique fixed point of the equation at the truncation cap.
 
     P acts coefficientwise and val(a1) >= 1, so coefficient c of the right-hand
     side depends only on b below t^c. Step c settles
     b[c] = const[c] + m*(a1 b)[c - shift], with m the factor P puts on that
-    power, or (b a1) on the right. Raises ConvergenceError if the result is
-    not fixed by the full right-hand side.
+    power, or (b a1) on the right. Raises ConvergenceError unless the result
+    equals the full right-hand side, const + P(a1 b) or const + P(b a1).
     """
     const = _constant(eq)
     ring, cap = const.ring, const.cap
@@ -128,7 +123,7 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
             terms.append((factor[k], prod))
         b.set(c, combine(*terms))
     b = b.series()
-    _require_equal("picard_solve", _rhs(eq, b), b)
+    _require_equal("picard_solve", const + apply(eq.op, b * eq.a1 if right else eq.a1 * b), b)
     return b
 
 

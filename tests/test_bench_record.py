@@ -1,6 +1,7 @@
 """The recorded benchmark files at the repository root keep one key set:
 kernel timings are required from BENCH_9.json on, and absent before it; the
-lambda_log and geom_inv kernels are required from BENCH_11.json on."""
+lambda_log and geom_inv kernels are required from BENCH_11.json on, and the
+wall times of the acceptance bounds from BENCH_13.json on."""
 
 import json
 from pathlib import Path
@@ -24,6 +25,8 @@ def test_record_key_set(path):
     number = int(path.stem.split("_")[1])
     if number >= 9:
         keys.add("kernels_fastest_ms")
+    if number >= 13:
+        keys.add("bounds_s")
     assert set(record) == keys
     assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
     assert set(record["method"]) == {"command", "seconds", "pairs", "seeds", "order"}
@@ -65,3 +68,12 @@ def test_record_key_set(path):
         for side in SIDES:
             assert set(kernels[side]) == expected
             assert all(ms > 0 for ms in kernels[side].values())
+
+    if "bounds_s" in keys:
+        bounds = record["bounds_s"]
+        assert set(bounds) == SIDES
+        for side in SIDES:
+            assert set(bounds[side]) == {"test_criterion_1_rota_baxter_axiom",
+                                         "test_criterion_4_noncommutative_inhomogeneous",
+                                         "rbseries suite"}
+            assert all(secs > 0 for secs in bounds[side].values())

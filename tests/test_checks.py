@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rbseries import checks
+from rbseries import checks, operators
 from rbseries.checks import (
     DOMAIN_ERROR,
     FAIL,
@@ -81,6 +81,39 @@ def test_rb_axiom_check():
                                "dim": 2, "samples": 5, "seed": 0})
     assert r.status == PASS
     assert r.first_mismatch is None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["qint", "qscale", "antider"])
+@pytest.mark.parametrize("companion", [True, False], ids=["companion", "operator"])
+def test_rb_axiom_fails_at_a_perturbed_multiplier(monkeypatch, companion, kind, dim):
+    """rb-axiom passes, and fails with its first mismatch at t^5 once the
+    multiplier that the companion's table, or P's, puts on t^5 is off by one.
+
+    The scalar vector is perturbed; the dim-2 vectors repeat its multipliers,
+    so the table is cleared before and after, lest a poisoned vector stay."""
+    params = {"operator": kind, "q": "2/3", "order": 8, "dim": dim, "samples": 2, "seed": 3}
+    assert run_check("rb-axiom", params).status == PASS
+    power = 5
+    original = operators.entry_vector
+
+    def perturbed(op, cap, d, comp=False):
+        vector, den = original(op, cap, d, comp)
+        if d == 1 and comp == companion:
+            vector = list(vector)
+            vector[power - operators.power_shift(op)] += 1
+            vector = tuple(vector)
+        return vector, den
+
+    operators._table.cache_clear()
+    monkeypatch.setattr(operators, "entry_vector", perturbed)
+    try:
+        report = run_check("rb-axiom", params)
+    finally:
+        monkeypatch.undo()
+        operators._table.cache_clear()
+    assert report.status == FAIL
+    assert report.first_mismatch.power == power
 
 
 def test_kingman_check():

@@ -88,6 +88,19 @@ def test_element_is_a_multiple_of_the_identity():
         MAT2.element([[1, 2]])
 
 
+@pytest.mark.parametrize("value", [
+    ["12", "34"], ("12", "34"), [[1, 2], "34"], [(1, 2), 34], [Q(1), Q(2)], None, {0: [1, 2]}])
+def test_matrix_rows_must_be_lists_or_tuples(value):
+    """A matrix and each of its rows is a list or a tuple: a string row is not
+    read as its characters, in element and in from_coeffs alike."""
+    with pytest.raises(ValueError):
+        MAT2.element(value)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_coeffs(MAT2, 1, [0, value])
+    assert MAT2.element([["1", "2"], ("3", 4)]) == MAT2.element(((1, 2), (3, 4)))
+    assert const(MAT2, [("1", "2"), ["3", 4]]) == const(MAT2, [[1, 2], [3, 4]])
+
+
 def test_scalar_ops():
     a, b = const(SCALAR, "1/2"), const(SCALAR, "1/3")
     assert (a + b).coefficient(0).value == Q(5, 6)

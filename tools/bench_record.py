@@ -15,8 +15,11 @@ of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices, and of the
 kernels (x*y, apply, tilde_apply, exp, lambda_log(1), geom_inv(1)) at the
 same caps over scalars and 2x2
 and 3x3 matrices, taken in two runs per side (parent, change, change, parent)
-and each the faster of its side's two; and the environment. Standard library
-only.
+and each the faster of its side's two; the wall time of each acceptance bound
+(the pytest nodes of criteria 1 and 4, and `python -m rbseries.cli suite`), run
+as a subprocess three times per side in the order parent, change, change,
+parent, parent, change, as each side's median; and the environment. Standard
+library only.
 
     python3 tools/bench_record.py --layers DIR
 
@@ -44,6 +47,16 @@ SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
 KERNEL_DIMS = (1, 2, 3)
 KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv")
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
+ACCEPTANCE = "tests/test_acceptance.py::"
+BOUNDS = {
+    "test_criterion_1_rota_baxter_axiom": ("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                           ACCEPTANCE + "test_criterion_1_rota_baxter_axiom"),
+    "test_criterion_4_noncommutative_inhomogeneous": (
+        "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        ACCEPTANCE + "test_criterion_4_noncommutative_inhomogeneous"),
+    "rbseries suite": ("-m", "rbseries.cli", "suite"),
+}
+BOUND_ORDER = ("parent", "change", "change", "parent", "parent", "change")
 
 
 def quartiles(values: list) -> dict:
@@ -61,6 +74,19 @@ def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if result["correct"] is not True:
         raise SystemExit(f"{root}: {workload} seed {seed} gave an incorrect output")
     return result
+
+
+def bound_times(root: Path) -> dict:
+    """Seconds of wall time of each BOUNDS command, run once from root, which
+    must succeed."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    times = {}
+    for name, argv in BOUNDS.items():
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *argv], cwd=root, env=env, check=True,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        times[name] = time.perf_counter() - start
+    return times
 
 
 def layer_timings(root: Path) -> dict:
@@ -215,6 +241,12 @@ def main() -> int:
         record[key] = {side: {name: min(run[key][name] for run in runs)
                               for name in runs[0][key]}
                        for side, runs in layers.items()}
+    bounds = {side: [] for side in sides}
+    for side in BOUND_ORDER:
+        bounds[side].append(bound_times(sides[side]))
+    record["bounds_s"] = {side: {name: round(statistics.median(run[name] for run in runs), 3)
+                                 for name in BOUNDS}
+                          for side, runs in bounds.items()}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -116,9 +116,17 @@ MUTANTS = (
     # Ring elements at the boundary: the identity's multiples, and no floats.
     Mutant("element-scalar-on-every-entry", RINGS,
            "diagonal if i % (d + 1) == 0 else (0, 1)", "diagonal", ("tests/test_rings.py",)),
+    Mutant("matrix-string-row-read-as-characters", RINGS,
+           "not isinstance(row, (list, tuple)) or len(row) != d", "len(row) != d",
+           ("tests/test_rings.py",)),
     Mutant("rational-accepts-float", RINGS,
            "if isinstance(value, (float, bool)):", "if isinstance(value, bool):",
            ("tests/test_rings.py", "tests/test_cli.py")),
+    # rb-axiom in the canonical form, with the companion's pass built from P's.
+    Mutant("rb-axiom-companion-weight-sign", CHECKS,
+           "s.scale(w)", "s.scale(-w)", ("tests/test_checks.py",)),
+    Mutant("rb-axiom-drops-weight-term", CHECKS,
+           " + (x * y).scale(w)", "", ("tests/test_checks.py",)),
     # One-pass operator application over cached per-entry factor vectors.
     Mutant("companion-factor-plus-weight", OPERATORS,
            "-w * den - m", "w * den - m", ("tests/test_operators.py",)),
