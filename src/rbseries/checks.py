@@ -245,14 +245,6 @@ def _kingman(params: Mapping) -> Pairs:
             yield pu_n.scale(op.weight), apply(op, minus_ptu_n - pu_n)
 
 
-def _nested(op: OperatorSpec, a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """P(a P(a ... P(a) ...)) with k nestings of a; 1 for k = 0."""
-    out = TruncatedSeries.one(a.ring, a.cap)
-    for _ in range(k):
-        out = apply(op, a * out)
-    return out
-
-
 def _lemma_iteration(params: Mapping) -> Pairs:
     """Weight-0 commutative iteration lemma, items A and B."""
     op = OperatorSpec(ANTIDER)
@@ -260,9 +252,11 @@ def _lemma_iteration(params: Mapping) -> Pairs:
     cap = int(params.get("order", 12))
     kmax = int(params.get("kmax", 6))
     for (a,) in _samples(params, ring, cap, min_valuation=0):
-        nested = [_nested(op, a, k) for k in range(kmax + 2)]
-        pa = apply(op, a)
-        pa_k = TruncatedSeries.one(ring, cap)  # a running power, k = 0 first
+        # nested[k] is P(a P(a ... P(a) ...)) with k nestings of a, 1 for k = 0.
+        nested = [TruncatedSeries.one(ring, cap)]
+        for _ in range(kmax + 1):
+            nested.append(apply(op, a * nested[-1]))
+        pa, pa_k = nested[1], nested[0]  # pa_k: a running power of P(a), k = 0 first
         for k in range(kmax + 1):
             if params["item"] == "A":
                 if k:
