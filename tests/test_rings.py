@@ -97,6 +97,9 @@ def test_matrix_rows_must_be_lists_or_tuples(value):
         MAT2.element(value)
     with pytest.raises(ValueError):
         TruncatedSeries.from_coeffs(MAT2, 1, [0, value])
+
+
+def test_matrix_rows_may_be_lists_or_tuples():
     assert MAT2.element([["1", "2"], ("3", 4)]) == MAT2.element(((1, 2), (3, 4)))
     assert const(MAT2, [("1", "2"), ["3", 4]]) == const(MAT2, [[1, 2], [3, 4]])
 

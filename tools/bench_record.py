@@ -47,13 +47,10 @@ SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
 KERNEL_DIMS = (1, 2, 3)
 KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv")
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
-ACCEPTANCE = "tests/test_acceptance.py::"
-BOUNDS = {
-    "test_criterion_1_rota_baxter_axiom": ("-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                           ACCEPTANCE + "test_criterion_1_rota_baxter_axiom"),
-    "test_criterion_4_noncommutative_inhomogeneous": (
-        "-m", "pytest", "-q", "-p", "no:cacheprovider",
-        ACCEPTANCE + "test_criterion_4_noncommutative_inhomogeneous"),
+CRITERIA = ("test_criterion_1_rota_baxter_axiom", "test_criterion_4_noncommutative_inhomogeneous")
+BOUNDS = {  # name: interpreter arguments
+    **{node: ("-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/test_acceptance.py::{node}")
+       for node in CRITERIA},
     "rbseries suite": ("-m", "rbseries.cli", "suite"),
 }
 BOUND_ORDER = ("parent", "change", "change", "parent", "parent", "change")
