@@ -18,18 +18,13 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from math import factorial, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .operators import ANTIDER, QINT, OperatorSpec, apply, tilde_apply
-from .rings import (
-    Q,
-    RingDescriptor,
-    matrix_ring,
-    rational,
-    scalar_ring,
-)
+from .operators import ANTIDER, KINDS, QINT, OperatorSpec, apply, tilde_apply
+from .rings import Q, RingDescriptor, rational, ring_of, scalar_ring
 from .series import DomainError, TruncatedSeries
 from .solvers import (
     HOMOGENEOUS,
@@ -77,45 +72,86 @@ def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> Optional[Misma
     return Mismatch(k, lhs.coefficient_text(k), rhs.coefficient_text(k))
 
 
-# ------------------------------------------------------------------ utilities
+# ----------------------------------------------------------------- the params
+#
+# Every param of a check, `verify` or `solve`: how a value is read, its default
+# (for order, the command line's: a check given no order takes Identity.order)
+# and the help of its flag.
 
 
-# The integer params and the least value each may take; None is no bound.
-INT_PARAMS = {"order": 0, "dim": 1, "seed": None, "samples": 1, "nmax": 0, "kmax": 0}
+class Param(NamedTuple):
+    kind: str  # "operator", "integer" or "rational" (q, read against the operator)
+    default: object
+    help: str
+    least: Optional[int] = None  # an integer's least value; None for no bound
 
 
-def int_param(name: str, value) -> int:
-    """`value` as the integer param `name`: an int, or a string of one, at
-    least the param's bound. Raises ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    try:
-        number = int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-    least = INT_PARAMS[name]
-    if least is not None and number < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return number
+PARAMS = {
+    "operator": Param("operator", QINT, "qint, qscale or antider"),
+    "order": Param("integer", 16, "truncation cap", 0),
+    "dim": Param("integer", 1, "matrix dimension (1 = scalar)", 1),
+    "seed": Param("integer", 0, "seed of the random samples"),
+    "samples": Param("integer", 10, "number of random samples", 1),
+    "q": Param("rational", "1/2", "a rational such as 2/3, not 0, 1 or -1; antider reads none"),
+    "nmax": Param("integer", 6, "largest power n", 0),
+    "kmax": Param("integer", 6, "largest nesting k", 0),
+}
 
 
-def _operator(params: Mapping) -> OperatorSpec:
-    kind = params.get("operator", QINT)
-    if kind == ANTIDER:
-        return OperatorSpec(ANTIDER)
-    return OperatorSpec(kind, rational(params.get("q", "1/2")))
+class ParamError(ValueError):
+    """An unknown, unread, malformed or out-of-range param; the message
+    begins with the param's name."""
+
+
+@lru_cache(maxsize=64, typed=True)
+def operator_of(kind: str, q) -> OperatorSpec:
+    """The operator of `kind` at the rational `q` (none for antider), built
+    once per (kind, q): read_params builds it to check q, the check reuses it."""
+    return OperatorSpec(ANTIDER) if kind == ANTIDER else OperatorSpec(kind, q)
+
+
+def read_params(names, given: Mapping) -> dict:
+    """The params `given`, each read by PARAMS and all of them among `names`:
+    integers parsed and bounded, the operator a kind, and q admissible for the
+    operator (the q-integral when none is given), or dropped for antider.
+    Raises ParamError on the first that is not."""
+    params = {}
+    for name, value in given.items():
+        if name not in names:
+            raise ParamError(f"{name!r} is not a param of this check, which reads "
+                             + ", ".join(n for n in PARAMS if n in names))
+        kind, _, _, least = PARAMS[name]
+        if kind == "integer":
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ParamError(f"{name} must be an integer, not {value!r}")
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParamError(f"{name} must be an integer, not {value!r}") from None
+            if least is not None and value < least:
+                raise ParamError(f"{name} must be >= {least}")
+        elif kind == "operator" and value not in KINDS:
+            raise ParamError(f"operator must be one of {', '.join(KINDS)}, not {value!r}")
+        params[name] = value
+    if params.get("operator") == ANTIDER:
+        params.pop("q", None)
+    elif "q" in params:
+        operator = params.get("operator", QINT)
+        try:
+            operator_of(operator, params["q"])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParamError(f"q: {params['q']!r} is not a q of {operator} ({exc})") from None
+    return params
 
 
 def _nonzero_weight(params: Mapping) -> OperatorSpec:
-    op = _operator(params)
+    op = operator_of(params["operator"], params["q"])
     if op.weight == 0:
         raise DomainError("the identity needs an operator of nonzero weight")
     return op
 
 
-def _ring(params: Mapping) -> RingDescriptor:
-    dim = int(params.get("dim", 1))
-    return scalar_ring() if dim == 1 else matrix_ring(dim)
+# ------------------------------------------------------------------ utilities
 
 
 def random_series(
@@ -146,8 +182,8 @@ def _samples(params: Mapping, ring: RingDescriptor, cap: int, count: int = 1,
              min_valuation: int = 1, var_first: bool = True) -> Iterator[tuple]:
     """`samples` tuples of `count` seeded random series; the first tuple is
     (t, ..., t) when var_first is set."""
-    rng = random.Random(int(params.get("seed", 0)))
-    for s in range(int(params.get("samples", 10))):
+    rng = random.Random(params["seed"])
+    for s in range(params["samples"]):
         if s == 0 and var_first:
             yield (TruncatedSeries.var(ring, cap),) * count
         else:
@@ -214,9 +250,9 @@ def _rb_axiom(params: Mapping) -> Pairs:
     Pt(x)Pt(y) = w s + P(x)P(y) and xPt(y) + Pt(x)y + w xy = -s, so the last
     pair is Pt's identity on (x, y) without a product of Pt's outputs.
     """
-    op = _operator(params)
-    ring = _ring(params)
-    cap = int(params.get("order", 16))
+    op = operator_of(params["operator"], params["q"])
+    ring = ring_of(params["dim"])
+    cap = params["order"]
     w = op.weight
     min_val = 0 if op.kind == ANTIDER else 1
     for x, y in _samples(params, ring, cap, 2, min_val, var_first=False):
@@ -232,9 +268,9 @@ def _rb_axiom(params: Mapping) -> Pairs:
 def _kingman(params: Mapping) -> Pairs:
     """w P(u)^n = P((-Pt(u))^n - P(u)^n) for n = 1..nmax."""
     op = _nonzero_weight(params)
-    ring = _ring(params)
-    cap = int(params.get("order", 12))
-    nmax = int(params.get("nmax", 6))
+    ring = ring_of(params["dim"])
+    cap = params["order"]
+    nmax = params["nmax"]
     for (u,) in _samples(params, ring, cap):
         pu = apply(op, u)
         minus_ptu = -tilde_apply(op, u)
@@ -249,8 +285,8 @@ def _lemma_iteration(params: Mapping) -> Pairs:
     """Weight-0 commutative iteration lemma, items A and B."""
     op = OperatorSpec(ANTIDER)
     ring = scalar_ring()
-    cap = int(params.get("order", 12))
-    kmax = int(params.get("kmax", 6))
+    cap = params["order"]
+    kmax = params["kmax"]
     for (a,) in _samples(params, ring, cap, min_valuation=0):
         # nested[k] is P(a P(a ... P(a) ...)) with k nestings of a, 1 for k = 0.
         nested = [TruncatedSeries.one(ring, cap)]
@@ -272,16 +308,16 @@ def _lemma_iteration(params: Mapping) -> Pairs:
 
 def _spitzer(params: Mapping) -> Pairs:
     """Closed Spitzer exponential against the Picard sum, commutative setting."""
-    op = _operator(params)
-    for (a,) in _samples(params, scalar_ring(), int(params.get("order", 20))):
+    op = operator_of(params["operator"], params["q"])
+    for (a,) in _samples(params, scalar_ring(), params["order"]):
         yield spitzer_closed(op, a), picard_solve(EquationSpec(HOMOGENEOUS, op, a))
 
 
 def _generalized_spitzer(params: Mapping) -> Pairs:
     """Closed inhomogeneous solutions, left and right, against the Picard fixed point."""
-    op = _operator(params)
-    ring = _ring(params)
-    for a0, a1 in _samples(params, ring, int(params.get("order", 12)), 2):
+    op = operator_of(params["operator"], params["q"])
+    ring = ring_of(params["dim"])
+    for a0, a1 in _samples(params, ring, params["order"], 2):
         for form in (INHOM_LEFT, INHOM_RIGHT):
             eq = EquationSpec(form, op, a1, a0)
             yield closed_solve(eq), picard_solve(eq)
@@ -291,8 +327,8 @@ def _bch_chl_factorization(params: Mapping) -> Pairs:
     """chi(a) is the fixed point of the BCH recursion x = a + w^-1 BCH(P(x), Pt(x)),
     and exp(-w a) = exp(P(chi(a))) exp(Pt(chi(a)))."""
     op = _nonzero_weight(params)
-    ring = _ring(params)
-    for (a,) in _samples(params, ring, int(params.get("order", 10)), var_first=False):
+    ring = ring_of(params["dim"])
+    for (a,) in _samples(params, ring, params["order"], var_first=False):
         chi = chi_lambda(op, a)
         px, ptx = apply(op, chi), tilde_apply(op, chi)
         yield chi, a + bch(px, ptx).scale(1 / op.weight)
@@ -304,7 +340,7 @@ def _special_equality(params: Mapping) -> Pairs:
     d = 1 + P(-(1+w a1)^-1 a1 d)."""
     op = _nonzero_weight(params)
     ring = scalar_ring()
-    cap = int(params.get("order", 12))
+    cap = params["order"]
     one = TruncatedSeries.one(ring, cap)
     for (a1,) in _samples(params, ring, cap):
         u = a1.lambda_log(op.weight)
@@ -331,8 +367,8 @@ def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
 def _eulerian(params: Mapping) -> Pairs:
     """q-series identities: both printed statements and corrected variants."""
     variant = params["variant"]
-    q = rational(params.get("q", "1/2"))
-    cap = int(params.get("order", 30))
+    q = operator_of(QINT, params["q"]).q
+    cap = params["order"]
     ring = scalar_ring()
     one = TruncatedSeries.one(ring, cap)
     t = TruncatedSeries.var(ring, cap)
@@ -356,31 +392,29 @@ def _eulerian(params: Mapping) -> Pairs:
 
 def _computation_one(params: Mapping) -> Pairs:
     """exp(-P(log(1+t))) equals the product of 1/(1+q^k t) for the q-integral."""
-    q = rational(params.get("q", "1/2"))
-    cap = int(params.get("order", 16))
+    op = operator_of(QINT, params["q"])
+    cap = params["order"]
     t = TruncatedSeries.var(scalar_ring(), cap)
-    yield ((-apply(OperatorSpec(QINT, q), t.log1p())).exp(),
-           _power_sum_product(q, cap, 1, inverse=True))
+    yield ((-apply(op, t.log1p())).exp(), _power_sum_product(op.q, cap, 1, inverse=True))
 
 
 def _eulerian_third(params: Mapping) -> Pairs:
     """P(exp(-P(log(1+t))) t) as an explicit alternating q-Pochhammer sum."""
-    q = rational(params.get("q", "1/2"))
-    cap = int(params.get("order", 16))
-    op = OperatorSpec(QINT, q)
+    op = operator_of(QINT, params["q"])
+    cap = params["order"]
     t = TruncatedSeries.var(scalar_ring(), cap)
-    rhs = _q_sum(cap, q, lambda m: 2 * m - 1, sign=lambda m: -((-1) ** m))
+    rhs = _q_sum(cap, op.q, lambda m: 2 * m - 1, sign=lambda m: -((-1) ** m))
     yield apply(op, (-apply(op, t.log1p())).exp() * t), rhs - TruncatedSeries.one(t.ring, cap)
 
 
 def _eulerian_first_partial(params: Mapping) -> Pairs:
     """The nested inhomogeneous sum for a0 = a1 = t against its explicit
     q-binomial form qt/(1-q) + sum_{n>=2} q^(n(n+1)/2-1) t^n / poch(n)."""
-    q = rational(params.get("q", "1/2"))
-    cap = int(params.get("order", 16))
+    op = operator_of(QINT, params["q"])
+    cap = params["order"]
     t = TruncatedSeries.var(scalar_ring(), cap)
-    rhs = _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1 if n > 1 else 1)
-    yield (picard_solve(EquationSpec(INHOM_LEFT, OperatorSpec(QINT, q), t, t)),
+    rhs = _q_sum(cap, op.q, lambda n: n * (n + 1) // 2 - 1 if n > 1 else 1)
+    yield (picard_solve(EquationSpec(INHOM_LEFT, op, t, t)),
            rhs - TruncatedSeries.one(t.ring, cap))
 
 
@@ -390,8 +424,9 @@ class Identity(NamedTuple):
     pairs: Callable[[Mapping], Pairs]
     # the params this id fixes; they override the caller's and appear in the report
     fixed: dict
-    # the caller's params the pairs read
+    # the caller's params the pairs read, each read by PARAMS
     reads: frozenset
+    order: int  # the truncation cap when the caller gives none
 
 
 _SAMPLED = frozenset({"order", "seed", "samples"})
@@ -399,22 +434,22 @@ _OPERATOR_SAMPLED = _SAMPLED | {"operator", "q", "dim"}
 _Q_SERIES = frozenset({"q", "order"})
 
 IDENTITIES: dict[str, Identity] = {
-    "rb-axiom": Identity(_rb_axiom, {}, _OPERATOR_SAMPLED),
-    "kingman": Identity(_kingman, {}, _OPERATOR_SAMPLED | {"nmax"}),
-    "lemma-iter-a": Identity(_lemma_iteration, {"item": "A"}, _SAMPLED | {"kmax"}),
-    "lemma-iter-b": Identity(_lemma_iteration, {"item": "B"}, _SAMPLED | {"kmax"}),
-    "spitzer": Identity(_spitzer, {}, _OPERATOR_SAMPLED - {"dim"}),
-    "gen-spitzer-comm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED),
-    "gen-spitzer-noncomm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED),
-    "gen-spitzer-weight0": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED),
-    "bch-chl-factorization": Identity(_bch_chl_factorization, {}, _OPERATOR_SAMPLED),
-    "special-equality": Identity(_special_equality, {}, _OPERATOR_SAMPLED - {"dim"}),
-    **{f"eulerian-{v}": Identity(_eulerian, {"variant": v}, _Q_SERIES)
+    "rb-axiom": Identity(_rb_axiom, {}, _OPERATOR_SAMPLED, 16),
+    "kingman": Identity(_kingman, {}, _OPERATOR_SAMPLED | {"nmax"}, 12),
+    "lemma-iter-a": Identity(_lemma_iteration, {"item": "A"}, _SAMPLED | {"kmax"}, 12),
+    "lemma-iter-b": Identity(_lemma_iteration, {"item": "B"}, _SAMPLED | {"kmax"}, 12),
+    "spitzer": Identity(_spitzer, {}, _OPERATOR_SAMPLED - {"dim"}, 20),
+    "gen-spitzer-comm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED, 12),
+    "gen-spitzer-noncomm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED, 12),
+    "gen-spitzer-weight0": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED, 12),
+    "bch-chl-factorization": Identity(_bch_chl_factorization, {}, _OPERATOR_SAMPLED, 10),
+    "special-equality": Identity(_special_equality, {}, _OPERATOR_SAMPLED - {"dim"}, 12),
+    **{f"eulerian-{v}": Identity(_eulerian, {"variant": v}, _Q_SERIES, 30)
        for v in ("prop-one-printed", "prop-one-corrected", "prop-two",
                  "qbinomial-printed", "qbinomial-corrected", "interior-lemma")},
-    "computation-one": Identity(_computation_one, {}, _Q_SERIES),
-    "eulerian-third": Identity(_eulerian_third, {}, _Q_SERIES),
-    "eulerian-first-partial": Identity(_eulerian_first_partial, {}, _Q_SERIES),
+    "computation-one": Identity(_computation_one, {}, _Q_SERIES, 16),
+    "eulerian-third": Identity(_eulerian_third, {}, _Q_SERIES, 16),
+    "eulerian-first-partial": Identity(_eulerian_first_partial, {}, _Q_SERIES, 16),
 }
 
 
@@ -423,17 +458,20 @@ class UnknownIdentityError(KeyError):
 
 
 def run_check(identity_id: str, params: Mapping) -> CheckReport:
-    """Compare the identity's pairs in order; the first mismatching pair fails
-    the check, and a DomainError or SolverUsageError makes it a domain-error."""
+    """Read `params` (ParamError if one is bad) and compare the identity's
+    pairs in order, with each param not given at its default; the first
+    mismatching pair fails the check, and a DomainError or SolverUsageError
+    makes it a domain-error."""
     try:
-        pairs, fixed, _ = IDENTITIES[identity_id]
+        pairs, fixed, reads, order = IDENTITIES[identity_id]
     except KeyError:
         raise UnknownIdentityError(identity_id) from None
-    params = {**params, **fixed}
+    params = {**read_params(reads, params), **fixed}
+    values = {**{name: param.default for name, param in PARAMS.items()}, "order": order, **params}
     started = time.perf_counter()
     status, mismatch = PASS, None
     try:
-        for lhs, rhs in pairs(params):
+        for lhs, rhs in pairs(values):
             mismatch = first_mismatch(lhs, rhs)
             if mismatch is not None:
                 status = FAIL
@@ -465,9 +503,8 @@ class ManifestError(ValueError):
 
 
 def _entry(e) -> ManifestEntry:
-    """The manifest entry `e`, its integer params parsed and its operator
-    built, so that a bad value stops the suite before any check runs. A check
-    that reads no operator reads q as the q-integral's."""
+    """The manifest entry `e`, its id known and its params read as the check
+    reads them, so that a bad entry stops the suite before any check runs."""
     if not isinstance(e, dict) or not isinstance(e.get("id"), str) \
             or not isinstance(e.get("params", {}), dict):
         raise ManifestError(f"entry {e!r} is not an object with a string 'id' and object 'params'")
@@ -475,17 +512,11 @@ def _entry(e) -> ManifestEntry:
     if expected not in (PASS, FAIL, DOMAIN_ERROR):
         raise ManifestError(
             f"entry {e['id']!r}: expect must be pass, fail or domain-error, not {expected!r}")
-    params = dict(e.get("params", {}))
+    if e["id"] not in IDENTITIES:
+        raise ManifestError(f"unknown identity id: {e['id']!r}")
     try:
-        for name in INT_PARAMS:
-            if name in params:
-                params[name] = int_param(name, params[name])
-        identity = IDENTITIES.get(e["id"])
-        if identity is None or "operator" in identity.reads:
-            _operator(params)
-        else:
-            _operator({"q": params.get("q", "1/2")})
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        params = read_params(IDENTITIES[e["id"]].reads, e.get("params", {}))
+    except ParamError as exc:
         raise ManifestError(f"entry {e['id']!r}: {exc}") from None
     return ManifestEntry(e["id"], params, expected)
 

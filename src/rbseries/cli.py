@@ -11,38 +11,38 @@ import functools
 import json
 import re
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .checks import (
     DOMAIN_ERROR,
     FAIL,
     PASS,
+    PARAMS,
     CheckReport,
     IDENTITIES,
     ManifestError,
-    UnknownIdentityError,
+    ParamError,
     default_manifest,
-    int_param,
     load_manifest_file,
+    operator_of,
+    read_params,
     run_check,
     run_suite,
     suite_ok,
 )
-from .operators import ANTIDER, KINDS, QINT, OperatorSpec
-from .rings import RingDescriptor, matrix_ring, rational, scalar_ring
+from .rings import RingDescriptor, ring_of
 from .series import DomainError, TruncatedSeries, parse_series
 from .solvers import FORMS, HOMOGENEOUS, INHOM_LEFT, EquationSpec, closed_solve, picard_solve
+
+# The params of checks.PARAMS that verify and solve take as flags, in the
+# order a verify report echoes them.
+VERIFY_FLAGS = ("operator", "order", "dim", "seed", "samples", "q")
+SOLVE_FLAGS = ("operator", "order", "dim", "q")
 
 
 class UsageError(ValueError):
     pass
-
-
-def _parse_rational(text: str, flag: str):
-    try:
-        return rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{flag}: malformed rational {text!r}")
 
 
 @functools.cache
@@ -56,44 +56,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--operator", choices=KINDS, default="qint")
-        p.add_argument("--q", default="1/2", help="rational parameter, e.g. 1/2")
-        p.add_argument("--order", type=int, default=16, help="truncation cap")
-        p.add_argument("--dim", type=int, default=1, help="matrix dimension (1 = scalar)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
     p_verify = sub.add_parser("verify", help="run a single identity check")
     p_verify.add_argument("identity", help="identity id, e.g. eulerian-prop-two")
-    common(p_verify)
     p_verify.add_argument(
         "--expect", choices=(PASS, FAIL, DOMAIN_ERROR), default=PASS
     )
 
     p_suite = sub.add_parser("suite", help="run a check manifest")
     p_suite.add_argument("--manifest", help="path to a manifest JSON file")
-    p_suite.add_argument("--format", choices=("text", "json"), default="text")
 
     p_solve = sub.add_parser("solve", help="solve a linear equation")
     p_solve.add_argument("--equation", choices=FORMS, default=INHOM_LEFT)
     p_solve.add_argument(
         "--method", choices=("picard", "closed"), default="picard"
     )
-    common(p_solve)
     p_solve.add_argument("--a0", help="series coefficients c0,c1,... e.g. 0,1")
     p_solve.add_argument("--a1", help="series coefficients c0,c1,...")
+
+    # values arrive as text, read by checks.PARAMS when the command runs
+    for p, flags in ((p_verify, VERIFY_FLAGS), (p_suite, ()), (p_solve, SOLVE_FLAGS)):
+        for name in flags:
+            param = PARAMS[name]
+            p.add_argument(f"--{name}", default=param.default,
+                           help=f"{param.help} (default {param.default})")
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
-
-
-def _check_params(args: argparse.Namespace, reads: frozenset) -> dict:
-    """The flags among `reads`, the params a check reads; q only if the check
-    takes no operator flag or the operator takes a q."""
-    has_q = "operator" not in reads or args.operator != ANTIDER
-    return {name: getattr(args, name)
-            for name in ("operator", "order", "dim", "seed", "samples", "q")
-            if name in reads and (name != "q" or has_q)}
 
 
 def _parse_series(text: str, flag: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
@@ -103,32 +90,8 @@ def _parse_series(text: str, flag: str, ring: RingDescriptor, cap: int) -> Trunc
         raise UsageError(f"{flag}: malformed series {text!r}")
 
 
-def _validate(args: argparse.Namespace, kind: Optional[str] = None) -> OperatorSpec:
-    """Reject out-of-range values of the flags common to verify and solve, and
-    return the operator of `kind` (by default the one they name) and --q."""
-    for flag in ("order", "dim", "samples"):
-        try:
-            int_param(flag, getattr(args, flag))
-        except ValueError as exc:
-            raise UsageError(f"--{exc}")
-    kind = kind or args.operator
-    if kind == ANTIDER:
-        return OperatorSpec(ANTIDER)
-    q = _parse_rational(args.q, "--q")
-    try:
-        return OperatorSpec(kind, q)
-    except ValueError as exc:
-        raise UsageError(f"--q: {exc}")
-
-
 def report_to_dict(report: CheckReport) -> dict:
-    mm = None
-    if report.first_mismatch is not None:
-        mm = {
-            "power": report.first_mismatch.power,
-            "lhs": report.first_mismatch.lhs,
-            "rhs": report.first_mismatch.rhs,
-        }
+    mm = report.first_mismatch and asdict(report.first_mismatch)
     return {
         "identity_id": report.identity_id,
         "params": {k: str(v) for k, v in report.params.items()},
@@ -156,9 +119,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.identity not in IDENTITIES:
         raise UsageError(f"unknown identity id: {args.identity!r}")
     reads = IDENTITIES[args.identity].reads
-    # a check that takes no operator flag reads q as the q-integral's
-    _validate(args, None if "operator" in reads else QINT)
-    report = run_check(args.identity, _check_params(args, reads))
+    # Every flag is read, but the check gets (and its report echoes) only the
+    # ones it reads; run_check reads those.
+    flags = {name: getattr(args, name) for name in VERIFY_FLAGS}
+    unread = {name: flags.pop(name) for name in VERIFY_FLAGS if name not in reads}
+    read_params(unread, unread)
+    report = run_check(args.identity, flags)
     print(emit_report([report], args.format))
     return 0 if report.status == args.expect else 1
 
@@ -171,25 +137,24 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             raise UsageError(f"--manifest: {exc}")
     else:
         manifest = default_manifest()
-    try:
-        reports = run_suite(manifest)
-    except UnknownIdentityError as exc:
-        raise UsageError(f"unknown identity id in manifest: {exc.args[0]!r}")
+    reports = run_suite(manifest)
     print(emit_report(reports, args.format))
     return 0 if suite_ok(manifest, reports) else 1
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    op = _validate(args)
-    ring = scalar_ring() if args.dim == 1 else matrix_ring(args.dim)
+    params = read_params(SOLVE_FLAGS, {name: getattr(args, name) for name in SOLVE_FLAGS})
     if not args.a1:
         raise UsageError("solve requires --a1")
+    if args.equation == HOMOGENEOUS and args.a0 is not None:
+        raise UsageError("--a0: the homogeneous equation takes no --a0")
     if args.equation != HOMOGENEOUS and not args.a0:
         raise UsageError(f"--equation {args.equation} requires --a0")
-    a1 = _parse_series(args.a1, "--a1", ring, args.order)
-    a0 = _parse_series(args.a0, "--a0", ring, args.order) if args.a0 else None
+    ring, cap = ring_of(params["dim"]), params["order"]
+    a1 = _parse_series(args.a1, "--a1", ring, cap)
+    a0 = _parse_series(args.a0, "--a0", ring, cap) if args.a0 else None
     try:
-        eq = EquationSpec(args.equation, op, a1, None if args.equation == HOMOGENEOUS else a0)
+        eq = EquationSpec(args.equation, operator_of(params["operator"], params.get("q")), a1, a0)
         solution = picard_solve(eq) if args.method == "picard" else closed_solve(eq)
     except (ValueError, DomainError) as exc:
         raise UsageError(str(exc))
@@ -227,10 +192,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "suite":
             return _cmd_suite(args)
         return _cmd_solve(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ParamError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

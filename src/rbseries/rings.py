@@ -128,6 +128,10 @@ def matrix_ring(dim: int) -> RingDescriptor:
     return RingDescriptor(MATRIX, dim)
 
 
+def ring_of(dim: int) -> RingDescriptor:
+    return scalar_ring() if dim == 1 else matrix_ring(dim)
+
+
 @dataclass(frozen=True)
 class RingElement:
     """One coefficient of a fixed ring, as the API and the text form see it."""

@@ -8,8 +8,10 @@ from rbseries.checks import (
     DOMAIN_ERROR,
     FAIL,
     IDENTITIES,
+    PARAMS,
     PASS,
     ManifestEntry,
+    ParamError,
     SuiteManifest,
     UnknownIdentityError,
     default_manifest,
@@ -203,6 +205,29 @@ def test_unknown_identity():
         run_check("no-such-identity", {})
 
 
+@pytest.mark.parametrize("params, name", [
+    ({"order": -1}, "order"),
+    ({"order": "x"}, "order"),
+    ({"samples": 0}, "samples"),
+    ({"operator": "nope"}, "operator"),
+    ({"q": "1"}, "q"),
+    ({"ordr": 2}, "'ordr'"),
+    ({"variant": "zzz"}, "'variant'"),
+], ids=["order-negative", "order-text", "samples-zero", "operator-unknown", "q-one",
+        "unknown-name", "name-another-check-fixes"])
+def test_run_check_reads_its_params(params, name):
+    with pytest.raises(ParamError) as exc:
+        run_check("rb-axiom", params)
+    assert str(exc.value).startswith(name)
+
+
+def test_run_check_drops_q_for_antider_and_reads_q_as_the_q_integrals():
+    report = run_check("rb-axiom", {"operator": "antider", "q": "1", "order": 2, "samples": 1})
+    assert report.passed and report.params == {"operator": "antider", "order": 2, "samples": 1}
+    with pytest.raises(ParamError):
+        run_check("eulerian-prop-two", {"q": "-1"})
+
+
 def test_check_determinism():
     params = {"operator": "qint", "q": "1/2", "order": 8, "dim": 2,
               "samples": 3, "seed": 42}
@@ -256,11 +281,15 @@ class _Recording(dict):
 
 @pytest.mark.parametrize("identity_id", sorted(IDENTITIES))
 def test_identity_declares_the_params_it_reads(identity_id):
-    pairs, fixed, reads = IDENTITIES[identity_id]
-    params = _Recording({"order": 3, "samples": 2, "nmax": 1, "kmax": 1, **fixed})
+    """The names an identity declares are exactly those its pairs read, each
+    a param of the table, when every param of the table is at hand."""
+    pairs, fixed, reads, _ = IDENTITIES[identity_id]
+    params = _Recording({**{name: param.default for name, param in PARAMS.items()},
+                         "order": 3, "samples": 2, "nmax": 1, "kmax": 1, **fixed})
     for _ in pairs(params):
         pass
     assert params.read - set(fixed) == reads
+    assert reads <= set(PARAMS)
 
 
 def test_default_manifest_covers_every_identity():

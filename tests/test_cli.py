@@ -9,8 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from rbseries import checks
 from rbseries.checks import CheckReport, Mismatch, load_manifest
-from rbseries.cli import emit_report, main
+from rbseries.cli import SOLVE_FLAGS, VERIFY_FLAGS, emit_report, main
 
 
 def run(capsys, *argv):
@@ -249,24 +250,91 @@ def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
     {"id": "eulerian-prop-two", "params": {"operator": "antider", "q": "1"}},
     {"id": "eulerian-prop-two", "params": {"operator": "antider", "q": "-1"}},
     {"id": "eulerian-prop-two", "params": {"operator": "antider", "q": "0"}},
+    # a name the check does not read, or no param at all
+    {"id": "rb-axiom", "params": {"ordr": 2, "samples": 1}},
+    {"id": "eulerian-prop-two", "params": {"q": "1/2", "variant": "zzz"}},
+    {"id": "spitzer", "params": {"dim": 3, "order": 4, "samples": 1}},
+    {"id": "eulerian-prop-two", "params": {"q": "1/2", "seed": 1}},
+    {"id": "bogus"},
 ], ids=["expect-bogus", "q-one", "q-zero-denominator", "q-list", "operator-unknown",
         "order-not-a-number", "order-float", "dim-bool", "vacuous-pass", "dim-zero",
         "nmax-negative", "kmax-negative", "id-not-a-string", "q-float-tenth", "q-float-half",
-        "antider-qint-q-one", "antider-qint-q-minus-one", "antider-qint-q-zero"])
-def test_suite_rejects_a_bad_manifest_value_before_any_check(tmp_path, capsys, entry):
+        "antider-qint-q-one", "antider-qint-q-minus-one", "antider-qint-q-zero",
+        "unknown-name", "fixed-name-given", "spitzer-dim", "eulerian-seed",
+        "unknown-id-after-a-valid-entry"])
+def test_suite_rejects_a_bad_manifest_value_before_any_check(tmp_path, capsys, monkeypatch,
+                                                             entry):
+    ran = []
+    monkeypatch.setattr(checks, "run_check", lambda *args: ran.append(args))
     good = {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": 4}}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"entries": [good, entry]}))
     code, out, err = run(capsys, "suite", "--manifest", str(path))
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and ran == []
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: --manifest: ")
     assert "Traceback" not in err
 
 
 def test_manifest_integer_params_are_parsed():
     manifest = load_manifest({"entries": [
-        {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": "4", "seed": "-2"}}]})
-    assert manifest.entries[0].params == {"q": "1/2", "order": 4, "seed": -2}
+        {"id": "eulerian-prop-two", "params": {"q": "1/2", "order": "4"}},
+        {"id": "rb-axiom", "params": {"order": "4", "seed": "-2"}}]})
+    assert [e.params for e in manifest.entries] == [{"q": "1/2", "order": 4},
+                                                    {"order": 4, "seed": -2}]
+
+
+def test_antider_drops_q(tmp_path, capsys):
+    """antider reads no q: a manifest's q is dropped, not echoed, as verify's is."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": [{"id": "rb-axiom", "params": {
+        "operator": "antider", "q": "1", "order": 4, "samples": 1}}]}))
+    code, out, _ = run(capsys, "suite", "--manifest", str(path))
+    assert (code, out) == (0, "rb-axiom [operator=antider order=4 samples=1] PASS\n")
+    code, out, _ = run(capsys, "verify", "rb-axiom", "--operator", "antider", "--q", "1",
+                       "--order", "4", "--samples", "1")
+    assert (code, out) == (0, "rb-axiom [operator=antider order=4 dim=1 seed=0 samples=1] PASS\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rb-axiom", "--order", "x"],
+    ["verify", "rb-axiom", "--seed", "x"],
+    ["verify", "rb-axiom", "--operator", "nope"],
+    ["verify", "eulerian-prop-two", "--operator", "nope"],
+    ["verify", "rb-axiom", "--samples", "1.5"],
+    ["solve", "--operator", "nope", "--a0", "0,1", "--a1", "0,1"],
+    ["solve", "--order", "", "--a0", "0,1", "--a1", "0,1"],
+], ids=["verify-order", "verify-seed", "verify-operator", "verify-unread-operator",
+        "verify-samples-float", "solve-operator", "solve-order-empty"])
+def test_bad_flag_value_gives_one_line(capsys, argv):
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith(f"error: {flag}")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+def test_solve_takes_no_sampling_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--operator", "antider", "--a0", "0,1", "--a1", "0,1", flag, "1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("command, flags", [("verify", VERIFY_FLAGS), ("solve", SOLVE_FLAGS)])
+def test_help_lists_every_generated_flag(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(f"--{name} " in out for name in flags)
+
+
+def test_solve_homogeneous_takes_no_a0(capsys):
+    code, out, err = run(capsys, "solve", "--equation", "homogeneous", "--a0", "0,5",
+                         "--a1", "0,1", "--order", "3")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --a0: ")
 
 
 def test_suite_rejects_a_manifest_directory(tmp_path, capsys):

@@ -39,6 +39,7 @@ OPERATORS = "src/rbseries/operators.py"
 RINGS = "src/rbseries/rings.py"
 LIFTED = ("tests/test_lifted_solvers.py",)
 SOLVING = ("tests/test_lifted_solvers.py", "tests/test_solvers.py")
+PARAMS_READ = ("tests/test_checks.py", "tests/test_cli.py")
 TIMEOUT_S = 600
 
 
@@ -136,8 +137,15 @@ MUTANTS = (
     Mutant("cli-parser-rebuilt-per-call", CLI,
            "@functools.cache\ndef build_parser", "def build_parser", ("tests/test_cli.py",)),
     Mutant("verify-echoes-unread-flags", CLI,
-           "if name in reads and (name != \"q\" or has_q)", "if name != \"q\" or has_q",
+           "flags.pop(name) for name in VERIFY_FLAGS", "flags[name] for name in VERIFY_FLAGS",
            ("tests/test_cli.py",)),
+    # One reader of params for verify, solve, manifests and run_check.
+    Mutant("read-params-accepts-unknown-name", CHECKS,
+           "if name not in names:", "if name not in PARAMS:", PARAMS_READ),
+    Mutant("read-params-keeps-q-for-antider", CHECKS,
+           "params.pop(\"q\", None)", "pass", PARAMS_READ),
+    Mutant("integer-bound-unchecked", CHECKS,
+           "if least is not None and value < least:", "if False:", PARAMS_READ),
 )
 
 
