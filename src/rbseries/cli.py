@@ -33,7 +33,7 @@ from .checks import (
 )
 from .rings import RingDescriptor, ring_of
 from .series import DomainError, TruncatedSeries, parse_series
-from .solvers import FORMS, HOMOGENEOUS, INHOM_LEFT, EquationSpec, closed_solve, picard_solve
+from .solvers import FORMS, INHOM_LEFT, EquationError, EquationSpec, closed_solve, picard_solve
 
 # The params of checks.PARAMS that verify and solve take as flags, in the
 # order a verify report echoes them.
@@ -146,16 +146,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     params = read_params(SOLVE_FLAGS, {name: getattr(args, name) for name in SOLVE_FLAGS})
     if not args.a1:
         raise UsageError("solve requires --a1")
-    if args.equation == HOMOGENEOUS and args.a0 is not None:
-        raise UsageError("--a0: the homogeneous equation takes no --a0")
-    if args.equation != HOMOGENEOUS and not args.a0:
-        raise UsageError(f"--equation {args.equation} requires --a0")
     ring, cap = ring_of(params["dim"]), params["order"]
     a1 = _parse_series(args.a1, "--a1", ring, cap)
-    a0 = _parse_series(args.a0, "--a0", ring, cap) if args.a0 else None
+    a0 = None if args.a0 is None else _parse_series(args.a0, "--a0", ring, cap)
     try:
         eq = EquationSpec(args.equation, operator_of(params["operator"], params.get("q")), a1, a0)
         solution = picard_solve(eq) if args.method == "picard" else closed_solve(eq)
+    except EquationError as exc:
+        raise UsageError(f"--{exc}")
     except (ValueError, DomainError) as exc:
         raise UsageError(str(exc))
     if args.format == "json":

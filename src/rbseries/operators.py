@@ -10,7 +10,9 @@ n = 0 formula divides by 1 - q^0 = 0); q must avoid {0, 1, -1} so that
 1 - q^n is invertible for every n >= 1. Over matrix rings all three act
 coefficientwise. Each operator and its tilde companion Pt = -w*id - P is
 diagonal: t^n goes to a factor times t^(n + shift), so applying one is a single
-multiply of the numerators by a cached per-entry vector.
+multiply of the numerators by a per-entry vector. `factors` and `entry_vector`
+are pure functions of (operator, cap[, dim, companion]), memoised by
+functools.lru_cache.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ ANTIDER = "antider"
 
 KINDS = (QINT, QSCALE, ANTIDER)
 
+# Entries kept by each of the two caches below. The default suite asks for
+# the most distinct keys of any run: 57 vectors and 26 factor tuples.
+CACHE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """An operator kind and its q. The hash is computed once, as every apply
-    looks the operator's table up by it."""
+    looks the operator's cached vector up by it."""
 
     kind: str
     q: object = None  # rational; None for antider
@@ -74,24 +80,16 @@ def _factor(op: OperatorSpec, n: int) -> Q:
     return qn / (1 - qn) if op.kind == QINT else 1 / (1 - qn)
 
 
-@lru_cache(maxsize=64)
-def _table(op: OperatorSpec) -> tuple[list, dict]:
-    """One operator's factors, grown by `factors`, and the per-entry vectors
-    built from them, by (cap, dim, companion)."""
-    return [], {}
+@lru_cache(maxsize=CACHE_SIZE)
+def factors(op: OperatorSpec, cap: int) -> tuple:
+    """The factors for t^0..t^cap. The tuple is cached, as every caller
+    shares it."""
+    return tuple(_factor(op, n) for n in range(cap + 1))
 
 
-def factors(op: OperatorSpec, cap: int) -> list:
-    """The factors for t^0..t^cap: a prefix of the operator's one table of
-    factors, grown when a larger cap is asked for."""
-    found = _table(op)[0]
-    if len(found) <= cap:
-        found.extend(_factor(op, n) for n in range(len(found), cap + 1))
-    return found[: cap + 1]
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def entry_vector(
-    op: OperatorSpec, cap: int, dim: int, companion: bool = False
+    op: OperatorSpec, cap: int, dim: int, companion: bool
 ) -> tuple[tuple[int, ...], int]:
     """The multiplier of every numerator entry of a series at this cap over
     dim x dim matrices, as integers over a common denominator: the vector
@@ -102,27 +100,20 @@ def entry_vector(
     is P's. That is -1/(1 - q^n) for qint, -q^n/(1 - q^n) for qscale and
     -1/(n + 1) for antider. The weight is an integer, so -w - f_n has f_n's
     denominator, and over P's common denominator D its multiplier is
-    -w*D - m_n. Every vector is cached in the operator's table; a matrix
-    vector repeats the scalar one's multipliers, not copies of them. The
-    vectors are tuples, as every caller shares them.
+    -w*D - m_n. Every vector is cached; a matrix vector repeats the scalar
+    one's multipliers, not copies of them. The vectors are tuples, as every
+    caller shares them.
     """
-    vectors = _table(op)[1]
-    key = cap, dim, companion
-    found = vectors.get(key)
-    if found is None:
-        if dim > 1:
-            scalar, den = entry_vector(op, cap, 1, companion)
-            found = tuple(m for m in scalar for _ in range(dim * dim)), den
-        elif companion:
-            mults, den = entry_vector(op, cap, 1)
-            w = int(op.weight)
-            found = tuple(-w * den - m for m in mults), den
-        else:
-            used = factors(op, cap - power_shift(op))
-            den = lcm(*(f.denominator for f in used))
-            found = tuple(f.numerator * (den // f.denominator) for f in used), den
-        vectors[key] = found
-    return found
+    if dim > 1:
+        scalar, den = entry_vector(op, cap, 1, companion)
+        return tuple(m for m in scalar for _ in range(dim * dim)), den
+    if companion:
+        mults, den = entry_vector(op, cap, 1, False)
+        w = int(op.weight)
+        return tuple(-w * den - m for m in mults), den
+    used = factors(op, cap - power_shift(op))
+    den = lcm(*(f.denominator for f in used))
+    return tuple(f.numerator * (den // f.denominator) for f in used), den
 
 
 def require_domain(op: OperatorSpec, x: TruncatedSeries) -> None:

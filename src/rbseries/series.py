@@ -18,6 +18,8 @@ coefficient at a time.
 
 from __future__ import annotations
 
+import json
+import re
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -544,39 +546,9 @@ class RelaxedSeries:
         return TruncatedSeries._make(self.ring, self.cap, list(self._num), self._den)
 
 
-def _split_outside_brackets(text: str) -> list:
-    """text split at the commas outside square brackets."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced ']'")
-        elif ch == "," and not depth:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth:
-        raise ValueError("unbalanced '['")
-    parts.append(text[start:])
-    return parts
-
-
-def _matrix_value(token: str):
-    """A coefficient token: '[[a,b],[c,d]]' as its rows of entry strings, or
-    any other token as it is."""
-    token = token.strip()
-    if not (token.startswith("[") and token.endswith("]")):
-        return token
-    rows = []
-    for row in _split_outside_brackets(token[1:-1]):
-        row = row.strip()
-        inner = row[1:-1]
-        if not (row.startswith("[") and row.endswith("]")) or "[" in inner or "]" in inner:
-            raise ValueError(f"malformed matrix row {row!r}")
-        rows.append(inner.split(","))
-    return rows
+# An entry token of the bracketed text form: a run of characters that are not
+# whitespace, brackets, commas, or JSON's quote and escape characters.
+_ENTRY = re.compile(r'[^\s\[\],"\\]+')
 
 
 def parse_series(text: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
@@ -589,5 +561,12 @@ def parse_series(text: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
     elif ring.kind == SCALAR or "[" not in text:
         values = text.split(",")
     else:
-        values = [_matrix_value(t) for t in _split_outside_brackets(text)]
+        # Quote each entry and read the brackets and commas as JSON. A value
+        # nested too deep fails coercion with a TypeError, and very deep
+        # brackets fail json.loads with a RecursionError.
+        quoted = _ENTRY.sub(r'"\g<0>"', " ".join(text.split()))
+        try:
+            return TruncatedSeries.from_coeffs(ring, cap, json.loads(f"[{quoted}]"))
+        except (TypeError, RecursionError) as exc:
+            raise ValueError("series text nested too deep") from exc
     return TruncatedSeries.from_coeffs(ring, cap, values)

@@ -40,6 +40,11 @@ class SolverUsageError(ValueError):
     """Solver invoked outside its stated setting (weight, commutativity, form)."""
 
 
+class EquationError(ValueError):
+    """A coefficient missing from, extra to or out of range in an equation;
+    the message begins with its name, a1 or a0."""
+
+
 class ConvergenceError(RuntimeError):
     """A settled result fails its full-cap check.
 
@@ -70,15 +75,15 @@ class EquationSpec:
         if self.form not in FORMS:
             raise ValueError(f"unknown equation form: {self.form!r}")
         if self.a1.valuation() < 1:
-            raise ValueError("a1 must have valuation >= 1")
+            raise EquationError("a1: must have valuation >= 1")
         if self.form == HOMOGENEOUS:
             if self.a0 is not None:
-                raise ValueError("homogeneous equation takes no a0")
+                raise EquationError("a0: the homogeneous equation takes no a0")
         else:
             if self.a0 is None:
-                raise ValueError(f"{self.form} equation requires a0")
+                raise EquationError(f"a0: the {self.form} equation requires a0")
             if self.a0.valuation() < 1:
-                raise ValueError("a0 must have valuation >= 1")
+                raise EquationError("a0: must have valuation >= 1")
 
 
 def _require_equal(solver: str, got: TruncatedSeries, want: TruncatedSeries) -> None:

@@ -93,7 +93,8 @@ def test_rb_axiom_fails_at_a_perturbed_multiplier(monkeypatch, companion, kind, 
     multiplier that the companion's table, or P's, puts on t^5 is off by one.
 
     The scalar vector is perturbed; the dim-2 vectors repeat its multipliers,
-    so the table is cleared before and after, lest a poisoned vector stay."""
+    so the vector cache is cleared before and after, lest a poisoned vector
+    stay."""
     params = {"operator": kind, "q": "2/3", "order": 8, "dim": dim, "samples": 2, "seed": 3}
     assert run_check("rb-axiom", params).status == PASS
     power = 5
@@ -107,13 +108,13 @@ def test_rb_axiom_fails_at_a_perturbed_multiplier(monkeypatch, companion, kind, 
             vector = tuple(vector)
         return vector, den
 
-    operators._table.cache_clear()
+    operators.entry_vector.cache_clear()
     monkeypatch.setattr(operators, "entry_vector", perturbed)
     try:
         report = run_check("rb-axiom", params)
     finally:
         monkeypatch.undo()
-        operators._table.cache_clear()
+        operators.entry_vector.cache_clear()
     assert report.status == FAIL
     assert report.first_mismatch.power == power
 

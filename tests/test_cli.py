@@ -337,6 +337,19 @@ def test_solve_homogeneous_takes_no_a0(capsys):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: --a0: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--a1", "1,1", "--a0", "0,1"], "--a1: must have valuation >= 1"),
+    (["--a1", "0,1", "--a0", "1,1"], "--a0: must have valuation >= 1"),
+    (["--equation", "homogeneous", "--a1", "0,1", "--a0", "0,5"],
+     "--a0: the homogeneous equation takes no a0"),
+    (["--equation", "inhom-right", "--a1", "0,1"], "--a0: the inhom-right equation requires a0"),
+], ids=["a1-valuation", "a0-valuation", "a0-given", "a0-missing"])
+def test_solve_names_the_flag_of_a_rejected_coefficient(capsys, argv, message):
+    code, out, err = run(capsys, "solve", "--operator", "qint", "--q", "1/2", *argv,
+                         "--order", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_suite_rejects_a_manifest_directory(tmp_path, capsys):
     code, out, err = run(capsys, "suite", "--manifest", str(tmp_path))
     assert code == 2 and out == ""

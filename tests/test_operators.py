@@ -118,29 +118,34 @@ def _companion_factor(op, k):
     return -1 / (1 - qk) if op.kind == QINT else -qk / (1 - qk)
 
 
+def _clear_operator_caches():
+    operators.factors.cache_clear()
+    operators.entry_vector.cache_clear()
+
+
 @pytest.mark.parametrize("op", ALL_OPS, ids=str)
-def test_one_multiplier_table_per_operator_grows_and_is_sliced(op):
-    """A larger cap grows the operator's one table of factors and a smaller
-    cap reads a prefix of it. The per-entry vectors of P and of its companion,
-    cached after calls at other caps and dims, give the same series as a
-    fresh table and hold each power's factor once per matrix entry."""
+def test_factors_and_entry_vectors_are_memoised(op):
+    """The per-entry vectors of P and of its companion, cached after calls at
+    other caps and dims, give the same series as fresh caches, and a second
+    pass over the same inputs builds none anew. Each vector holds each power's
+    factor once per matrix entry, over the lcm of their denominators."""
     rng = random.Random(39)
+    caps = (0, 1, 4, 12)
     inputs = [random_series(ring, cap, rng, 1, 5)
-              for ring in (SCALAR, MAT2, MAT3) for cap in (0, 1, 4, 12)]
+              for ring in (SCALAR, MAT2, MAT3) for cap in caps]
     fresh = []
     for x in inputs:
-        operators._table.cache_clear()
+        _clear_operator_caches()
         fresh.append((apply(op, x), tilde_apply(op, x)))
-    operators._table.cache_clear()
+    _clear_operator_caches()
     for x in reversed(inputs):
         apply(op, x), tilde_apply(op, x)
+    misses = operators.entry_vector.cache_info().misses
     assert [(apply(op, x), tilde_apply(op, x)) for x in inputs] == fresh
+    assert operators.entry_vector.cache_info().misses == misses
 
-    table, vectors = operators._table(op)
-    shift = operators.power_shift(op)
-    assert len(table) == 13 - shift
-    assert operators.factors(op, 4) == table[:5]
-    assert len(table) == 13 - shift
+    table = operators.factors(op, 12)
+    assert operators.factors(op, 12) is table and len(table) == 13
     for k, factor in enumerate(table):
         if op.kind == ANTIDER:
             assert factor == Q(1, k + 1)
@@ -149,14 +154,15 @@ def test_one_multiplier_table_per_operator_grows_and_is_sliced(op):
             assert factor == (qk if op.kind == QINT else 1) / (1 - qk)
         else:
             assert factor == 0
-    assert {(cap, dim) for cap, dim, _ in vectors} == {(0, 1), (1, 1), (4, 1), (12, 1),
-                                                       (0, 2), (1, 2), (4, 2), (12, 2),
-                                                       (0, 3), (1, 3), (4, 3), (12, 3)}
-    for (cap, dim, companion), (vector, den) in vectors.items():
-        used = range(cap + 1 - shift)
-        want = [_companion_factor(op, k) if companion else table[k] for k in used]
-        assert [Q(m, den) for m in vector] == [f for f in want for _ in range(dim * dim)]
-        assert den == lcm(*(f.denominator for f in want))
+    shift = operators.power_shift(op)
+    for cap in caps:
+        for dim in (1, 2, 3):
+            for companion in (False, True):
+                vector, den = operators.entry_vector(op, cap, dim, companion)
+                used = range(cap + 1 - shift)
+                want = [_companion_factor(op, k) if companion else table[k] for k in used]
+                assert [Q(m, den) for m in vector] == [f for f in want for _ in range(dim * dim)]
+                assert den == lcm(*(f.denominator for f in want))
 
 
 @pytest.mark.parametrize("ring", [SCALAR, MAT2, MAT3], ids=["scalar", "mat2", "mat3"])
@@ -183,11 +189,12 @@ def test_tilde_apply_rejects_constant_term(op):
 
 def test_equal_specs_hash_alike_and_share_one_table():
     """The hash is computed once, at construction; specs equal as values hash
-    alike and share one factor table, whatever form q was given in."""
+    alike and share one factor tuple and one vector, whatever form q was
+    given in."""
     a, b = OperatorSpec(QINT, "1/2"), OperatorSpec(QINT, Q(1, 2))
     assert a == b and hash(a) == hash(b) == hash((QINT, Q(1, 2)))
-    assert operators._table(a) is operators._table(b)
+    assert operators.factors(a, 4) is operators.factors(b, 4)
     assert apply(a, S("0,1,1")) == apply(b, S("0,1,1"))
-    assert operators.entry_vector(a, 4, 2) is operators.entry_vector(b, 4, 2)
+    assert operators.entry_vector(a, 4, 2, False) is operators.entry_vector(b, 4, 2, False)
     assert hash(OperatorSpec(ANTIDER)) == hash(J)
     assert OperatorSpec(QSCALE, "1/2") != a and len({a, b, QS, J}) == 3

@@ -453,6 +453,9 @@ def test_parse_reads_matrices_and_identity_multiples():
     assert x.coefficient(3) == MAT2.zero()
     assert parse_series("[[7]],1/2", MAT1, 1) == TruncatedSeries.from_coeffs(
         MAT1, 1, [7, Q(1, 2)])
+    # whitespace str.split() knows, non-breaking spaces too, is read as a space
+    assert parse_series("\u00a0[[1,2],[3,4]]\u00a0", MAT2, 0) == TruncatedSeries.from_coeffs(
+        MAT2, 0, [[[1, 2], [3, 4]]])
     # forms rings.rational reads beyond p/q still parse as before
     assert parse_series("0.5, 1e2, +3, -0", SCALAR, 3) == TruncatedSeries.from_coeffs(
         SCALAR, 3, [Q(1, 2), 100, 3, 0])
@@ -463,10 +466,21 @@ def test_parse_reads_matrices_and_identity_multiples():
     (MAT2, "[1,2]"), (MAT2, "[12,34]"), (MAT2, "[[[1,2]],[3,4]]"), (MAT2, "[[1,2],[3,x]]"),
     (MAT2, "[[1,2],[3,4]]x"), (MAT2, "[]"), (MAT2, "1/0"), (SCALAR, "[[1]]"),
     (SCALAR, "0,,1"), (SCALAR, "1/0"), (SCALAR, "1/-2"), (SCALAR, "0,1,x"),
+    pytest.param(MAT2, "[" * 10**5, id="deep-brackets"), (MAT2, '[["1",2],[3,4]]'), (MAT2, r"[[\u0031,2],[3,4]]"),
+    (MAT2, "[[1,2],[3,4]]\\"), (MAT2, "[[[1],2],[3,4]]"), (MAT1, "[[[7]]]"),
 ])
 def test_parse_rejects_malformed_text(ring, text):
     with pytest.raises((ValueError, ZeroDivisionError)):
         parse_series(text, ring, 1)
+
+
+@pytest.mark.parametrize("second", ["2", "x", '""', '" "'])
+def test_parse_raises_zero_division_at_a_first_zero_denominator(second):
+    """Entries are coerced in order, so a zero denominator ahead of any other
+    fault raises ZeroDivisionError. A quote is no entry character: a quoted
+    run of separators is one more entry, coerced after it."""
+    with pytest.raises(ZeroDivisionError):
+        parse_series(f"[[1/0,{second}],[3,4]]", MAT2, 1)
 
 
 def test_from_coeffs_coerces_every_kind_of_value():

@@ -114,6 +114,12 @@ MUTANTS = (
            "[-p * v for v in num]", "[p * v for v in num]", ("tests/test_series.py",)),
     Mutant("text-entry-not-reduced", SERIES,
            "g = gcd(v, den)", "g = 1", ("tests/test_series.py",)),
+    # The bracketed text form read as JSON, each entry quoted.
+    Mutant("reader-lets-recursion-error-out", SERIES,
+           "except (TypeError, RecursionError) as exc:", "except TypeError as exc:",
+           ("tests/test_series.py",)),
+    Mutant("reader-admits-quote-into-entry", SERIES,
+           r'],"\\]+', r'],\\]+', ("tests/test_series.py",)),
     # Ring elements at the boundary: the identity's multiples, and no floats.
     Mutant("element-scalar-on-every-entry", RINGS,
            "diagonal if i % (d + 1) == 0 else (0, 1)", "diagonal", ("tests/test_rings.py",)),
