@@ -24,7 +24,7 @@ from math import factorial, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .operators import ANTIDER, KINDS, QINT, OperatorSpec, apply, tilde_apply
-from .rings import Q, RingDescriptor, rational, ring_of, scalar_ring
+from .rings import Q, RingDescriptor, random_entries, rational, scalar_ring
 from .series import DomainError, TruncatedSeries
 from .solvers import (
     HOMOGENEOUS,
@@ -163,16 +163,13 @@ def random_series(
 ) -> TruncatedSeries:
     """Random series whose coefficients below t^min_valuation are zero.
 
-    Every other entry is p/q with |p| <= bound and 1 <= q <= bound, drawn in
-    the order rings.random_element draws them, so a seed gives the same series.
-    The numerators are built over one common denominator directly.
+    Every other entry is p/q with |p| <= bound and 1 <= q <= bound, drawn by
+    rings.random_entries in the order rings.random_element draws them, so a
+    seed gives the same series. The numerators are built over one common
+    denominator directly.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    randint = rng.randint
     dd = ring.dim * ring.dim
-    drawn = [(randint(-bound, bound), randint(1, bound))
-             for _ in range((cap + 1 - min_valuation) * dd)]
+    drawn = random_entries(rng, (cap + 1 - min_valuation) * dd, bound)
     den = lcm(*(q for _, q in drawn))
     num = [0] * (min_valuation * dd) + [p * (den // q) for p, q in drawn]
     return TruncatedSeries.from_numerators(ring, cap, num, den)
@@ -251,7 +248,7 @@ def _rb_axiom(params: Mapping) -> Pairs:
     pair is Pt's identity on (x, y) without a product of Pt's outputs.
     """
     op = operator_of(params["operator"], params["q"])
-    ring = ring_of(params["dim"])
+    ring = RingDescriptor(params["dim"])
     cap = params["order"]
     w = op.weight
     min_val = 0 if op.kind == ANTIDER else 1
@@ -268,7 +265,7 @@ def _rb_axiom(params: Mapping) -> Pairs:
 def _kingman(params: Mapping) -> Pairs:
     """w P(u)^n = P((-Pt(u))^n - P(u)^n) for n = 1..nmax."""
     op = _nonzero_weight(params)
-    ring = ring_of(params["dim"])
+    ring = RingDescriptor(params["dim"])
     cap = params["order"]
     nmax = params["nmax"]
     for (u,) in _samples(params, ring, cap):
@@ -316,7 +313,7 @@ def _spitzer(params: Mapping) -> Pairs:
 def _generalized_spitzer(params: Mapping) -> Pairs:
     """Closed inhomogeneous solutions, left and right, against the Picard fixed point."""
     op = operator_of(params["operator"], params["q"])
-    ring = ring_of(params["dim"])
+    ring = RingDescriptor(params["dim"])
     for a0, a1 in _samples(params, ring, params["order"], 2):
         for form in (INHOM_LEFT, INHOM_RIGHT):
             eq = EquationSpec(form, op, a1, a0)
@@ -327,7 +324,7 @@ def _bch_chl_factorization(params: Mapping) -> Pairs:
     """chi(a) is the fixed point of the BCH recursion x = a + w^-1 BCH(P(x), Pt(x)),
     and exp(-w a) = exp(P(chi(a))) exp(Pt(chi(a)))."""
     op = _nonzero_weight(params)
-    ring = ring_of(params["dim"])
+    ring = RingDescriptor(params["dim"])
     for (a,) in _samples(params, ring, params["order"], var_first=False):
         chi = chi_lambda(op, a)
         px, ptx = apply(op, chi), tilde_apply(op, chi)

@@ -1,7 +1,8 @@
 """Command-line front end: run single checks, full suites, or solvers.
 
 Exit codes: 0 all statuses matched expectations, 1 on mismatch, 2 on usage
-errors. Rationals are always rendered as exact 'p/q' strings, never floats.
+errors, 130 when interrupted (Ctrl-C). Rationals are always rendered as exact
+'p/q' strings, never floats.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .checks import (
     run_suite,
     suite_ok,
 )
-from .rings import RingDescriptor, ring_of
+from .rings import RingDescriptor
 from .series import DomainError, TruncatedSeries, parse_series
 from .solvers import FORMS, INHOM_LEFT, EquationError, EquationSpec, closed_solve, picard_solve
 
@@ -144,9 +145,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = read_params(SOLVE_FLAGS, {name: getattr(args, name) for name in SOLVE_FLAGS})
-    if not args.a1:
+    if not (args.a1 or "").strip():
         raise UsageError("solve requires --a1")
-    ring, cap = ring_of(params["dim"]), params["order"]
+    ring, cap = RingDescriptor(params["dim"]), params["order"]
     a1 = _parse_series(args.a1, "--a1", ring, cap)
     a0 = None if args.a0 is None else _parse_series(args.a0, "--a0", ring, cap)
     try:
@@ -196,6 +197,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exact coefficient rings: arbitrary-precision rationals and square rational matrices.
 
-A RingDescriptor selects the coefficient ring of a series and coerces values
-into its entries. A RingElement is one coefficient at the API boundary, as a
+A RingDescriptor selects the coefficient ring of a series by its dimension d,
+Q itself at d = 1 and d x d matrices over Q above, and coerces values into its
+entries. A RingElement is one coefficient at the API boundary, as a
 series' `coefficient` and `coeffs` return it: it has a value, equality and a
 text form, and no arithmetic, since every sum and product, and the text form
 of a series, run on the integer numerators of a series (see series.py). No
@@ -14,10 +15,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction as Q
-
-SCALAR = "scalar-rational"
-MATRIX = "matrix-rational"
 
 
 class RingMismatchError(ValueError):
@@ -61,38 +60,32 @@ def rational_entry(value) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class RingDescriptor:
-    """Selects the coefficient ring: Q itself or d x d matrices over Q."""
+    """Selects the coefficient ring: Q itself at dim 1, else dim x dim
+    matrices over Q. Q is commutative; no matrix ring of dim 2 or more is."""
 
-    kind: str = SCALAR
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in (SCALAR, MATRIX):
-            raise ValueError(f"unknown ring kind: {self.kind!r}")
         if self.dim < 1:
             raise ValueError("ring dimension must be positive")
-        if self.kind == SCALAR and self.dim != 1:
-            raise ValueError("scalar ring has dimension 1")
 
     @property
     def commutative(self) -> bool:
-        return self.kind == SCALAR or self.dim == 1
+        return self.dim == 1
 
-    def zero(self) -> "RingElement":
-        return self.element(0)
-
-    def one(self) -> "RingElement":
-        return self.element(1)
+    def shape(self, values: list):
+        """The d*d row-major entries `values` as one coefficient: the entry
+        itself at dim 1, else a tuple of row tuples."""
+        d = self.dim
+        if d == 1:
+            return values[0]
+        return tuple(tuple(values[r * d : (r + 1) * d]) for r in range(d))
 
     def element(self, value) -> "RingElement":
         """Coerce a RingElement of this ring, or what `entries` coerces."""
         if isinstance(value, RingElement) and value.ring == self:
             return value
-        values = [Q(p, q) for p, q in self.entries(value)]
-        if self.kind == SCALAR:
-            return RingElement(self, values[0])
-        d = self.dim
-        return RingElement(self, tuple(tuple(values[r * d : (r + 1) * d]) for r in range(d)))
+        return RingElement(self, self.shape([Q(p, q) for p, q in self.entries(value)]))
 
     def entries(self, value) -> list:
         """The d*d entries of `value` in this ring, row-major, each a pair
@@ -104,9 +97,9 @@ class RingDescriptor:
             if value.ring != self:
                 raise RingMismatchError("element belongs to a different ring")
             value = value.value
-        if self.kind == SCALAR:
-            return [rational_entry(value)]
         d = self.dim
+        if d == 1:
+            return [rational_entry(value)]
         if isinstance(value, (int, str, float, Q)):
             diagonal = rational_entry(value)
             return [diagonal if i % (d + 1) == 0 else (0, 1) for i in range(d * d)]
@@ -121,15 +114,12 @@ class RingDescriptor:
 
 
 def scalar_ring() -> RingDescriptor:
-    return RingDescriptor(SCALAR, 1)
+    return RingDescriptor(1)
 
 
 def matrix_ring(dim: int) -> RingDescriptor:
-    return RingDescriptor(MATRIX, dim)
-
-
-def ring_of(dim: int) -> RingDescriptor:
-    return scalar_ring() if dim == 1 else matrix_ring(dim)
+    """The ring of dim x dim rational matrices; matrix_ring(1) is Q itself."""
+    return RingDescriptor(dim)
 
 
 @dataclass(frozen=True)
@@ -140,18 +130,27 @@ class RingElement:
     value: object  # Q for scalar rings, tuple of row tuples of Q for matrices
 
     def __str__(self) -> str:
-        if self.ring.kind == SCALAR:
+        if self.ring.dim == 1:
             return str(self.value)
         return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in self.value) + "]"
 
 
-def random_element(ring: RingDescriptor, rng: random.Random, bound: int = 10) -> RingElement:
-    """Deterministic (given rng state) random element: each entry, row by row,
-    is p/q with p drawn from -bound..bound, then q from 1..bound."""
+@lru_cache(maxsize=16)
+def _pairs(bound: int) -> tuple:
+    """Every (p, q) with -bound <= p <= bound and 1 <= q <= bound."""
+    return tuple((p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1))
+
+
+def random_entries(rng: random.Random, count: int, bound: int) -> list:
+    """`count` (p, q) pairs drawn by one rng.choices: p uniform on
+    -bound..bound and, independently, q uniform on 1..bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    d = ring.dim
-    entries = [Q(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(d * d)]
-    if ring.kind == SCALAR:
-        return RingElement(ring, entries[0])
-    return RingElement(ring, tuple(tuple(entries[r * d : (r + 1) * d]) for r in range(d)))
+    return rng.choices(_pairs(bound), k=count)
+
+
+def random_element(ring: RingDescriptor, rng: random.Random, bound: int = 10) -> RingElement:
+    """Deterministic (given rng state) random element: each entry, row by row,
+    is p/q drawn by random_entries."""
+    drawn = random_entries(rng, ring.dim**2, bound)
+    return RingElement(ring, ring.shape([Q(p, q) for p, q in drawn]))

@@ -24,14 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .rings import (
-    Q,
-    SCALAR,
-    RingDescriptor,
-    RingElement,
-    RingMismatchError,
-    rational,
-)
+from .rings import Q, RingDescriptor, RingElement, RingMismatchError, rational
 
 
 class DomainError(ValueError):
@@ -55,16 +48,14 @@ class TruncatedSeries:
     __slots__ = ("ring", "cap", "_num", "_den")
 
     def __init__(self, ring: RingDescriptor, cap: int, coeffs: Sequence[RingElement]):
-        """Build from cap+1 RingElements, coefficient of t^k at index k."""
+        """Build from cap+1 RingElements, coefficient of t^k at index k; one of
+        another ring raises RingMismatchError in RingDescriptor.entries."""
         if cap < 0:
             raise ValueError("cap must be >= 0")
         if len(coeffs) != cap + 1:
             raise ValueError("expected cap+1 coefficients")
-        for c in coeffs:
-            if c.ring != ring:
-                raise RingMismatchError("coefficient belongs to a different ring")
         self._init(ring, cap, *_over_one_denominator(
-            [e for c in coeffs for e in ring.entries(c.value)]))
+            [e for c in coeffs for e in ring.entries(c)]))
 
     def _init(self, ring: RingDescriptor, cap: int, num: list, den: int) -> None:
         g = gcd(den, *num)
@@ -190,15 +181,8 @@ class TruncatedSeries:
         """The coefficient of t^k as a RingElement."""
         if not 0 <= k <= self.cap:
             raise IndexError("coefficient index out of range")
-        d = self.ring.dim
-        den = self._den
-        block = self._num[k * d * d : (k + 1) * d * d]
-        if self.ring.kind == SCALAR:
-            return RingElement(self.ring, Q(block[0], den))
-        rows = tuple(
-            tuple(Q(v, den) for v in block[r * d : (r + 1) * d]) for r in range(d)
-        )
-        return RingElement(self.ring, rows)
+        num, den = self.block(k)
+        return RingElement(self.ring, self.ring.shape([Q(v, den) for v in num]))
 
     def coefficient_text(self, k: int) -> str:
         """The coefficient of t^k as text: str(self.coefficient(k)), written
@@ -411,9 +395,9 @@ class TruncatedSeries:
         writes it: a rational, or [[a,b],[c,d]] over a matrix ring."""
         dd = self.ring.dim**2
         entries = _entry_texts(self._num[lo * dd : hi * dd], self._den)
-        if self.ring.kind == SCALAR:
-            return entries
         d = self.ring.dim
+        if d == 1:
+            return entries
         rows = ["[" + ",".join(entries[i : i + d]) + "]" for i in range(0, len(entries), d)]
         return ["[" + ",".join(rows[i : i + d]) + "]" for i in range(0, len(rows), d)]
 
@@ -426,9 +410,9 @@ class TruncatedSeries:
     def to_json(self) -> list:
         """Array of rational strings, or of row-major matrices of strings."""
         entries = _entry_texts(self._num, self._den)
-        if self.ring.kind == SCALAR:
-            return entries
         d = self.ring.dim
+        if d == 1:
+            return entries
         return [[entries[i : i + d] for i in range(k, k + d * d, d)]
                 for k in range(0, len(entries), d * d)]
 
@@ -558,7 +542,7 @@ def parse_series(text: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
     text = text.strip()
     if not text:
         values = []
-    elif ring.kind == SCALAR or "[" not in text:
+    elif ring.dim == 1 or "[" not in text:
         values = text.split(",")
     else:
         # Quote each entry and read the brackets and commas as JSON. A value

@@ -314,7 +314,7 @@ def test_random_series_draws_as_random_element(dim, min_valuation):
     for cap in (0, 2, 7):
         fast, slow = random.Random(cap), random.Random(cap)
         for bound in (1, 5):
-            coeffs = [ring.zero()] * min_valuation
+            coeffs = [ring.element(0)] * min_valuation
             coeffs += [random_element(ring, slow, bound)
                        for _ in range(cap + 1 - min_valuation)]
             if min_valuation > cap + 1:

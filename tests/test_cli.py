@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rbseries import checks
+from rbseries import checks, cli
 from rbseries.checks import CheckReport, Mismatch, load_manifest
 from rbseries.cli import SOLVE_FLAGS, VERIFY_FLAGS, emit_report, main
 
@@ -74,6 +74,22 @@ def test_solve_requires_a1(capsys):
     code, _, err = run(capsys, "solve", "--operator", "antider", "--a0", "0,1")
     assert code == 2
     assert "--a1" in err or "a1" in err
+
+
+@pytest.mark.parametrize("a1", ["", " ", "\t \n"])
+def test_solve_reads_a_blank_a1_as_missing(capsys, a1):
+    """A blank --a1 is no series, not the zero series."""
+    code, out, err = run(capsys, "solve", "--operator", "antider", "--a0", "0,1", "--a1", a1)
+    assert (code, out, err) == (2, "", "error: solve requires --a1\n")
+
+
+def test_interrupt_gives_one_line_and_exit_130(capsys, monkeypatch):
+    """Ctrl-C during a check prints one line, not a traceback."""
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "run_check", interrupted)
+    code, out, err = run(capsys, "verify", "rb-axiom", "--order", "4")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_solve_missing_a0(capsys):

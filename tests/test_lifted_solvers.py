@@ -159,7 +159,7 @@ def lowering(op, x):
     coefficient per step; it keeps every constant term zero, so exp and log
     stay defined and only the convergence proof can catch it.
     """
-    zero = x.ring.zero()
+    zero = x.ring.element(0)
     coeffs = x.coeffs
     return TruncatedSeries(x.ring, x.cap, (zero,) + coeffs[2:] + (zero,) * min(1, x.cap))
 

@@ -3,6 +3,7 @@ so the ring axioms are checked on cap-0 series, the code that multiplies and
 adds coefficients."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from rbseries.rings import (
     Q,
+    RingDescriptor,
     RingElement,
     RingMismatchError,
     matrix_ring,
     random_element,
+    random_entries,
     rational,
     rational_entry,
     scalar_ring,
@@ -58,10 +61,22 @@ def test_rational_rejects_float_and_bool(value):
 
 
 def test_descriptor_invariants():
+    assert [f.name for f in fields(RingDescriptor)] == ["dim"]
     assert scalar_ring().commutative
-    assert not matrix_ring(2).commutative
+    for dim in (2, 3, 4):
+        assert not matrix_ring(dim).commutative
     with pytest.raises(ValueError):
         matrix_ring(0)
+
+
+def test_matrix_ring_of_dim_one_is_the_scalar_ring():
+    """A ring is its dimension: the 1x1 matrices are Q, with Q's text."""
+    assert matrix_ring(1) == scalar_ring() == RingDescriptor(1) == RingDescriptor()
+    assert hash(matrix_ring(1)) == hash(scalar_ring())
+    x = TruncatedSeries.from_coeffs(matrix_ring(1), 2, [0, "1/2", -3])
+    assert str(x) == "0,1/2,-3" and x.to_json() == ["0", "1/2", "-3"]
+    assert str(matrix_ring(1).element("1/2")) == "1/2"
+    assert x == TruncatedSeries.from_coeffs(SCALAR, 2, [0, Q(1, 2), -3])
 
 
 def test_ring_element_defines_no_arithmetic():
@@ -78,12 +93,10 @@ def test_element_is_a_multiple_of_the_identity():
     assert MAT3.element("2/3").value == (
         (Q(2, 3), 0, 0), (0, Q(2, 3), 0), (0, 0, Q(2, 3)))
     assert str(MAT2.element(-1)) == "[[-1,0],[0,-1]]"
-    assert MAT2.zero() == MAT2.element([[0, 0], [0, 0]])
+    assert MAT2.element(0) == MAT2.element([[0, 0], [0, 0]])
     for ring in (SCALAR, MAT2, MAT3):
-        assert ring.zero() == ring.element(0)
-        assert ring.one() == ring.element(1)
-        assert const(ring, ring.one()) == TruncatedSeries.one(ring, 0)
-        assert const(ring, ring.zero()).is_zero()
+        assert const(ring, ring.element(1)) == TruncatedSeries.one(ring, 0)
+        assert const(ring, ring.element(0)).is_zero()
     with pytest.raises(ValueError):
         MAT2.element([[1, 2]])
 
@@ -134,6 +147,13 @@ def test_ring_mismatch():
         MAT2.element(SCALAR.element(1))
 
 
+@pytest.mark.parametrize("ring,other", [(MAT2, MAT3), (MAT2, SCALAR), (SCALAR, MAT2)],
+                         ids=["mat3-in-mat2", "scalar-in-mat2", "mat2-in-scalar"])
+def test_series_of_elements_of_another_ring_raises(ring, other):
+    with pytest.raises(RingMismatchError):
+        TruncatedSeries(ring, 1, (ring.element(1), other.element(1)))
+
+
 def test_identities():
     for ring in (SCALAR, MAT2, MAT3):
         x = const(ring, random_element(ring, random.Random(5), 7))
@@ -164,6 +184,17 @@ def test_random_element_bound_semantics():
         for row in x.value:
             for v in row:
                 assert abs(v.numerator) <= 10 and v.denominator <= 10
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_random_draws_reach_every_numerator_and_denominator(bound):
+    """p runs over -bound..bound and q over 1..bound, both ends included."""
+    rng = random.Random(bound)
+    pairs = set(random_entries(rng, 400, bound))
+    assert pairs == {(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
+    values = {v for _ in range(200) for row in random_element(MAT2, rng, bound).value
+              for v in row}
+    assert max(values) == bound and min(values) == -bound
 
 
 def test_random_element_bad_bound():

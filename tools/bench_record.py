@@ -107,7 +107,7 @@ def _layers(root: Path) -> dict:
         def entry():
             return rb.rational(rng.randint(-3, 3), rng.randint(1, 3))
         d = ring.dim
-        return rb.TruncatedSeries.from_coeffs(ring, cap, [ring.zero()] + [
+        return rb.TruncatedSeries.from_coeffs(ring, cap, [0] + [
             entry() if d == 1 else [[entry() for _ in range(d)] for _ in range(d)]
             for _ in range(cap)])
 

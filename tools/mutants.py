@@ -129,6 +129,12 @@ MUTANTS = (
     Mutant("rational-accepts-float", RINGS,
            "if isinstance(value, (float, bool)):", "if isinstance(value, bool):",
            ("tests/test_rings.py", "tests/test_cli.py")),
+    # A ring is its dimension, and only Q commutes; a draw reaches both ends.
+    Mutant("commutative-up-to-dim-two", RINGS,
+           "return self.dim == 1", "return self.dim <= 2", ("tests/test_rings.py",)),
+    Mutant("draw-numerator-misses-plus-bound", RINGS,
+           "for p in range(-bound, bound + 1)", "for p in range(-bound, bound)",
+           ("tests/test_rings.py",)),
     # rb-axiom in the canonical form, with the companion's pass built from P's.
     Mutant("rb-axiom-companion-weight-sign", CHECKS,
            "s.scale(w)", "s.scale(-w)", ("tests/test_checks.py",)),
