@@ -239,13 +239,17 @@ Pairs = Iterator[tuple[TruncatedSeries, TruncatedSeries]]
 
 def _rb_axiom(params: Mapping) -> Pairs:
     """P(x)P(y) = P(s) with s = xP(y) + P(x)y + w xy, for P and its companion
-    Pt = -w id - P: four products and six applications per sample.
+    Pt = -w id - P: two products (three at weight 0) and six applications per
+    sample.
 
-    Each sample yields P's identity in this canonical form, then Pt(x) and
-    Pt(y) against -w x - P(x) and -w y - P(y), then Pt(-s) against
-    w s + P(x)P(y). Once the middle pairs hold, ring arithmetic gives
-    Pt(x)Pt(y) = w s + P(x)P(y) and xPt(y) + Pt(x)y + w xy = -s, so the last
-    pair is Pt's identity on (x, y) without a product of Pt's outputs.
+    Pt(x) and Pt(y) are built by ring arithmetic as -w x - P(x) and
+    -w y - P(y). Over any ring Pt(x)Pt(y) - P(x)P(y) = w s, so at nonzero
+    weight s is that difference over w, from the two products the identities
+    of P and Pt multiply anyway; at weight 0 it is xP(y) + P(x)y. Each sample
+    yields P's identity in this canonical form, then the applied Pt(x) and
+    Pt(y) against the built ones, then Pt(x)Pt(y) against Pt(-s). Since
+    xPt(y) + Pt(x)y + w xy = -s, once the middle pairs hold the last pair is
+    Pt's own identity on (x, y).
     """
     op = operator_of(params["operator"], params["q"])
     ring = RingDescriptor(params["dim"])
@@ -254,12 +258,17 @@ def _rb_axiom(params: Mapping) -> Pairs:
     min_val = 0 if op.kind == ANTIDER else 1
     for x, y in _samples(params, ring, cap, 2, min_val, var_first=False):
         px, py = apply(op, x), apply(op, y)
+        ptx, pty = x.scale(-w) - px, y.scale(-w) - py
         pxpy = px * py
-        s = x * py + px * y + (x * y).scale(w)
+        if w:
+            ptpt = ptx * pty
+            s = (ptpt - pxpy).scale(1 / w)
+        else:
+            ptpt, s = pxpy, x * py + px * y
         yield pxpy, apply(op, s)
-        yield tilde_apply(op, x), x.scale(-w) - px
-        yield tilde_apply(op, y), y.scale(-w) - py
-        yield s.scale(w) + pxpy, tilde_apply(op, -s)
+        yield tilde_apply(op, x), ptx
+        yield tilde_apply(op, y), pty
+        yield ptpt, tilde_apply(op, -s)
 
 
 def _kingman(params: Mapping) -> Pairs:

@@ -1,7 +1,8 @@
 """The recorded benchmark files at the repository root keep one key set:
 kernel timings are required from BENCH_9.json on, and absent before it; the
-lambda_log and geom_inv kernels are required from BENCH_11.json on, and the
-wall times of the acceptance bounds from BENCH_13.json on."""
+lambda_log and geom_inv kernels are required from BENCH_11.json on, the
+wall times of the acceptance bounds from BENCH_13.json on, and the per-round
+work counts of a traced run from BENCH_17.json on."""
 
 import json
 from pathlib import Path
@@ -27,6 +28,8 @@ def test_record_key_set(path):
         keys.add("kernels_fastest_ms")
     if number >= 13:
         keys.add("bounds_s")
+    if number >= 17:
+        keys.add("layer_counts")
     assert set(record) == keys
     assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
     assert set(record["method"]) == {"command", "seconds", "pairs", "seeds", "order"}
@@ -77,3 +80,13 @@ def test_record_key_set(path):
                                          "test_criterion_4_noncommutative_inhomogeneous",
                                          "rbseries suite"}
             assert all(secs > 0 for secs in bounds[side].values())
+
+    if "layer_counts" in keys:
+        counts = record["layer_counts"]
+        names = {m["name"] for m in BENCHMARK["per_layer"] if m["unit"] == "count"}
+        assert set(counts) == SIDES
+        for side in SIDES:
+            assert set(counts[side]) == workloads
+            for by_name in counts[side].values():
+                assert set(by_name) == names
+                assert all(n >= 0 for n in by_name.values())

@@ -119,6 +119,95 @@ def test_rb_axiom_fails_at_a_perturbed_multiplier(monkeypatch, companion, kind, 
     assert report.first_mismatch.power == power
 
 
+def _four_product_pairs(params):
+    """rb-axiom's pairs as four products per sample build them: s from x*y,
+    x*P(y) and P(x)*y, and P(x)*P(y); the last pair is Pt(-s) against
+    w s + P(x)P(y). The reference the check's two-product form is held to."""
+    op = checks.operator_of(params["operator"], params["q"])
+    w = op.weight
+    min_val = 0 if op.kind == "antider" else 1
+    for x, y in checks._samples(params, matrix_ring(params["dim"]), params["order"], 2,
+                                min_val, var_first=False):
+        px, py = operators.apply(op, x), operators.apply(op, y)
+        pxpy = px * py
+        s = x * py + px * y + (x * y).scale(w)
+        yield pxpy, operators.apply(op, s)
+        yield operators.tilde_apply(op, x), x.scale(-w) - px
+        yield operators.tilde_apply(op, y), y.scale(-w) - py
+        yield s.scale(w) + pxpy, operators.tilde_apply(op, -s)
+
+
+def _first_failure(pairs):
+    for lhs, rhs in pairs:
+        mismatch = first_mismatch(lhs, rhs)
+        if mismatch is not None:
+            return FAIL, mismatch
+    return PASS, None
+
+
+RB_AXIOM_OPERATORS = [("antider", "1/2")] + [
+    (kind, q) for kind in ("qint", "qscale") for q in ("1/2", "-1/2", "2/3", "3")]
+
+
+@pytest.mark.parametrize("perturbed", [None, False, True], ids=["exact", "operator", "companion"])
+@pytest.mark.parametrize("kind, q", RB_AXIOM_OPERATORS)
+def test_rb_axiom_matches_the_four_product_pairs(monkeypatch, kind, q, perturbed):
+    """run_check("rb-axiom") gives the status and first mismatch (power, lhs
+    and rhs) of the four-product pairs, at dims 1-3 and orders 0, 1, 4 and 10,
+    exactly and with the multiplier of P, or of its companion, off by one at
+    the scalar vector's last power up to t^3; the vector cache is cleared
+    before and after, lest a poisoned vector stay."""
+    original = operators.entry_vector
+
+    def off_by_one(op, cap, d, comp=False):
+        vector, den = original(op, cap, d, comp)
+        if d == 1 and comp == perturbed and vector:
+            vector = list(vector)
+            vector[min(len(vector) - 1, 3)] += 1
+            vector = tuple(vector)
+        return vector, den
+
+    operators.entry_vector.cache_clear()
+    if perturbed is not None:
+        monkeypatch.setattr(operators, "entry_vector", off_by_one)
+    statuses = set()
+    try:
+        for dim in (1, 2, 3):
+            for order in (0, 1, 4, 10):
+                params = {"operator": kind, "q": q, "order": order, "dim": dim,
+                          "samples": 2, "seed": 11}
+                report = run_check("rb-axiom", params)
+                want = _first_failure(_four_product_pairs(params))
+                assert (report.status, report.first_mismatch) == want, (dim, order)
+                statuses.add(report.status)
+    finally:
+        monkeypatch.undo()
+        operators.entry_vector.cache_clear()
+    assert statuses == ({PASS} if perturbed is None else {PASS, FAIL})
+
+
+@pytest.mark.parametrize("kind, products", [("qint", 2), ("qscale", 2), ("antider", 3)])
+def test_rb_axiom_products_and_applications_per_sample(monkeypatch, kind, products):
+    """A sample of rb-axiom costs two series products at nonzero weight, three
+    at weight 0, and six applications of P or its companion."""
+    counts = {"mul": 0, "apply": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted("mul", TruncatedSeries.__mul__))
+    monkeypatch.setattr(checks, "apply", counted("apply", checks.apply))
+    monkeypatch.setattr(checks, "tilde_apply", counted("apply", checks.tilde_apply))
+    samples = 3
+    report = run_check("rb-axiom", {"operator": kind, "q": "2/3", "order": 6, "dim": 2,
+                                    "samples": samples, "seed": 5})
+    assert report.passed
+    assert counts == {"mul": products * samples, "apply": 6 * samples}
+
+
 def test_kingman_check():
     for op in ("qint", "qscale"):
         r = run_check("kingman", {"operator": op, "q": "1/2", "order": 8,

@@ -18,8 +18,10 @@ and 3x3 matrices, taken in two runs per side (parent, change, change, parent)
 and each the faster of its side's two; the wall time of each acceptance bound
 (the pytest nodes of criteria 1 and 4, and `python -m rbseries.cli suite`), run
 as a subprocess three times per side in the order parent, change, change,
-parent, parent, change, as each side's median; and the environment. Standard
-library only.
+parent, parent, change, as each side's median; the exact work counts per
+round (every metric of unit count: the layers' calls and products) of one
+traced run (`perfbench/run.py --trace 1`) per side and workload, at the first
+pair's seed; and the environment. Standard library only.
 
     python3 tools/bench_record.py --layers DIR
 
@@ -54,6 +56,7 @@ BOUNDS = {  # name: interpreter arguments
     "rbseries suite": ("-m", "rbseries.cli", "suite"),
 }
 BOUND_ORDER = ("parent", "change", "change", "parent", "parent", "change")
+COUNT_SECONDS = 3  # length of the traced run that gives the layer counts
 
 
 def quartiles(values: list) -> dict:
@@ -61,16 +64,24 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_workload(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, check=True, capture_output=True, text=True,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if result["correct"] is not True:
         raise SystemExit(f"{root}: {workload} seed {seed} gave an incorrect output")
     return result
+
+
+def layer_counts(root: Path, workload: str, seed: int) -> dict:
+    """The per-round work counts (each metric of unit count) of one traced run
+    from root. They repeat exactly for a given seed, whatever the run's length,
+    so a short run gives them."""
+    metrics = run_workload(root, workload, seed, COUNT_SECONDS, trace=1)["metrics"]
+    return {name: m["value"] for name, m in metrics.items() if m["unit"] == "count"}
 
 
 def bound_times(root: Path) -> dict:
@@ -244,6 +255,8 @@ def main() -> int:
     record["bounds_s"] = {side: {name: round(statistics.median(run[name] for run in runs), 3)
                                  for name in BOUNDS}
                           for side, runs in bounds.items()}
+    record["layer_counts"] = {side: {w: layer_counts(root, w, args.seed) for w in workloads}
+                              for side, root in sides.items()}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

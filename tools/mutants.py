@@ -135,11 +135,14 @@ MUTANTS = (
     Mutant("draw-numerator-misses-plus-bound", RINGS,
            "for p in range(-bound, bound + 1)", "for p in range(-bound, bound)",
            ("tests/test_rings.py",)),
-    # rb-axiom in the canonical form, with the companion's pass built from P's.
+    # rb-axiom in two products: the companion by ring arithmetic, s from the
+    # difference of the companion's product and P's.
+    Mutant("rb-axiom-products-summed", CHECKS,
+           "ptpt - pxpy", "ptpt + pxpy", ("tests/test_checks.py",)),
     Mutant("rb-axiom-companion-weight-sign", CHECKS,
-           "s.scale(w)", "s.scale(-w)", ("tests/test_checks.py",)),
-    Mutant("rb-axiom-drops-weight-term", CHECKS,
-           " + (x * y).scale(w)", "", ("tests/test_checks.py",)),
+           "x.scale(-w) - px", "x.scale(w) - px", ("tests/test_checks.py",)),
+    Mutant("rb-axiom-weight-zero-drops-term", CHECKS,
+           "x * py + px * y", "x * py", ("tests/test_checks.py",)),
     # One-pass operator application over cached per-entry factor vectors.
     Mutant("companion-factor-plus-weight", OPERATORS,
            "-w * den - m", "w * den - m", ("tests/test_operators.py",)),
