@@ -154,9 +154,9 @@ RB_AXIOM_OPERATORS = [("antider", "1/2")] + [
 def test_rb_axiom_matches_the_four_product_pairs(monkeypatch, kind, q, perturbed):
     """run_check("rb-axiom") gives the status and first mismatch (power, lhs
     and rhs) of the four-product pairs, at dims 1-3 and orders 0, 1, 4 and 10,
-    exactly and with the multiplier of P, or of its companion, off by one at
-    the scalar vector's last power up to t^3; the vector cache is cleared
-    before and after, lest a poisoned vector stay."""
+    exactly and with one multiplier of P, or of its companion, off by one:
+    the scalar vector's fourth, or its last when it is shorter. The vector
+    cache is cleared before and after, lest a poisoned vector stay."""
     original = operators.entry_vector
 
     def off_by_one(op, cap, d, comp=False):
