@@ -84,12 +84,14 @@ class Param(NamedTuple):
     default: object
     help: str
     least: Optional[int] = None  # an integer's least value; None for no bound
+    most: Optional[int] = None  # an integer's largest value; None for no bound
 
 
 PARAMS = {
     "operator": Param("operator", QINT, "qint, qscale or antider"),
     "order": Param("integer", 16, "truncation cap", 0),
-    "dim": Param("integer", 1, "matrix dimension (1 = scalar)", 1),
+    # each product over dim d runs a multiply-add generated for d, of d^3 terms
+    "dim": Param("integer", 1, "matrix dimension, at most 8 (1 = scalar)", 1, 8),
     "seed": Param("integer", 0, "seed of the random samples"),
     "samples": Param("integer", 10, "number of random samples", 1),
     "q": Param("rational", "1/2", "a rational such as 2/3, not 0, 1 or -1; antider reads none"),
@@ -120,7 +122,7 @@ def read_params(names, given: Mapping) -> dict:
         if name not in names:
             raise ParamError(f"{name!r} is not a param of this check, which reads "
                              + ", ".join(n for n in PARAMS if n in names))
-        kind, _, _, least = PARAMS[name]
+        kind, _, _, least, most = PARAMS[name]
         if kind == "integer":
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ParamError(f"{name} must be an integer, not {value!r}")
@@ -130,6 +132,8 @@ def read_params(names, given: Mapping) -> dict:
                 raise ParamError(f"{name} must be an integer, not {value!r}") from None
             if least is not None and value < least:
                 raise ParamError(f"{name} must be >= {least}")
+            if most is not None and value > most:
+                raise ParamError(f"{name} must be <= {most}")
         elif kind == "operator" and value not in KINDS:
             raise ParamError(f"operator must be one of {', '.join(KINDS)}, not {value!r}")
         params[name] = value

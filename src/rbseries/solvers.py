@@ -95,15 +95,18 @@ def _require_equal(solver: str, got: TruncatedSeries, want: TruncatedSeries) -> 
         )
 
 
+def _shifted_a0(eq: EquationSpec) -> TruncatedSeries:
+    """(1 + w*a1)*a0 of an inhomogeneous equation, or a0*(1 + w*a1) on the
+    right, as a0 + w*(a1*a0): one product of two series of valuation >= 1."""
+    product = eq.a1 * eq.a0 if eq.form == INHOM_LEFT else eq.a0 * eq.a1
+    return eq.a0 + product.scale(eq.op.weight)
+
+
 def _constant(eq: EquationSpec) -> TruncatedSeries:
     """The term of the equation's right-hand side that does not depend on b."""
-    one = TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
     if eq.form == HOMOGENEOUS:
-        return one
-    unit_shift = one + eq.a1.scale(eq.op.weight)
-    if eq.form == INHOM_LEFT:
-        return apply(eq.op, unit_shift * eq.a0)
-    return apply(eq.op, eq.a0 * unit_shift)
+        return TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
+    return apply(eq.op, _shifted_a0(eq))
 
 
 def picard_solve(eq: EquationSpec) -> TruncatedSeries:
@@ -356,10 +359,9 @@ def closed_solve(eq: EquationSpec) -> TruncatedSeries:
             chi = chi_zero(op, chi) if left else -chi_zero(op, -chi)
         p_chi = apply(op, chi)
         e_plus, e_minus = p_chi.exp(), (-p_chi).exp()
+        inner = e_minus * eq.a0 if left else eq.a0 * e_minus
     else:
         _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w), mirror=not left)
-        unit_shift = one + a1.scale(w)
-        e_minus = e_pt * unit_shift if left else unit_shift * e_pt
-    if left:
-        return e_plus * apply(op, e_minus * eq.a0)
-    return apply(op, eq.a0 * e_minus) * e_plus
+        # exp(-P chi) a0 = exp(Pt chi)(1 + w*a1) a0, mirrored on the right
+        inner = e_pt * _shifted_a0(eq) if left else _shifted_a0(eq) * e_pt
+    return e_plus * apply(op, inner) if left else apply(op, inner) * e_plus

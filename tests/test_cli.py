@@ -122,11 +122,21 @@ def test_negative_order(capsys):
     ["solve", "--dim", "-2", "--operator", "antider", "--a0", "0,1", "--a1", "0,1",
      "--order", "4"],
     ["verify", "rb-axiom", "--samples", "-3", "--order", "4"],
-], ids=["verify-dim-0", "solve-dim-negative", "verify-samples-negative"])
+    ["verify", "gen-spitzer-noncomm", "--dim", "9", "--order", "4"],
+    ["solve", "--dim", "9", "--operator", "antider", "--a0", "0,1", "--a1", "0,1",
+     "--order", "4"],
+], ids=["verify-dim-0", "solve-dim-negative", "verify-samples-negative", "verify-dim-past-most",
+        "solve-dim-past-most"])
 def test_out_of_range_common_flag(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: --")
+
+
+def test_dim_at_its_most_is_accepted(capsys):
+    code, out, err = run(capsys, "verify", "rb-axiom", "--dim", "8", "--order", "2",
+                         "--samples", "2")
+    assert (code, err) == (0, "") and out.rstrip().endswith("PASS")
 
 
 def test_unknown_identity(capsys):
@@ -257,6 +267,7 @@ def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
     {"id": "rb-axiom", "params": {"dim": True}},
     {"id": "rb-axiom", "params": {"order": -3, "samples": 0}},
     {"id": "rb-axiom", "params": {"dim": 0}},
+    {"id": "rb-axiom", "params": {"dim": 9}},
     {"id": "kingman", "params": {"nmax": -1}},
     {"id": "lemma-iter-a", "params": {"kmax": -1}},
     {"id": ["rb-axiom"]},
@@ -274,6 +285,7 @@ def test_suite_rejects_a_bad_manifest(tmp_path, capsys, text):
     {"id": "bogus"},
 ], ids=["expect-bogus", "q-one", "q-zero-denominator", "q-list", "operator-unknown",
         "order-not-a-number", "order-float", "dim-bool", "vacuous-pass", "dim-zero",
+        "dim-past-most",
         "nmax-negative", "kmax-negative", "id-not-a-string", "q-float-tenth", "q-float-half",
         "antider-qint-q-one", "antider-qint-q-minus-one", "antider-qint-q-zero",
         "unknown-name", "fixed-name-given", "spitzer-dim", "eulerian-seed",

@@ -34,12 +34,13 @@ class Case(NamedTuple):
     argparse_error: bool = False  # the case holds an error argparse reports itself
 
 
-# Values on the table, kept small so that a check takes milliseconds.
+# Values on the table, kept small so that a check takes milliseconds, and the
+# largest dim.
 ON_TABLE = {
     "operator": st.sampled_from(("qint", "qscale", "antider")),
     "q": st.sampled_from(("1/2", "2/3", "-1/2", "3")),
     "order": st.integers(0, 4),
-    "dim": st.integers(1, 2),
+    "dim": st.sampled_from((1, 2, PARAMS["dim"].most)),
     "seed": st.integers(-3, 3),
     "samples": st.integers(1, 2),
     "nmax": st.integers(0, 2),
@@ -50,6 +51,8 @@ assert set(ON_TABLE) == set(PARAMS)
 OFF_TABLE_TEXT = st.sampled_from(
     ("-1", "-3", "x", "1.5", "-0.5", "", "0", "1", "1/0", "nope", "qint"))
 OFF_TABLE_JSON = OFF_TABLE_TEXT | st.sampled_from((-1, 2.5, True, None, [1], {"a": 1}))
+# One past a param's largest value.
+PAST_MOST = {name: st.just(p.most + 1) for name, p in PARAMS.items() if p.most is not None}
 SERIES = st.sampled_from(("0,1", "0,1,1/2", "1,0,-2/3", "0,[[1,2],[0,1]]"))
 OFF_SERIES = st.sampled_from(("0,1/0", "0,x", "", "[[1,2]]"))
 IDS = st.sampled_from(sorted(IDENTITIES) + ["bogus"])
@@ -66,7 +69,8 @@ def _flags(draw, names, always):
     argv = []
     for name in names:
         if name in always or draw(st.booleans()):
-            argv += [f"--{name}", draw(_sometimes_off(ON_TABLE[name].map(str), OFF_TABLE_TEXT))]
+            off = OFF_TABLE_TEXT | PAST_MOST[name].map(str) if name in PAST_MOST else OFF_TABLE_TEXT
+            argv += [f"--{name}", draw(_sometimes_off(ON_TABLE[name].map(str), off))]
     return argv
 
 
@@ -119,7 +123,8 @@ def manifest_entries(draw):
     params = {}
     for name in sorted(reads, key=list(PARAMS).index):
         if name in ("order", "samples") or draw(st.booleans()):
-            params[name] = draw(_sometimes_off(ON_TABLE[name], OFF_TABLE_JSON))
+            off = OFF_TABLE_JSON | PAST_MOST[name] if name in PAST_MOST else OFF_TABLE_JSON
+            params[name] = draw(_sometimes_off(ON_TABLE[name], off))
     if draw(st.integers(0, 3)) == 0:  # a name the check does not read, or no param at all
         extra = draw(st.sampled_from(sorted(set(PARAMS) - reads) + ["ordr", "variant", "item"]))
         params[extra] = draw(st.one_of(ON_TABLE.get(extra, st.integers(0, 2)), OFF_TABLE_JSON))

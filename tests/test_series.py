@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
@@ -339,6 +340,92 @@ def test_relaxed_set_rescales_the_settled_coefficients(ring):
         r.set(c, ([5 * v for v in num], 5 * den))
         assert r.series().truncate(c) == x.truncate(c)
     assert r.series() == x
+
+
+# The block kernel of x*y and of RelaxedSeries.product_coefficient, held
+# against products of Fraction matrices built from the coefficients alone.
+
+KERNEL_DIMS = [1, 2, 3, 4, 5]
+
+
+def _fraction_blocks(s):
+    """Each coefficient of s as a d x d list of rows of Fractions."""
+    d = s.ring.dim
+    blocks = (s.block(k) for k in range(s.cap + 1))
+    return [[[Fraction(v, den) for v in num[r * d : (r + 1) * d]] for r in range(d)]
+            for num, den in blocks]
+
+
+def _fraction_sum(xs, ys, c, js):
+    """The sum of xs[j] ys[c - j] over j in js, as Fraction matrices."""
+    d = len(xs[0])
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for j in js:
+        a, b = xs[j], ys[c - j]
+        for r in range(d):
+            for col in range(d):
+                out[r][col] += sum(a[r][k] * b[k][col] for k in range(d))
+    return out
+
+
+def _with_zero_blocks(s, zero):
+    """s with the coefficients of the powers in `zero` set to 0."""
+    dd = s.ring.dim ** 2
+    num = [v for k in range(s.cap + 1) for v in ([0] * dd if k in zero else s.block(k)[0])]
+    return TruncatedSeries.from_numerators(s.ring, s.cap, num, s.block(0)[1])
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_mul_matches_a_fraction_matrix_product(d):
+    """Nonzero constant terms, zero blocks on either side and exp's divisor q."""
+    ring, cap = matrix_ring(d), 6
+    rng = random.Random(40 + d)
+    x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2, 5})
+    y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {1, 3})
+    assert any(x.block(0)[0]) and any(y.block(0)[0])
+    xs, ys = _fraction_blocks(x), _fraction_blocks(y)
+    for q in (1, 6):
+        want = [[[v / q for v in row] for row in _fraction_sum(xs, ys, c, range(c + 1))]
+                for c in range(cap + 1)]
+        assert _fraction_blocks(x._mul(y, q)) == want
+    assert _fraction_blocks(y * x) == [_fraction_sum(ys, xs, c, range(c + 1))
+                                       for c in range(cap + 1)]
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS)
+def test_product_coefficient_matches_a_fraction_matrix_sum(d):
+    """Every c and every explicit lo..hi, the empty ranges too, not reduced."""
+    ring, cap = matrix_ring(d), 5
+    rng = random.Random(50 + d)
+    x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {3})
+    y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2})
+    xs, ys = _fraction_blocks(x), _fraction_blocks(y)
+    rx, ry = RelaxedSeries.of(x), RelaxedSeries.of(y)
+    for c in range(cap + 1):
+        bounds = [(lo, hi) for lo in range(c + 1) for hi in range(lo - 1, c + 1)]
+        for lo, hi in bounds + [(1, None)]:
+            num, den = rx.product_coefficient(ry, c, lo, hi)
+            assert den == x._den * y._den
+            want = _fraction_sum(xs, ys, c, range(lo, c if hi is None else hi + 1))
+            assert [[Fraction(v, den) for v in num[r * d : (r + 1) * d]]
+                    for r in range(d)] == want
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS[1:])
+def test_block_kernel_keeps_the_factor_order(d):
+    """E_01 t and E_10 t do not commute: xy = E_00 t^2 and yx = E_11 t^2, so a
+    kernel that reads either factor transposed gives 0 for both."""
+    ring, cap, dd = matrix_ring(d), 2, d * d
+    x = TruncatedSeries.from_numerators(ring, cap, [0] * dd + [int(e == 1) for e in range(dd)]
+                                        + [0] * dd, 1)
+    y = TruncatedSeries.from_numerators(ring, cap, [0] * dd + [int(e == d) for e in range(dd)]
+                                        + [0] * dd, 1)
+    e00 = [int(e == 0) for e in range(dd)]
+    e11 = [int(e == d + 1) for e in range(dd)]
+    assert (x * y).block(2) == (e00, 1) and (y * x).block(2) == (e11, 1)
+    rx, ry = RelaxedSeries.of(x), RelaxedSeries.of(y)
+    assert rx.product_coefficient(ry, 2) == (e00, 1)
+    assert ry.product_coefficient(rx, 2) == (e11, 1)
 
 
 def test_combine_sums_scaled_blocks_reduced():

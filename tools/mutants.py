@@ -61,8 +61,10 @@ MUTANTS = (
            "    _require_equal(solver, e_pt * e_p if mirror else e_p * e_pt, g)\n",
            "", LIFTED),
     Mutant("closed-unit-shift-dropped", SOLVERS,
-           "e_minus = e_pt * unit_shift if left else unit_shift * e_pt",
-           "e_minus = e_pt", LIFTED),
+           "inner = e_pt * _shifted_a0(eq) if left else _shifted_a0(eq) * e_pt",
+           "inner = e_pt * eq.a0 if left else eq.a0 * e_pt", LIFTED),
+    Mutant("shifted-a0-factor-order", SOLVERS,
+           "product = eq.a1 * eq.a0 if", "product = eq.a0 * eq.a1 if", SOLVING),
     Mutant("split-no-factorial", SOLVERS,
            "out.append(prev.set(c, (num, den * n)))",
            "out.append(prev.set(c, (num, den)))", LIFTED),
@@ -92,6 +94,8 @@ MUTANTS = (
            "        yield chi, a + bch(px, ptx).scale(1 / op.weight)\n",
            "", ("tests/test_checks.py",)),
     # The coefficient kernel and the exponential the proofs use.
+    Mutant("block-kernel-right-transposed", SERIES,
+           "b{k * d + c}", "b{c * d + k}", ("tests/test_series.py",)),
     Mutant("relaxed-set-no-rescale", SERIES,
            "self._num = [k * v for v in self._num]",
            "self._num = list(self._num)", ("tests/test_series.py",)),
@@ -161,6 +165,10 @@ MUTANTS = (
            "params.pop(\"q\", None)", "pass", PARAMS_READ),
     Mutant("integer-bound-unchecked", CHECKS,
            "if least is not None and value < least:", "if False:", PARAMS_READ),
+    Mutant("integer-most-unchecked", CHECKS,
+           "if most is not None and value > most:", "if False:", PARAMS_READ),
+    Mutant("integer-most-refused", CHECKS,
+           "value > most:", "value >= most:", PARAMS_READ),
 )
 
 
