@@ -18,7 +18,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from math import factorial, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -382,14 +382,15 @@ def _eulerian(params: Mapping) -> Pairs:
     ring = scalar_ring()
     one = TruncatedSeries.one(ring, cap)
     t = TruncatedSeries.var(ring, cap)
-    prod_inv = q_product("prod-one-minus-inv", q, cap)
+    # the three prop-* variants read it, so each builds it when it runs
+    prod_inv = partial(q_product, "prod-one-minus-inv", q, cap)
     if variant == "prop-one-printed":
-        yield _q_sum(cap, q, lambda n: 2 * n - 1), (one - t) * prod_inv
+        yield _q_sum(cap, q, lambda n: 2 * n - 1), (one - t) * prod_inv()
     elif variant == "prop-one-corrected":
         yield (_q_sum(cap, q, lambda n: 2 * n - 1),
-               (one.scale(1 / q) - t) * prod_inv + one.scale(1 - 1 / q))
+               (one.scale(1 / q) - t) * prod_inv() + one.scale(1 - 1 / q))
     elif variant == "prop-two":
-        yield _q_sum(cap, q, lambda n: n), prod_inv
+        yield _q_sum(cap, q, lambda n: n), prod_inv()
     elif variant == "qbinomial-printed":
         yield _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1), q_product("prod-one-plus", q, cap)
     elif variant == "qbinomial-corrected":

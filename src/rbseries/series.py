@@ -192,6 +192,15 @@ class TruncatedSeries:
         num = self._num[: (cap + 1) * self.ring.dim**2]
         return TruncatedSeries._make(self.ring, cap, num, self._den)
 
+    def transpose(self) -> "TruncatedSeries":
+        """Every coefficient transposed; a copy over Q. It reverses products and
+        commutes with each operator, which acts on each coefficient, so it
+        carries an equation to its mirror in the opposite algebra."""
+        d = self.ring.dim
+        num = [self._num[k + c * d + r] for k in range(0, len(self._num), d * d)
+               for r in range(d) for c in range(d)]
+        return TruncatedSeries._make(self.ring, self.cap, num, self._den)
+
     def coefficient(self, k: int) -> RingElement:
         """The coefficient of t^k as a RingElement."""
         if not 0 <= k <= self.cap:

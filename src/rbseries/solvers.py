@@ -14,9 +14,10 @@ exactly when exp(P x) exp(Pt x) = exp(-w a), since Pt x = -w x - P x and log
 is a bijection; the proof computes both exponentials afresh and multiplies
 them. The closed forms implement the exponential solutions: Spitzer for the
 homogeneous equation and the generalized identities for the inhomogeneous
-ones. Over a non-commutative ring at nonzero weight, closed_solve settles the
-split of (1 + w a1)^-1 and builds its solution from the two exponentials the
-proof computed.
+ones, all through the one left-handed formula of closed_solve. Over a
+non-commutative ring at nonzero weight, closed_solve settles the split of
+(1 + w a1)^-1 and builds its solution from the two exponentials the proof
+computed.
 """
 
 from __future__ import annotations
@@ -61,9 +62,13 @@ class EquationSpec:
     inhom-left    b = P((1 + w*a1)*a0) + P(a1*b)
     inhom-right   b = P(a0*(1 + w*a1)) + P(b*a1)
 
-    where w is the operator weight. The right-handed equation is the
-    opposite-algebra mirror of the left one; in a commutative ring the two
-    coincide.
+    where w is the operator weight. The right-handed equation is the left one
+    in the opposite algebra: over d x d matrices, transposing every
+    coefficient reverses products and commutes with P, which acts on each
+    coefficient, so b solves the right-handed equation in a1, a0 exactly when
+    its transpose solves the left one in their transposes. In a commutative
+    ring the two coincide. The homogeneous equation is 1 + the solution of the
+    left one with a0 = (1 + w*a1)^-1 a1.
     """
 
     form: str
@@ -174,15 +179,16 @@ def _settle_powers(base: RelaxedSeries, terms: list, c: int) -> list:
     return out
 
 
-def _settle_split(op: OperatorSpec, g: TruncatedSeries, mirror: bool) -> TruncatedSeries:
-    """The x with exp(X) exp(Y) = g, or exp(Y) exp(X) = g when mirror, where
-    X = P(x) and Y = Pt(x) = -w*x - X; g must have constant term 1.
+def _settle_split(op: OperatorSpec, g: TruncatedSeries) -> TruncatedSeries:
+    """The x with exp(X) exp(Y) = g, where X = P(x) and Y = Pt(x) = -w*x - X;
+    g must have constant term 1. The split in the opposite order is this one
+    of the transpose of g, transposed.
 
     With E = exp(X) - 1 and F = exp(Y) - 1, coefficient c of the product is
     X[c] + Y[c] = -w*x[c], plus the X^n/n! and Y^n/n! for n >= 2 and the
-    cross term E*F (F*E when mirror), all read from coefficients below c. So
-    step c settles x[c] = w^-1 (sum of those - g[c]), and P, diagonal for both
-    nonzero weights, gives X[c] = m_c*x[c].
+    cross term E*F, all read from coefficients below c. So step c settles
+    x[c] = w^-1 (sum of those - g[c]), and P, diagonal for both nonzero
+    weights, gives X[c] = m_c*x[c].
     """
     ring, cap = g.ring, g.cap
     w = op.weight
@@ -191,11 +197,10 @@ def _settle_split(op: OperatorSpec, g: TruncatedSeries, mirror: bool) -> Truncat
     x, X, Y, E, F = (RelaxedSeries(ring, cap) for _ in range(5))
     # X^n/n! and Y^n/n! for n = 2..cap, at index n - 2
     x_terms, y_terms = ([RelaxedSeries(ring, cap) for _ in range(cap - 1)] for _ in range(2))
-    first, second = (F, E) if mirror else (E, F)
     for c in range(1, cap + 1):
         x_pow = _settle_powers(X, x_terms, c)
         y_pow = _settle_powers(Y, y_terms, c)
-        cross = first.product_coefficient(second, c)
+        cross = E.product_coefficient(F, c)
         x_c = x.set(c, combine((inv_w, cross), *((inv_w, b) for b in x_pow + y_pow),
                                (-inv_w, g.block(c))))
         X_c = X.set(c, combine((factor[c], x_c)))
@@ -206,15 +211,16 @@ def _settle_split(op: OperatorSpec, g: TruncatedSeries, mirror: bool) -> Truncat
 
 
 def _split(
-    solver: str, op: OperatorSpec, g: TruncatedSeries, mirror: bool
+    solver: str, op: OperatorSpec, g: TruncatedSeries
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """(x, exp(P x), exp(Pt x)) for the x of _settle_split, proved at full cap:
-    both exponentials are computed afresh from x alone and their product must
-    be g. Raises ConvergenceError naming `solver` otherwise."""
-    x = _settle_split(op, g, mirror)
+    both exponentials are computed afresh from x alone and their product
+    exp(P x) exp(Pt x) must be g. Raises ConvergenceError naming `solver`
+    otherwise."""
+    x = _settle_split(op, g)
     p = apply(op, x)
     e_p, e_pt = p.exp(), (x.scale(-op.weight) - p).exp()
-    _require_equal(solver, e_pt * e_p if mirror else e_p * e_pt, g)
+    _require_equal(solver, e_p * e_pt, g)
     return x, e_p, e_pt
 
 
@@ -230,7 +236,7 @@ def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     if w == 0:
         raise SolverUsageError("chi_lambda requires nonzero weight; use chi_zero")
     require_domain(op, a)
-    return _split("chi_lambda", op, a.scale(-w).exp(), mirror=False)[0]
+    return _split("chi_lambda", op, a.scale(-w).exp())[0]
 
 
 _BERNOULLI_CACHE = [Q(1)]
@@ -321,47 +327,41 @@ def inhom_closed_weight0(eq: EquationSpec) -> TruncatedSeries:
 
 
 def closed_solve(eq: EquationSpec) -> TruncatedSeries:
-    """Closed-form solution of any of the three equations over any ring.
+    """Closed-form solution of any of the three equations over any ring, by
+    the one left-handed formula exp(P(chi)) P(exp(-P(chi)) a0).
 
-    An inhomogeneous equation is solved by exp(P(chi)) P(exp(-P(chi)) a0), or
-    on the right by its mirror P(a0 exp(-P(chi))) exp(P(chi)). With
-    u = w^-1 log(1 + w*a1), chi is u itself over a commutative ring, where
-    both recursions reduce to the identity. At weight 0 it is chi_zero(u) on
-    the left and -chi_zero(-u) on the right.
-
+    With u = w^-1 log(1 + w*a1), chi is u itself over a commutative ring,
+    where both recursions reduce to the identity, and chi_zero(u) at weight 0.
     At nonzero weight over a non-commutative ring, chi = chi_lambda(u) splits
     g = exp(-w*u) = (1 + w*a1)^-1 as exp(P chi) exp(Pt chi), so
     exp(-P chi) = exp(Pt chi)(1 + w*a1): the split of g is settled directly
     and its two proved exponentials give the solution, with no log of a1.
-    On the right, chi = -chi_lambda(-u) splits g in the opposite order,
-    exp(Pt chi) exp(P chi) = g, and exp(-P chi) = (1 + w*a1) exp(Pt chi).
 
-    The homogeneous equation b = 1 + P(a1*b) is Spitzer's exponential over a
-    commutative ring. Otherwise b = 1 + c, where c solves the
-    inhomogeneous-left equation with a0 = (1 + w*a1)^-1 * a1: at weight 0 that
-    a0 is a1, and at nonzero weight exp(-P chi) a0 = exp(Pt chi) a1, so
-    b = 1 + exp(P chi) P(exp(Pt chi) a1) straight from the split of
-    (1 + w*a1)^-1.
+    The other two equations reduce to this formula (see EquationSpec). Over a
+    matrix ring the right-handed equation is solved as the left one in the
+    transposes of a1 and a0, and the solution is transposed back; over Q the
+    two equations are the same. The homogeneous equation is Spitzer's
+    exponential over Q. Otherwise b = 1 + the left solution with
+    a0 = (1 + w*a1)^-1 a1, so a1 takes the place of a0 in exp(-P chi) a0,
+    which becomes exp(-P chi) a1 at weight 0 and exp(Pt chi) a1 at nonzero
+    weight, with no second inverse. picard_solve, the oracle the closed forms
+    are checked against, solves each equation on its own side.
     """
     op, a1, w = eq.op, eq.a1, eq.op.weight
-    one = TruncatedSeries.one(a1.ring, a1.cap)
-    if eq.form == HOMOGENEOUS:
-        if a1.ring.commutative:
-            return spitzer_closed(op, a1)
-        if w == 0:
-            return one + closed_solve(EquationSpec(INHOM_LEFT, op, a1, a1))
-        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w), mirror=False)
-        return one + e_plus * apply(op, e_pt * a1)
-    left = eq.form == INHOM_LEFT
-    if a1.ring.commutative or w == 0:
-        chi = a1.lambda_log(w)
-        if not a1.ring.commutative:
-            chi = chi_zero(op, chi) if left else -chi_zero(op, -chi)
-        p_chi = apply(op, chi)
+    commutative, homogeneous = a1.ring.commutative, eq.form == HOMOGENEOUS
+    if homogeneous and commutative:
+        return spitzer_closed(op, a1)
+    if eq.form == INHOM_RIGHT and not commutative:
+        opposite = EquationSpec(INHOM_LEFT, op, a1.transpose(), eq.a0.transpose())
+        return closed_solve(opposite).transpose()
+    if commutative or w == 0:
+        u = a1.lambda_log(w)
+        p_chi = apply(op, u if commutative else chi_zero(op, u))
         e_plus, e_minus = p_chi.exp(), (-p_chi).exp()
-        inner = e_minus * eq.a0 if left else eq.a0 * e_minus
+        inner = e_minus * (a1 if homogeneous else eq.a0)
     else:
-        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w), mirror=not left)
-        # exp(-P chi) a0 = exp(Pt chi)(1 + w*a1) a0, mirrored on the right
-        inner = e_pt * _shifted_a0(eq) if left else _shifted_a0(eq) * e_pt
-    return e_plus * apply(op, inner) if left else apply(op, inner) * e_plus
+        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w))
+        # exp(-P chi) a0 = exp(Pt chi)(1 + w*a1) a0
+        inner = e_pt * (a1 if homogeneous else _shifted_a0(eq))
+    b = e_plus * apply(op, inner)
+    return TruncatedSeries.one(a1.ring, a1.cap) + b if homogeneous else b

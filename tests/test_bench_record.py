@@ -1,8 +1,9 @@
 """The recorded benchmark files at the repository root keep one key set:
 kernel timings are required from BENCH_9.json on, and absent before it; the
 lambda_log and geom_inv kernels are required from BENCH_11.json on, the
-wall times of the acceptance bounds from BENCH_13.json on, and the per-round
-work counts of a traced run from BENCH_17.json on."""
+wall times of the acceptance bounds from BENCH_13.json on, the per-round
+work counts of a traced run from BENCH_17.json on, and closed_solve on the
+right-handed equation and x*y at cap 30 after BENCH_18.json."""
 
 import json
 from pathlib import Path
@@ -53,9 +54,11 @@ def test_record_key_set(path):
 
     timings = record["solvers_fastest_ms"]
     assert set(timings) == SIDES
+    solvers = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
+    if number > 18:
+        solvers += ("closed_solve right",)
     expected = {f"{solver} {d}x{d} cap {cap}"
-                for solver in ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
-                for d in (2, 3) for cap in (6, 10, 16)}
+                for solver in solvers for d in (2, 3) for cap in (6, 10, 16)}
     for side in SIDES:
         assert set(timings[side]) == expected
         assert all(ms > 0 for ms in timings[side].values())
@@ -68,6 +71,8 @@ def test_record_key_set(path):
             names += ("lambda_log", "geom_inv")
         expected = {f"{kernel} {d}x{d} cap {cap}"
                     for kernel in names for d in (1, 2, 3) for cap in (6, 10, 16)}
+        if number > 18:
+            expected |= {f"mul {d}x{d} cap 30" for d in (1, 2, 3)}
         for side in SIDES:
             assert set(kernels[side]) == expected
             assert all(ms > 0 for ms in kernels[side].values())

@@ -234,13 +234,15 @@ def test_spitzer_check():
 def test_bch_chl_check_holds_chi_against_the_bch_recursion(monkeypatch):
     """The check compares chi with a + w^-1 BCH(P chi, Pt chi) itself, not
     only the product of the exponentials: the fixed point of the mirrored
-    recursion, exp(Pt x) exp(P x) = exp(-w a), fails at the first pair."""
+    recursion, exp(Pt x) exp(P x) = exp(-w a), fails at the first pair. That
+    x is the transpose of the split of the transpose of exp(-w a)."""
     from rbseries import checks, solvers
 
     settled = []
 
     def mirrored(op, a):
-        settled.append(solvers._split("chi_lambda", op, a.scale(-op.weight).exp(), mirror=True)[0])
+        g = a.scale(-op.weight).exp()
+        settled.append(solvers._split("chi_lambda", op, g.transpose())[0].transpose())
         return settled[-1]
 
     params = {"operator": "qint", "q": "1/2", "order": 8, "dim": 2, "samples": 2, "seed": 7}

@@ -233,7 +233,7 @@ def test_chi_zero_of_a_series_with_a_constant_term():
 # --------------------------------- closed_solve on the proved exponentials
 
 CLOSED_OPS = [OperatorSpec(kind, rational(q)) for kind in (QINT, QSCALE)
-              for q in ("1/2", "-1/2", "3")]
+              for q in ("1/2", "-1/2", "3")] + [OperatorSpec(ANTIDER)]
 
 
 @pytest.mark.parametrize("cap", [10, 16])

@@ -428,6 +428,34 @@ def test_block_kernel_keeps_the_factor_order(d):
     assert ry.product_coefficient(rx, 2) == (e11, 1)
 
 
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_transpose_reverses_products(d):
+    """Nonzero constant terms and zero blocks on either side: transpose is an
+    involution onto the opposite algebra, and it moves entries."""
+    ring, cap = matrix_ring(d), 6
+    rng = random.Random(60 + d)
+    x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2, 5})
+    y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {1, 3})
+    assert any(x.block(0)[0]) and any(y.block(0)[0])
+    assert x * y != y * x and x.transpose() != x
+    assert (x * y).transpose() == y.transpose() * x.transpose()
+    assert x.transpose().transpose() == x
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_transpose_transposes_every_coefficient(d):
+    ring, cap = matrix_ring(d), 5
+    x = random_series(ring, cap, random.Random(70 + d), 0, 7)
+    rows = [[list(col) for col in zip(*block)] for block in _fraction_blocks(x)]
+    assert x.transpose() == TruncatedSeries.from_coeffs(ring, cap, rows)
+
+
+@pytest.mark.parametrize("cap", (0, 1, 8))
+def test_transpose_is_the_identity_over_q(cap):
+    x = random_series(SCALAR, cap, random.Random(80 + cap), 0, 7)
+    assert x.transpose() == x
+
+
 def test_combine_sums_scaled_blocks_reduced():
     one_half, one_third = ([1], 2), ([2], 6)
     assert combine((1, one_half), (1, one_third)) == ([5], 6)

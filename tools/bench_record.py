@@ -11,17 +11,18 @@ every workload in the change's BENCHMARK.json runs once on each side with
 change first on odd i. The file holds, per workload and end-to-end metric,
 each side's median, quartiles and runs, the pairs the change won (ties count
 for neither) and the failed operations; then fastest-of-k timings on each side
-of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices, and of the
-kernels (x*y, apply, tilde_apply, exp, lambda_log(1), geom_inv(1)) at the
-same caps over scalars and 2x2
-and 3x3 matrices, taken in two runs per side (parent, change, change, parent)
-and each the faster of its side's two; the wall time of each acceptance bound
-(the pytest nodes of criteria 1 and 4, and `python -m rbseries.cli suite`), run
-as a subprocess three times per side in the order parent, change, change,
-parent, parent, change, as each side's median; the exact work counts per
-round (every metric of unit count: the layers' calls and products) of one
-traced run (`perfbench/run.py --trace 1`) per side and workload, at the first
-pair's seed; and the environment. Standard library only.
+of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices (closed_solve on
+the left- and the right-handed equation), and of the kernels (x*y, apply,
+tilde_apply, exp, lambda_log(1), geom_inv(1)) at the same caps, and of x*y at
+cap 30 too, over scalars and 2x2 and 3x3 matrices, taken in two runs per side
+(parent, change, change, parent) and each the faster of its side's two; the
+wall time of each acceptance bound (the pytest nodes of criteria 1 and 4, and
+`python -m rbseries.cli suite`), run as a subprocess three times per side in
+the order parent, change, change, parent, parent, change, as each side's
+median; the exact work counts per round (every metric of unit count: the
+layers' calls and products) of one traced run (`perfbench/run.py --trace 1`)
+per side and workload, at the first pair's seed; and the environment. Standard
+library only.
 
     python3 tools/bench_record.py --layers DIR
 
@@ -45,9 +46,10 @@ from pathlib import Path
 
 CAPS = (6, 10, 16)
 DIMS = (2, 3)
-SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve")
+SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve", "closed_solve right")
 KERNEL_DIMS = (1, 2, 3)
 KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv")
+MUL_CAP = 30  # the product alone is also timed at this cap
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
 CRITERIA = ("test_criterion_1_rota_baxter_axiom", "test_criterion_4_noncommutative_inhomogeneous")
 BOUNDS = {  # name: interpreter arguments
@@ -130,11 +132,13 @@ def _layers(root: Path) -> dict:
             rng = random.Random(100 * d + cap)
             a0, a1 = series(rb.matrix_ring(d), cap, rng), series(rb.matrix_ring(d), cap, rng)
             eq = solvers.EquationSpec(solvers.INHOM_LEFT, qint, a1, a0)
+            right = solvers.EquationSpec(solvers.INHOM_RIGHT, qint, a1, a0)
             calls = {
                 "picard_solve": lambda: solvers.picard_solve(eq),
                 "chi_lambda": lambda: solvers.chi_lambda(qint, a1),
                 "chi_zero": lambda: solvers.chi_zero(antider, a1),
                 "closed_solve": lambda: solvers.closed_solve(eq),
+                "closed_solve right": lambda: solvers.closed_solve(right),
             }
             k = 7 if cap < 16 else 3
             for name in SOLVERS:
@@ -150,7 +154,7 @@ def _layers(root: Path) -> dict:
     kernel_ms = {}
     for d in KERNEL_DIMS:
         ring = rb.scalar_ring() if d == 1 else rb.matrix_ring(d)
-        for cap in CAPS:
+        for cap in CAPS + (MUL_CAP,):
             rng = random.Random(1000 + 100 * d + cap)
             x, y = series(ring, cap, rng), series(ring, cap, rng)
             calls = {
@@ -161,7 +165,7 @@ def _layers(root: Path) -> dict:
                 "lambda_log": lambda: x.lambda_log(1),
                 "geom_inv": lambda: x.geom_inv(1),
             }
-            for name in KERNELS:
+            for name in KERNELS if cap in CAPS else ("mul",):
                 timer = timeit.Timer(calls[name])
                 number = max(1, round(0.01 / timer.timeit(1)))
                 best = min(timer.repeat(5, number)) / number

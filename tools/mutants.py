@@ -54,15 +54,12 @@ class Mutant:
 
 MUTANTS = (
     # The relaxed kernel: chi_lambda's product-form split and its reuse.
-    Mutant("split-cross-term-unmirrored", SOLVERS,
-           "first, second = (F, E) if mirror else (E, F)",
-           "first, second = (E, F)", LIFTED),
     Mutant("split-proof-removed", SOLVERS,
-           "    _require_equal(solver, e_pt * e_p if mirror else e_p * e_pt, g)\n",
+           "    _require_equal(solver, e_p * e_pt, g)\n",
            "", LIFTED),
     Mutant("closed-unit-shift-dropped", SOLVERS,
-           "inner = e_pt * _shifted_a0(eq) if left else _shifted_a0(eq) * e_pt",
-           "inner = e_pt * eq.a0 if left else eq.a0 * e_pt", LIFTED),
+           "inner = e_pt * (a1 if homogeneous else _shifted_a0(eq))",
+           "inner = e_pt * (a1 if homogeneous else eq.a0)", LIFTED),
     Mutant("shifted-a0-factor-order", SOLVERS,
            "product = eq.a1 * eq.a0 if", "product = eq.a0 * eq.a1 if", SOLVING),
     Mutant("split-no-factorial", SOLVERS,
@@ -77,8 +74,12 @@ MUTANTS = (
            "X.set(c, combine((factor[c], x_c)))",
            "X.set(c, combine((factor[c - 1], x_c)))", LIFTED),
     Mutant("closed-homogeneous-factor-order", SOLVERS,
-           "return one + e_plus * apply(op, e_pt * a1)",
-           "return one + e_plus * apply(op, a1 * e_pt)", LIFTED),
+           "inner = e_pt * (a1 if homogeneous else _shifted_a0(eq))",
+           "inner = a1 * e_pt if homogeneous else e_pt * _shifted_a0(eq)", LIFTED),
+    # The right-handed equation as the left one in the opposite algebra.
+    Mutant("closed-right-untransposed", SOLVERS,
+           "return closed_solve(opposite).transpose()",
+           "return closed_solve(opposite)", LIFTED),
     # Relaxed Picard and chi_zero.
     Mutant("picard-last-term-dropped", SOLVERS,
            "a1.product_coefficient(b, k, 1, k)",
@@ -96,6 +97,8 @@ MUTANTS = (
     # The coefficient kernel and the exponential the proofs use.
     Mutant("block-kernel-right-transposed", SERIES,
            "b{k * d + c}", "b{c * d + k}", ("tests/test_series.py",)),
+    Mutant("transpose-keeps-entries", SERIES,
+           "self._num[k + c * d + r]", "self._num[k + r * d + c]", ("tests/test_series.py",)),
     Mutant("relaxed-set-no-rescale", SERIES,
            "self._num = [k * v for v in self._num]",
            "self._num = list(self._num)", ("tests/test_series.py",)),
