@@ -202,14 +202,18 @@ def poch(q: Q, n: int) -> Q:
     return out
 
 
-def _power_sum_product(q: Q, cap: int, sign: int, inverse: bool) -> TruncatedSeries:
-    """Product over n >= 1 of (1 + sign*q^n t)^(+-1), via its logarithm.
+def q_product(q, cap: int, sign: int, inverse: bool) -> TruncatedSeries:
+    """The product over n >= 1 of (1 + sign*q^n t), or its inverse when
+    `inverse` is set, truncated at cap, via its logarithm. The Eulerian
+    identities read (1 + q^n t) (sign 1), 1/(1 - q^n t) (sign -1, inverse)
+    and 1/(1 + q^n t) (sign 1, inverse).
 
     log prod (1 + s q^n t) = sum_j (-1)^(j-1) s^j p_j t^j / j with the power
     sums p_j = sum_n q^(jn) evaluated in closed form as q^j/(1-q^j). This is
     exact for every rational q with |q| != 1, including |q| > 1 where partial
     products do not converge coefficientwise.
     """
+    q = rational(q)
     ring = scalar_ring()
     coeffs = [Q(0)]
     qj = Q(1)
@@ -221,16 +225,6 @@ def _power_sum_product(q: Q, cap: int, sign: int, inverse: bool) -> TruncatedSer
     if inverse:
         log_series = -log_series
     return log_series.exp()
-
-
-def q_product(form: str, q, cap: int) -> TruncatedSeries:
-    """Truncated infinite products over n >= 1 of (1 + q^n t) or 1/(1 - q^n t)."""
-    q = rational(q)
-    if form == "prod-one-plus":
-        return _power_sum_product(q, cap, 1, inverse=False)
-    if form == "prod-one-minus-inv":
-        return _power_sum_product(q, cap, -1, inverse=True)
-    raise ValueError(f"unknown product form: {form!r}")
 
 
 # ----------------------------------------------------------------- the checks
@@ -383,7 +377,7 @@ def _eulerian(params: Mapping) -> Pairs:
     one = TruncatedSeries.one(ring, cap)
     t = TruncatedSeries.var(ring, cap)
     # the three prop-* variants read it, so each builds it when it runs
-    prod_inv = partial(q_product, "prod-one-minus-inv", q, cap)
+    prod_inv = partial(q_product, q, cap, -1, inverse=True)
     if variant == "prop-one-printed":
         yield _q_sum(cap, q, lambda n: 2 * n - 1), (one - t) * prod_inv()
     elif variant == "prop-one-corrected":
@@ -392,12 +386,12 @@ def _eulerian(params: Mapping) -> Pairs:
     elif variant == "prop-two":
         yield _q_sum(cap, q, lambda n: n), prod_inv()
     elif variant == "qbinomial-printed":
-        yield _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1), q_product("prod-one-plus", q, cap)
+        yield _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1), q_product(q, cap, 1, inverse=False)
     elif variant == "qbinomial-corrected":
-        yield _q_sum(cap, q, lambda n: n * (n + 1) // 2), q_product("prod-one-plus", q, cap)
+        yield _q_sum(cap, q, lambda n: n * (n + 1) // 2), q_product(q, cap, 1, inverse=False)
     elif variant == "interior-lemma":
         # prod 1/(1+q^k t) = (1+t)(1 + sum (-t)^n / ((1-q)...(1-q^n)))
-        yield (_power_sum_product(q, cap, 1, inverse=True),
+        yield (q_product(q, cap, 1, inverse=True),
                (one + t) * _q_sum(cap, q, lambda n: 0, sign=lambda n: (-1) ** n))
 
 
@@ -406,7 +400,7 @@ def _computation_one(params: Mapping) -> Pairs:
     op = operator_of(QINT, params["q"])
     cap = params["order"]
     t = TruncatedSeries.var(scalar_ring(), cap)
-    yield ((-apply(op, t.log1p())).exp(), _power_sum_product(op.q, cap, 1, inverse=True))
+    yield ((-apply(op, t.log1p())).exp(), q_product(op.q, cap, 1, inverse=True))
 
 
 def _eulerian_third(params: Mapping) -> Pairs:

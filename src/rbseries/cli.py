@@ -134,7 +134,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if args.manifest:
         try:
             manifest = load_manifest_file(args.manifest)
-        except ManifestError as exc:
+        except (ManifestError, OSError) as exc:
             raise UsageError(f"--manifest: {exc}")
     else:
         manifest = default_manifest()

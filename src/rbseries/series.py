@@ -62,15 +62,13 @@ class TruncatedSeries:
 
     __slots__ = ("ring", "cap", "_num", "_den")
 
-    def __init__(self, ring: RingDescriptor, cap: int, coeffs: Sequence[RingElement]):
-        """Build from cap+1 RingElements, coefficient of t^k at index k; one of
-        another ring raises RingMismatchError in RingDescriptor.entries."""
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        if len(coeffs) != cap + 1:
-            raise ValueError("expected cap+1 coefficients")
-        self._init(ring, cap, *_over_one_denominator(
-            [e for c in coeffs for e in ring.entries(c)]))
+    def __init__(self, ring: RingDescriptor, cap: int, values: Iterable):
+        """The series with coefficients `values` from c_0 upward: missing ones
+        are zero and the excess is dropped. A value is what
+        RingDescriptor.entries reads: a RingElement of `ring` (one of another
+        ring raises RingMismatchError), rows of entries, or a rational or its
+        text for that multiple of the identity."""
+        self._init(ring, cap, *_numerators(ring, cap, values))
 
     def _init(self, ring: RingDescriptor, cap: int, num: list, den: int) -> None:
         g = gcd(den, *num)
@@ -138,17 +136,9 @@ class TruncatedSeries:
     def from_coeffs(
         cls, ring: RingDescriptor, cap: int, values: Iterable
     ) -> "TruncatedSeries":
-        """Coefficients c_0 upward; missing ones are zero, excess is truncated.
-
-        Every value, the excess too, is coerced by RingDescriptor.entries,
-        straight into numerators over one denominator.
-        """
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        size = (cap + 1) * ring.dim**2
-        num, den = _over_one_denominator(
-            [e for v in values for e in ring.entries(v)][:size])
-        return cls._make(ring, cap, num + [0] * (size - len(num)), den)
+        """TruncatedSeries(ring, cap, values): the same coercion, building the
+        series without running __init__."""
+        return cls._make(ring, cap, *_numerators(ring, cap, values))
 
     # --------------------------------------------------------------- structure
 
@@ -180,17 +170,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not any(self._num)
-
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        """Discard coefficients above a smaller cap."""
-        if cap > self.cap:
-            raise ValueError("cannot extend a truncated series")
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        if cap == self.cap:
-            return self
-        num = self._num[: (cap + 1) * self.ring.dim**2]
-        return TruncatedSeries._make(self.ring, cap, num, self._den)
 
     def transpose(self) -> "TruncatedSeries":
         """Every coefficient transposed; a copy over Q. It reverses products and
@@ -315,16 +294,6 @@ class TruncatedSeries:
             num[:0] = [0] * (min(shift, self.cap + 1) * self.ring.dim**2)
         return TruncatedSeries._make(self.ring, self.cap, num, self._den * den)
 
-    def pow(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        if n == 0:
-            return TruncatedSeries.one(self.ring, self.cap)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
     # ------------------------------------------------------------ analytic maps
 
     def _require_positive_valuation(self, what: str) -> None:
@@ -429,7 +398,9 @@ class TruncatedSeries:
         return ",".join(self._coefficient_texts(0, self.cap + 1))
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({self.ring!r}, {self.cap}, '{self}')"
+        """Python source that evaluates back to this series where the names
+        TruncatedSeries and RingDescriptor are bound."""
+        return f"TruncatedSeries({self.ring!r}, {self.cap}, {self.to_json()!r})"
 
     def to_json(self) -> list:
         """Array of rational strings, or of row-major matrices of strings."""
@@ -441,10 +412,17 @@ class TruncatedSeries:
                 for k in range(0, len(entries), d * d)]
 
 
-def _over_one_denominator(entries: list) -> tuple[list, int]:
-    """(numerator, positive denominator) pairs as numerators over their lcm."""
+def _numerators(ring: RingDescriptor, cap: int, values: Iterable) -> tuple[list, int]:
+    """The (cap+1)*dim*dim numerators of coefficients `values` from c_0 upward
+    over their least common denominator. Every value, the excess too, is
+    coerced by RingDescriptor.entries; missing ones are zero and the excess is
+    dropped."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    size = (cap + 1) * ring.dim**2
+    entries = [e for v in values for e in ring.entries(v)][:size]
     den = lcm(*(q for _, q in entries))
-    return [p * (den // q) for p, q in entries], den
+    return [p * (den // q) for p, q in entries] + [0] * (size - len(entries)), den
 
 
 def _entry_texts(num: Sequence[int], den: int) -> list:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -15,6 +17,10 @@ def rationals(max_num: int = 20, max_den: int = 12):
         min_value=Fraction(-max_num), max_value=Fraction(max_num),
         max_denominator=max_den,
     ).map(lambda f: Q(f.numerator, f.denominator))
+
+
+def power(x, n):
+    return reduce(mul, [x] * n, TruncatedSeries.one(x.ring, x.cap))
 
 
 def constants(ring, max_num: int = 5, max_den: int = 5):

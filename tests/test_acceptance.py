@@ -38,6 +38,7 @@ from rbseries.solvers import (
     spitzer_closed,
 )
 
+from conftest import power
 from test_series import S, random_series
 
 Q_SET = ("1/2", "2/3", "-1/2", "3")
@@ -157,8 +158,8 @@ def test_criterion_6_kingman():
             pu = apply(op, u)
             ptu = tilde_apply(op, u)
             for n in range(1, 7):
-                lhs = pu.pow(n).scale(op.weight)
-                rhs = apply(op, (-ptu).pow(n) - pu.pow(n))
+                lhs = power(pu, n).scale(op.weight)
+                rhs = apply(op, power(-ptu, n) - power(pu, n))
                 assert lhs == rhs, (op, n)
     _done(6, "kingman n=1..6, both nonzero weights, cap 12")
 
@@ -177,7 +178,7 @@ def test_criterion_7_iteration_lemma():
         for k in range(9):
             if k:
                 fact *= k
-            assert nested[k] == pa.pow(k).scale(Q(1, fact)), ("A", k)
+            assert nested[k] == power(pa, k).scale(Q(1, fact)), ("A", k)
         for k in range(7):
             acc = TruncatedSeries.zero(SCALAR, cap)
             for l in range(k + 1):

@@ -35,21 +35,23 @@ EULERIAN_QS = ["1/2", "2/3", "-1/2", "3", "5/7"]
 
 def test_q_product_one_plus():
     # elementary symmetric sums of {q^n}: e1 = 1, e2 = 1/3 at q = 1/2
-    assert q_product("prod-one-plus", "1/2", 2) == S("1,1,1/3")
+    assert q_product("1/2", 2, 1, inverse=False) == S("1,1,1/3")
 
 
 def test_q_product_one_minus_inv():
-    assert q_product("prod-one-minus-inv", "1/2", 2) == S("1,1,2/3")
+    assert q_product("1/2", 2, -1, inverse=True) == S("1,1,2/3")
+
+
+def test_q_product_one_plus_inv_inverts_one_plus():
+    assert q_product("1/2", 2, 1, inverse=True) == S("1,-1,2/3")
+    for q in EULERIAN_QS:
+        product = q_product(q, 6, 1, inverse=True) * q_product(q, 6, 1, inverse=False)
+        assert product == TruncatedSeries.one(SCALAR, 6)
 
 
 def test_q_product_cap_zero():
-    for form in ("prod-one-plus", "prod-one-minus-inv"):
-        assert q_product(form, "1/2", 0) == S("1")
-
-
-def test_q_product_unknown_form():
-    with pytest.raises(ValueError):
-        q_product("prod-mystery", "1/2", 3)
+    for sign, inverse in ((1, False), (-1, True), (1, True)):
+        assert q_product("1/2", 0, sign, inverse) == S("1")
 
 
 def test_poch():

@@ -381,7 +381,21 @@ def test_solve_names_the_flag_of_a_rejected_coefficient(capsys, argv, message):
 def test_suite_rejects_a_manifest_directory(tmp_path, capsys):
     code, out, err = run(capsys, "suite", "--manifest", str(tmp_path))
     assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --manifest: ")
+
+
+def test_suite_rejects_a_missing_manifest_file(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "suite", "--manifest", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: --manifest: ")
+    assert str(path) in err
+
+
+def test_suite_without_a_manifest_runs_the_default_one(capsys):
+    code, out, err = run(capsys, "suite")
+    assert code == 0 and err == ""
+    assert out == emit_report(checks.run_suite(checks.default_manifest()), "text") + "\n"
 
 
 @pytest.mark.parametrize("q_args", [["--q", "-1/2"], ["--q=-1/2"]],

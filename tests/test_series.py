@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from rbseries import checks
 from rbseries.checks import first_mismatch
-from rbseries.rings import Q, RingMismatchError, matrix_ring, rational
+from rbseries.rings import Q, RingDescriptor, RingMismatchError, matrix_ring, rational
 from rbseries.series import DomainError, RelaxedSeries, TruncatedSeries, combine, parse_series
 
-from conftest import MAT2, MAT3, SCALAR, rationals
+from conftest import MAT2, MAT3, SCALAR, power, rationals
 
 
 def S(text, cap=None, ring=SCALAR):
@@ -19,6 +19,11 @@ def S(text, cap=None, ring=SCALAR):
     if cap is None:
         cap = len(coeffs) - 1
     return TruncatedSeries.from_coeffs(ring, cap, coeffs)
+
+
+def truncated(x, cap):
+    """x modulo t^(cap+1), through the constructor."""
+    return TruncatedSeries(x.ring, cap, x.coeffs)
 
 
 def random_series(ring, cap, rng, min_val=0, bound=5):
@@ -129,9 +134,9 @@ def test_cap_mismatch_rejected():
 @settings(max_examples=40)
 def test_mul_truncation_consistency(x, y):
     cap = min(x.cap, y.cap)
-    xs, ys = x.truncate(cap), y.truncate(cap)
+    xs, ys = truncated(x, cap), truncated(y, cap)
     m = min(2, cap)
-    assert (xs * ys).truncate(m) == xs.truncate(m) * ys.truncate(m)
+    assert truncated(xs * ys, m) == truncated(xs, m) * truncated(ys, m)
 
 
 @given(positive_val_series)
@@ -262,9 +267,52 @@ def test_first_mismatch_strings_match_coefficients(ring):
 def test_truncate_drops_the_higher_coefficients(ring):
     y = random_series(ring, 6, random.Random(34), 1, 5)
     x = TruncatedSeries.from_coeffs(ring, 3, y.coeffs[:4])
-    assert y.truncate(3) == x and x.truncate(3) is x
-    with pytest.raises(ValueError):
-        x.truncate(4)
+    assert truncated(y, 3) == x
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_constructor_reads_what_from_coeffs_reads(ring):
+    """TruncatedSeries(ring, cap, v) and from_coeffs share one coercion: short
+    and long inputs, RingElements, rows, text and rationals for multiples of
+    the identity give the same series, padded with zeros or cut at the cap."""
+    d, dd = ring.dim, ring.dim**2
+    y = random_series(ring, 6, random.Random(39), 0, 7)
+    text = y.to_json()
+    rows = text if d == 1 else [[[Q(e) for e in row] for row in c] for c in text]
+    identity = [1 if i % (d + 1) == 0 else 0 for i in range(dd)]
+    cases = [
+        (6, y.coeffs[:2], y._num[: 2 * dd] + [0] * (5 * dd), y._den),
+        (3, y.coeffs, y._num[: 4 * dd], y._den),
+        (6, y.coeffs, y._num, y._den),
+        (6, rows, y._num, y._den),
+        (6, text, y._num, y._den),
+        (2, [Q(1, 2), "-3", 5, 7], [v * e for v in (1, -6, 10) for e in identity], 2),
+    ]
+    for cap, values, num, den in cases:
+        want = TruncatedSeries.from_numerators(ring, cap, num, den)
+        assert TruncatedSeries(ring, cap, values) == want
+        assert TruncatedSeries.from_coeffs(ring, cap, values) == want
+    other = matrix_ring(d % 3 + 1)
+    for build in (TruncatedSeries, TruncatedSeries.from_coeffs):
+        # the excess is coerced too, so an element of another ring past the
+        # cap is refused as well
+        for cap in (0, 1):
+            with pytest.raises(RingMismatchError):
+                build(ring, cap, (ring.element(1), other.element(1)))
+        with pytest.raises(ValueError):
+            build(ring, -1, ())
+
+
+@pytest.mark.parametrize("cap", [0, 1, 6])
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_repr_is_source_the_constructor_reads_back(ring, cap):
+    rng = random.Random(40 + cap)
+    unit = TruncatedSeries.one(ring, cap).scale(Q(-3, 4)) + random_series(ring, cap, rng, 1, 7)
+    names = {"TruncatedSeries": TruncatedSeries, "RingDescriptor": RingDescriptor}
+    for x in (unit, random_series(ring, cap, rng, 0, 7)):
+        assert any(x.block(0)[0])
+        assert repr(x).startswith(f"TruncatedSeries(RingDescriptor(dim={ring.dim}), {cap}, [")
+        assert eval(repr(x), names) == x
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
@@ -308,8 +356,8 @@ def test_exp_and_geom_inv_match_their_defining_sums(ring):
     exp_sum = geom_sum = TruncatedSeries.zero(ring, cap)
     lam = Q(-3, 2)
     for n in range(cap + 1):
-        exp_sum = exp_sum + x.pow(n).scale(Q(1, factorial(n)))
-        geom_sum = geom_sum + x.pow(n).scale((-lam) ** n)
+        exp_sum = exp_sum + power(x, n).scale(Q(1, factorial(n)))
+        geom_sum = geom_sum + power(x, n).scale((-lam) ** n)
     assert x.exp() == exp_sum
     assert x.geom_inv(lam) == geom_sum
 
@@ -338,7 +386,7 @@ def test_relaxed_set_rescales_the_settled_coefficients(ring):
     for c in (0, 1, 2, 3):
         num, den = x.block(c)
         r.set(c, ([5 * v for v in num], 5 * den))
-        assert r.series().truncate(c) == x.truncate(c)
+        assert truncated(r.series(), c) == truncated(x, c)
     assert r.series() == x
 
 

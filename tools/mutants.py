@@ -121,6 +121,12 @@ MUTANTS = (
            "[-p * v for v in num]", "[p * v for v in num]", ("tests/test_series.py",)),
     Mutant("text-entry-not-reduced", SERIES,
            "g = gcd(v, den)", "g = 1", ("tests/test_series.py",)),
+    # One constructor contract, and the one q-product of the Eulerian checks.
+    Mutant("constructor-keeps-excess", SERIES,
+           "for e in ring.entries(v)][:size]", "for e in ring.entries(v)]",
+           ("tests/test_series.py",)),
+    Mutant("q-product-inverse-ignored", CHECKS,
+           "log_series = -log_series", "pass", ("tests/test_checks.py",)),
     # The bracketed text form read as JSON, each entry quoted.
     Mutant("reader-lets-recursion-error-out", SERIES,
            "except (TypeError, RecursionError) as exc:", "except TypeError as exc:",
