@@ -4,10 +4,11 @@ A RingDescriptor selects the coefficient ring of a series by its dimension d,
 Q itself at d = 1 and d x d matrices over Q above, and coerces values into its
 entries. A RingElement is one coefficient at the API boundary, as a
 series' `coefficient` and `coeffs` return it: it has a value, equality and a
-text form, and no arithmetic, since every sum and product, and the text form
-of a series, run on the integer numerators of a series (see series.py). No
-floating point anywhere: rational() rejects floats. Rationals are the standard
-library's Fraction.
+text form, and no arithmetic, since every sum and product runs on the integer
+numerators of a series (see series.py). One writer, write_coefficients,
+writes the text of coefficients, a RingElement's and a series' alike. No
+floating point anywhere: rational() rejects floats. Rationals are the
+standard library's Fraction.
 """
 
 from __future__ import annotations
@@ -130,9 +131,18 @@ class RingElement:
     value: object  # Q for scalar rings, tuple of row tuples of Q for matrices
 
     def __str__(self) -> str:
-        if self.ring.dim == 1:
-            return str(self.value)
-        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in self.value) + "]"
+        rows = self.value if self.ring.dim > 1 else [[self.value]]
+        return write_coefficients([str(v) for row in rows for v in row], self.ring.dim)
+
+
+def write_coefficients(entries: list, dim: int) -> str:
+    """The text of consecutive coefficients from the texts of their entries,
+    dim*dim per coefficient, row-major: over Q each entry, over matrices each
+    coefficient as [[a,b],[c,d]], joined by commas."""
+    if dim == 1:
+        return ",".join(entries)
+    rows = ["[" + ",".join(entries[i : i + dim]) + "]" for i in range(0, len(entries), dim)]
+    return ",".join("[" + ",".join(rows[i : i + dim]) + "]" for i in range(0, len(rows), dim))
 
 
 @lru_cache(maxsize=16)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .rings import Q, RingDescriptor, RingElement, RingMismatchError, rational
+from .rings import Q, RingDescriptor, RingElement, RingMismatchError, rational, write_coefficients
 
 
 class DomainError(ValueError):
@@ -71,10 +71,7 @@ class TruncatedSeries:
         self._init(ring, cap, *_numerators(ring, cap, values))
 
     def _init(self, ring: RingDescriptor, cap: int, num: list, den: int) -> None:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [v // g for v in num]
-            den //= g
+        num, den = _reduce(num, den)
         _set = object.__setattr__
         _set(self, "ring", ring)
         _set(self, "cap", cap)
@@ -192,7 +189,7 @@ class TruncatedSeries:
         from the numerators."""
         if not 0 <= k <= self.cap:
             raise IndexError("coefficient index out of range")
-        return self._coefficient_texts(k, k + 1)[0]
+        return write_coefficients(_entry_texts(*self.block(k)), self.ring.dim)
 
     def block(self, k: int) -> "Block":
         """The coefficient of t^k as a Block: its numerators over the series'
@@ -310,8 +307,7 @@ class TruncatedSeries:
         """
         self._require_positive_valuation("exp")
         if self.ring.commutative:
-            dd = self.ring.dim**2
-            tdx = RelaxedSeries.of(self.termwise([i // dd for i in range(len(self._num))], 1))
+            tdx = RelaxedSeries.of(self.termwise(range(self.cap + 1), 1))
             y = RelaxedSeries.of(TruncatedSeries.one(self.ring, self.cap))
             for n in range(1, self.cap + 1):
                 num, den = tdx.product_coefficient(y, n, 1, n)
@@ -383,19 +379,8 @@ class TruncatedSeries:
 
     # ------------------------------------------------------------------- text
 
-    def _coefficient_texts(self, lo: int, hi: int) -> list:
-        """The text of each coefficient of t^lo..t^(hi-1), as RingElement
-        writes it: a rational, or [[a,b],[c,d]] over a matrix ring."""
-        dd = self.ring.dim**2
-        entries = _entry_texts(self._num[lo * dd : hi * dd], self._den)
-        d = self.ring.dim
-        if d == 1:
-            return entries
-        rows = ["[" + ",".join(entries[i : i + d]) + "]" for i in range(0, len(entries), d)]
-        return ["[" + ",".join(rows[i : i + d]) + "]" for i in range(0, len(rows), d)]
-
     def __str__(self) -> str:
-        return ",".join(self._coefficient_texts(0, self.cap + 1))
+        return write_coefficients(_entry_texts(self._num, self._den), self.ring.dim)
 
     def __repr__(self) -> str:
         """Python source that evaluates back to this series where the names
@@ -442,8 +427,19 @@ def _entry_texts(num: Sequence[int], den: int) -> list:
 Block = tuple[list, int]
 
 
+def _reduce(num: list, den: int) -> Block:
+    """The numerators `num` over the positive `den` in lowest terms: the one
+    gcd pass of a new series or a settled coefficient."""
+    g = gcd(den, *num)
+    if g == 1:
+        return num, den
+    return [v // g for v in num], den // g
+
+
 def combine(*terms: tuple) -> Block:
-    """The sum of r*block over (r, block) pairs, r an int or a Fraction, reduced."""
+    """The sum of r*block over (r, block) pairs, r an int or a Fraction, over
+    the least common denominator and not reduced: RelaxedSeries.set, which
+    settles it, makes the one gcd pass."""
     den = lcm(*(d * r.denominator for r, (_, d) in terms))
     out = [0] * len(terms[0][1][0])
     for r, (num, d) in terms:
@@ -451,8 +447,7 @@ def combine(*terms: tuple) -> Block:
         if m:
             for e, v in enumerate(num):
                 out[e] += m * v
-    g = gcd(den, *out)
-    return [v // g for v in out], den // g
+    return out, den
 
 
 class RelaxedSeries:
@@ -510,11 +505,7 @@ class RelaxedSeries:
 
     def set(self, c: int, block: Block) -> Block:
         """Settle coefficient c to `block`; return the block reduced."""
-        num, den = block
-        g = gcd(den, *num)
-        if g != 1:
-            num = [v // g for v in num]
-            den //= g
+        num, den = _reduce(*block)
         if self._den % den:
             # A new denominator: raise the shared one to the least common one
             # and rescale every entry, since RelaxedSeries.of settles them all.

@@ -12,12 +12,12 @@ alone, or ConvergenceError is raised.
 chi_lambda is settled in product form: x = a + w^-1 BCH(P x, Pt x) holds
 exactly when exp(P x) exp(Pt x) = exp(-w a), since Pt x = -w x - P x and log
 is a bijection; the proof computes both exponentials afresh and multiplies
-them. The closed forms implement the exponential solutions: Spitzer for the
-homogeneous equation and the generalized identities for the inhomogeneous
-ones, all through the one left-handed formula of closed_solve. Over a
-non-commutative ring at nonzero weight, closed_solve settles the split of
-(1 + w a1)^-1 and builds its solution from the two exponentials the proof
-computed.
+them. The closed forms implement the exponential solutions: exp(P(chi))
+solves the homogeneous equation (Spitzer's identity over Q), and the
+inhomogeneous ones are built on that same exponential by the one left-handed
+formula of closed_solve. Over a non-commutative ring at nonzero weight,
+closed_solve settles the split of (1 + w a1)^-1 and builds its solution from
+the two exponentials the proof computed.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ class EquationSpec:
     coefficient reverses products and commutes with P, which acts on each
     coefficient, so b solves the right-handed equation in a1, a0 exactly when
     its transpose solves the left one in their transposes. In a commutative
-    ring the two coincide. The homogeneous equation is 1 + the solution of the
-    left one with a0 = (1 + w*a1)^-1 a1.
+    ring the two coincide.
     """
 
     form: str
@@ -327,8 +326,10 @@ def inhom_closed_weight0(eq: EquationSpec) -> TruncatedSeries:
 
 
 def closed_solve(eq: EquationSpec) -> TruncatedSeries:
-    """Closed-form solution of any of the three equations over any ring, by
-    the one left-handed formula exp(P(chi)) P(exp(-P(chi)) a0).
+    """Closed-form solution of any of the three equations over any ring: the
+    exponential exp(P(chi)) for the homogeneous one, and the one left-handed
+    formula exp(P(chi)) P(exp(-P(chi)) a0) built on it for the inhomogeneous
+    ones.
 
     With u = w^-1 log(1 + w*a1), chi is u itself over a commutative ring,
     where both recursions reduce to the identity, and chi_zero(u) at weight 0.
@@ -337,31 +338,27 @@ def closed_solve(eq: EquationSpec) -> TruncatedSeries:
     exp(-P chi) = exp(Pt chi)(1 + w*a1): the split of g is settled directly
     and its two proved exponentials give the solution, with no log of a1.
 
-    The other two equations reduce to this formula (see EquationSpec). Over a
-    matrix ring the right-handed equation is solved as the left one in the
-    transposes of a1 and a0, and the solution is transposed back; over Q the
-    two equations are the same. The homogeneous equation is Spitzer's
-    exponential over Q. Otherwise b = 1 + the left solution with
-    a0 = (1 + w*a1)^-1 a1, so a1 takes the place of a0 in exp(-P chi) a0,
-    which becomes exp(-P chi) a1 at weight 0 and exp(Pt chi) a1 at nonzero
-    weight, with no second inverse. picard_solve, the oracle the closed forms
-    are checked against, solves each equation on its own side.
+    Over Q the homogeneous solution is Spitzer's exponential (spitzer_closed,
+    computed by the same three calls). Over a matrix ring the right-handed
+    equation is solved as the left one in the transposes of a1 and a0, and
+    the solution is transposed back (see EquationSpec); over Q the two
+    equations are the same. picard_solve, the oracle the closed forms are
+    checked against, solves each equation on its own side.
     """
     op, a1, w = eq.op, eq.a1, eq.op.weight
-    commutative, homogeneous = a1.ring.commutative, eq.form == HOMOGENEOUS
-    if homogeneous and commutative:
-        return spitzer_closed(op, a1)
+    commutative = a1.ring.commutative
     if eq.form == INHOM_RIGHT and not commutative:
         opposite = EquationSpec(INHOM_LEFT, op, a1.transpose(), eq.a0.transpose())
         return closed_solve(opposite).transpose()
-    if commutative or w == 0:
+    split = w != 0 and not commutative
+    if split:
+        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w))
+    else:
         u = a1.lambda_log(w)
         p_chi = apply(op, u if commutative else chi_zero(op, u))
-        e_plus, e_minus = p_chi.exp(), (-p_chi).exp()
-        inner = e_minus * (a1 if homogeneous else eq.a0)
-    else:
-        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w))
-        # exp(-P chi) a0 = exp(Pt chi)(1 + w*a1) a0
-        inner = e_pt * (a1 if homogeneous else _shifted_a0(eq))
-    b = e_plus * apply(op, inner)
-    return TruncatedSeries.one(a1.ring, a1.cap) + b if homogeneous else b
+        e_plus = p_chi.exp()
+    if eq.form == HOMOGENEOUS:
+        return e_plus
+    # exp(-P chi) a0, which is exp(Pt chi)(1 + w*a1) a0 after the split
+    inner = e_pt * _shifted_a0(eq) if split else (-p_chi).exp() * eq.a0
+    return e_plus * apply(op, inner)

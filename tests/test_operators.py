@@ -44,6 +44,11 @@ def test_q_guard():
         OperatorSpec(ANTIDER, rational("1/2"))
 
 
+def test_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        OperatorSpec("qshift", rational("1/2"))
+
+
 def test_qint_monomials():
     t = TruncatedSeries.var(SCALAR, 3)
     # q/(1-q) = 1 at q = 1/2

@@ -20,6 +20,7 @@ from rbseries.rings import (
     rational,
     rational_entry,
     scalar_ring,
+    write_coefficients,
 )
 from rbseries.series import TruncatedSeries
 
@@ -87,6 +88,20 @@ def test_ring_element_defines_no_arithmetic():
         a + b
     with pytest.raises(TypeError):
         a * b
+
+
+def test_element_of_the_ring_is_returned_as_it_is():
+    for ring in (SCALAR, MAT2, MAT3):
+        e = ring.element(3)
+        assert ring.element(e) is e
+
+
+def test_one_writer_for_the_text_of_coefficients():
+    """Entries row-major, d*d per coefficient, coefficients joined by commas."""
+    assert write_coefficients(["1", "-1/2", "0"], 1) == "1,-1/2,0"
+    entries = ["1", "-1/2", "0", "3", "5", "6", "7", "8"]
+    assert write_coefficients(entries, 2) == "[[1,-1/2],[0,3]],[[5,6],[7,8]]"
+    assert write_coefficients([str(v) for v in range(9)], 3) == "[[0,1,2],[3,4,5],[6,7,8]]"
 
 
 def test_element_is_a_multiple_of_the_identity():

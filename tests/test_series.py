@@ -325,6 +325,22 @@ def test_from_numerators_reduces_and_validates(ring):
         TruncatedSeries.from_numerators(ring, 4, x._num, 0)
 
 
+def test_from_numerators_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        TruncatedSeries.from_numerators(SCALAR, -1, [], 1)
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_series_is_immutable_and_indexed_within_its_cap(ring):
+    x = TruncatedSeries.var(ring, 3)
+    with pytest.raises(AttributeError):
+        x.cap = 4
+    assert x.__eq__(1) is NotImplemented and x != 1
+    for k in (-1, 4):
+        with pytest.raises(IndexError):
+            x.coefficient(k)
+
+
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
 def test_negation_and_unit_scales_match_the_generic_path(ring):
     """-x, x.scale(1) and x.scale(-1) build their results without a gcd pass;
@@ -385,7 +401,9 @@ def test_relaxed_set_rescales_the_settled_coefficients(ring):
     r = RelaxedSeries(ring, 3)
     for c in (0, 1, 2, 3):
         num, den = x.block(c)
-        r.set(c, ([5 * v for v in num], 5 * den))
+        # set returns the block in lowest terms
+        g = gcd(den, *num)
+        assert r.set(c, ([5 * v for v in num], 5 * den)) == ([v // g for v in num], den // g)
         assert truncated(r.series(), c) == truncated(x, c)
     assert r.series() == x
 
@@ -504,11 +522,18 @@ def test_transpose_is_the_identity_over_q(cap):
     assert x.transpose() == x
 
 
-def test_combine_sums_scaled_blocks_reduced():
+def _block_values(block):
+    num, den = block
+    return [Fraction(v, den) for v in num]
+
+
+def test_combine_sums_scaled_blocks():
+    """combine leaves its sum unreduced; RelaxedSeries.set reduces it."""
     one_half, one_third = ([1], 2), ([2], 6)
-    assert combine((1, one_half), (1, one_third)) == ([5], 6)
-    assert combine((Q(3, 5), one_half), (-1, ([3], 10))) == ([0], 1)
-    assert combine((Q(-2, 3), ([3, 6, 0, 9], 4))) == ([-1, -2, 0, -3], 2)
+    assert _block_values(combine((1, one_half), (1, one_third))) == [Fraction(5, 6)]
+    assert _block_values(combine((Q(3, 5), one_half), (-1, ([3], 10)))) == [0]
+    assert _block_values(combine((Q(-2, 3), ([3, 6, 0, 9], 4)))) == [
+        Fraction(-1, 2), -1, 0, Fraction(-3, 2)]
 
 
 # exp, lambda_log and geom_inv settle one coefficient at a time; the
@@ -541,6 +566,15 @@ def test_commutative_exp_and_lambda_log_match_their_power_sums(cap):
             want = _power_sum(x, lambda n: (-lam) ** (n - 1) / n if n else 0)
             assert x.lambda_log(lam) == want
         assert x.log1p() == x.lambda_log(1)
+
+
+@pytest.mark.parametrize("lam", [Q(-1), Q(1), Q(2, 3)])
+def test_noncommutative_lambda_log_stops_at_a_zero_power(lam):
+    """t*N with N nilpotent of order 3: the power sum stops at the zero
+    x^3 and still equals the defining sum."""
+    x = TruncatedSeries.from_coeffs(MAT3, 6, [0, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
+    assert not (x * x).is_zero() and (x * x * x).is_zero()
+    assert x.lambda_log(lam) == _power_sum(x, lambda n: (-lam) ** (n - 1) / n if n else 0)
 
 
 @pytest.mark.parametrize("ring", [SCALAR, MAT2, MAT3], ids=["scalar", "mat2", "mat3"])
@@ -605,6 +639,12 @@ def test_parse_of_str_round_trips_scalar(entries):
 def test_parse_of_str_round_trips_matrix(entries):
     x = _series_of_entries(MAT2, entries)
     assert parse_series(str(x), MAT2, x.cap) == x
+
+
+@pytest.mark.parametrize("ring", ROUND_TRIP_RINGS, ids=RING_IDS)
+def test_parse_reads_blank_text_as_the_zero_series(ring):
+    for text in ("", " \t\n"):
+        assert parse_series(text, ring, 3) == TruncatedSeries.zero(ring, 3)
 
 
 def test_parse_reads_matrices_and_identity_multiples():

@@ -120,6 +120,13 @@ def test_inhom_closed_commutative_rejects_matrix_ring():
         inhom_closed_commutative(EquationSpec(INHOM_LEFT, QI, t, t))
 
 
+def test_inhom_closed_commutative_rejects_other_forms():
+    t = var(4)
+    for eq in (EquationSpec(HOMOGENEOUS, QI, t), EquationSpec(INHOM_RIGHT, QI, t, t)):
+        with pytest.raises(SolverUsageError, match="inhomogeneous-left"):
+            inhom_closed_commutative(eq)
+
+
 @pytest.mark.parametrize("op", [QI, QS, J], ids=str)
 def test_generalized_spitzer_commutative(op):
     rng = random.Random(33)
@@ -209,6 +216,11 @@ def test_bernoulli_small_values():
     assert bernoulli(2) == Q(1, 6)
     assert bernoulli(4) == Q(-1, 30)
     assert bernoulli(12) == Q(-691, 2730)
+
+
+def test_bernoulli_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        bernoulli(-1)
 
 
 def test_bernoulli_odd_vanish():
@@ -357,6 +369,12 @@ def test_noncomm_rejects_side_that_does_not_match_the_form():
         inhom_closed_noncommutative(EquationSpec(INHOM_RIGHT, QI, t, t), "left")
     with pytest.raises(SolverUsageError):
         inhom_closed_noncommutative(EquationSpec(INHOM_LEFT, QI, t, t), "right")
+
+
+def test_noncomm_rejects_an_unknown_side():
+    t = var(4, MAT2)
+    with pytest.raises(ValueError, match="unknown side"):
+        inhom_closed_noncommutative(EquationSpec(INHOM_LEFT, QI, t, t), "up")
 
 
 def test_spitzer_closed_rejects_noncommutative_ring():

@@ -10,9 +10,12 @@ test modules that should catch it. For each mutant the script copies src/,
 tests/ and perfbench/ (whose workloads a CLI test reads) to a temporary
 directory, replaces the old text (which must occur
 exactly once) and runs the named modules with pytest. A mutant survives when
-the tests still pass. Before the mutants, the same modules run on an unmutated
-copy, which must pass. Exit 0 when every mutant is killed, 1 when one survives
-or the unmutated copy fails, 2 when a mutant's old text is not found once.
+the tests still pass (pytest exit 0) and is killed when a test fails (exit 1).
+Any other exit (a usage or collection error, no tests collected, a timeout)
+shows nothing about the mutant, which is reported as broken. Before the
+mutants, the same modules run on an unmutated copy, which must pass. Exit 0
+when every mutant is killed, 1 when one survives or the unmutated copy fails,
+2 when a mutant is broken or its old text is not found once.
 
 Standard library only, apart from pytest itself. A guard added to the program
 brings its mutant here, so later changes can rerun it.
@@ -58,8 +61,7 @@ MUTANTS = (
            "    _require_equal(solver, e_p * e_pt, g)\n",
            "", LIFTED),
     Mutant("closed-unit-shift-dropped", SOLVERS,
-           "inner = e_pt * (a1 if homogeneous else _shifted_a0(eq))",
-           "inner = e_pt * (a1 if homogeneous else eq.a0)", LIFTED),
+           "e_pt * _shifted_a0(eq)", "e_pt * eq.a0", LIFTED),
     Mutant("shifted-a0-factor-order", SOLVERS,
            "product = eq.a1 * eq.a0 if", "product = eq.a0 * eq.a1 if", SOLVING),
     Mutant("split-no-factorial", SOLVERS,
@@ -73,9 +75,10 @@ MUTANTS = (
     Mutant("split-multiplier-of-previous-power", SOLVERS,
            "X.set(c, combine((factor[c], x_c)))",
            "X.set(c, combine((factor[c - 1], x_c)))", LIFTED),
-    Mutant("closed-homogeneous-factor-order", SOLVERS,
-           "inner = e_pt * (a1 if homogeneous else _shifted_a0(eq))",
-           "inner = a1 * e_pt if homogeneous else e_pt * _shifted_a0(eq)", LIFTED),
+    # The homogeneous solution is the exponential exp(P chi) itself.
+    Mutant("closed-homogeneous-one-added", SOLVERS,
+           "        return e_plus\n",
+           "        return TruncatedSeries.one(a1.ring, a1.cap) + e_plus\n", SOLVING),
     # The right-handed equation as the left one in the opposite algebra.
     Mutant("closed-right-untransposed", SOLVERS,
            "return closed_solve(opposite).transpose()",
@@ -102,6 +105,9 @@ MUTANTS = (
     Mutant("relaxed-set-no-rescale", SERIES,
            "self._num = [k * v for v in self._num]",
            "self._num = list(self._num)", ("tests/test_series.py",)),
+    # combine leaves its sum unreduced; set makes the one gcd pass.
+    Mutant("relaxed-set-no-reduce", SERIES,
+           "num, den = _reduce(*block)", "num, den = block", ("tests/test_series.py",)),
     Mutant("exp-no-reciprocal", SERIES,
            "term = term._mul(self, n)", "term = term._mul(self)",
            ("tests/test_series.py",)),
@@ -112,7 +118,7 @@ MUTANTS = (
     # exp, lambda_log and geom_inv settled one coefficient at a time, and the
     # text written from the numerators.
     Mutant("exp-recurrence-unweighted", SERIES,
-           "RelaxedSeries.of(self.termwise([i // dd for i in range(len(self._num))], 1))",
+           "RelaxedSeries.of(self.termwise(range(self.cap + 1), 1))",
            "RelaxedSeries.of(self)", ("tests/test_series.py",)),
     Mutant("log-recurrence-weight-sign", SERIES,
            "- p * xd * b for a, b", "+ p * xd * b for a, b",
@@ -121,6 +127,9 @@ MUTANTS = (
            "[-p * v for v in num]", "[p * v for v in num]", ("tests/test_series.py",)),
     Mutant("text-entry-not-reduced", SERIES,
            "g = gcd(v, den)", "g = 1", ("tests/test_series.py",)),
+    Mutant("text-row-brackets-dropped", RINGS,
+           'rows = ["[" + ",".join(entries[i : i + dim]) + "]" for',
+           'rows = [",".join(entries[i : i + dim]) for', ("tests/test_rings.py",)),
     # One constructor contract, and the one q-product of the Eulerian checks.
     Mutant("constructor-keeps-excess", SERIES,
            "for e in ring.entries(v)][:size]", "for e in ring.entries(v)]",
@@ -203,6 +212,15 @@ def _pytest(where: Path, tests: tuple) -> tuple[int, float]:
     return code, time.perf_counter() - start
 
 
+def verdict(code: int) -> str:
+    """A mutant's verdict from pytest's exit code on its tests."""
+    if code == 1:
+        return "killed"
+    if code == 0:
+        return "SURVIVED"
+    return "BROKEN"
+
+
 def run(mutants: list) -> int:
     with tempfile.TemporaryDirectory(prefix="rbseries-mutants-") as tmp:
         base = Path(tmp) / "unmutated"
@@ -212,7 +230,7 @@ def run(mutants: list) -> int:
         print(f"unmutated copy: pytest exit {code} ({secs:.1f} s)")
         if code != 0:
             return 1
-        survivors = 0
+        survivors = broken = 0
         for m in mutants:
             where = Path(tmp) / m.name
             _copy(where)
@@ -223,12 +241,13 @@ def run(mutants: list) -> int:
                 return 2
             target.write_text(text.replace(m.old, m.new))
             code, secs = _pytest(where, m.tests)
-            verdict = "SURVIVED" if code == 0 else "killed"
-            survivors += code == 0
-            print(f"{m.name}: {verdict} (pytest exit {code}, {secs:.1f} s)")
+            found = verdict(code)
+            survivors += found == "SURVIVED"
+            broken += found == "BROKEN"
+            print(f"{m.name}: {found} (pytest exit {code}, {secs:.1f} s)")
             shutil.rmtree(where)
-        print(f"{len(mutants)} mutants, {survivors} survived")
-        return 1 if survivors else 0
+        print(f"{len(mutants)} mutants, {survivors} survived, {broken} broken")
+        return 2 if broken else 1 if survivors else 0
 
 
 def main() -> int:
