@@ -1,23 +1,22 @@
 """Truncated formal power series in t over an exact coefficient ring.
 
-A series holds coefficients c_0..c_N modulo t^(N+1). Equality is exact,
-coefficient by coefficient. The t-adic valuation realizes the filtration:
-val(x) is the least k with c_k != 0, or N+1 for the zero series.
+A series holds coefficients c_0..c_N modulo t^(N+1), compared exactly. The
+valuation val(x), the least k with c_k != 0 (N+1 for 0), is the filtration.
 
-Storage follows FLINT's fmpq_poly: one flat list of Python ints, the
-numerators, over one shared positive denominator. Entry e of the d x d
-coefficient of t^k sits at index k*d*d + e (row-major), so a scalar series is
-the d = 1 case. The pair (numerators, denominator) is kept reduced, gcd 1
-and the zero series over 1, so equal series have equal representations and
-equality is a plain compare. Arithmetic runs on the integers alone, and so
-do the text form and JSON, read and written entry by entry from numerators
-over one denominator; RingElement values are built only when `coefficient` or
-`coeffs` is read. RelaxedSeries keeps the same layout for a series settled one
-coefficient at a time.
+Storage follows FLINT's fmpq_poly: one flat list of Python int numerators
+over one shared positive denominator. Entry e of the d x d coefficient of t^k
+sits at index k*d*d + e (row-major), so a scalar series is the d = 1 case. The
+pair is kept reduced (gcd 1, the zero series over 1), so equal series have
+equal representations. Arithmetic, the text form and JSON run on the integers
+alone; RingElement values are built only when `coefficient` or `coeffs` is
+read. RelaxedSeries keeps the same layout for a series settled one coefficient
+at a time.
 
 Over a matrix ring every block product, in `x * y` and in
 RelaxedSeries.product_coefficient, runs one straight-line multiply-add
 generated for the dimension (_block_madd), so no Python loop runs per entry.
+exp, lambda_log and geom_inv run on two loops: _relaxed settles y_0 = 1,
+y_n = r_n*(a*y)_n, and _power_sum adds t_n = t_(n-1)*x*r_n.
 """
 
 from __future__ import annotations
@@ -229,11 +228,12 @@ class TruncatedSeries:
         _set(out, "_den", self._den)
         return out
 
-    def _mul(self, other: "TruncatedSeries", q: int = 1) -> "TruncatedSeries":
-        """Cauchy product truncated at cap, divided by the positive integer q:
+    def _mul(self, other: "TruncatedSeries", q: int = 1, p: int = 1) -> "TruncatedSeries":
+        """Cauchy product truncated at cap, times the ratio p/q (q > 0):
         integer multiply-adds on the numerators, then one gcd pass over the
-        product of denominators. `x * y` is the case q = 1; exp passes its
-        term's 1/n, so the product and the scaling share the one pass."""
+        product of denominators. `x * y` is the case p = q = 1, which makes no
+        pass for the ratio; the power sum passes its term's ratio, so the
+        product and the scaling share the one gcd pass."""
         self._check(other)
         n = self.cap + 1
         d = self.ring.dim
@@ -260,6 +260,8 @@ class TruncatedSeries:
                     if o >= end:
                         break
                     madd(out, o, a, b)
+        if p != 1:
+            out = [p * v for v in out]
         return TruncatedSeries._make(self.ring, self.cap, out, self._den * other._den * q)
 
     __mul__ = _mul
@@ -300,27 +302,14 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """Sum of x^n/n! for n = 0..cap; needs valuation >= 1.
 
-        Over a commutative ring y = exp(x) solves t*y' = (t*x')*y, so
-        n*y_n = sum of k*x_k*y_(n-k) for k = 1..n (Brent and Kung, JACM 1978),
-        settled one coefficient at a time. Elsewhere y' = x'*y fails, and the
-        powers x^n/n! are summed.
+        Over a commutative ring y = exp(x) solves t*y' = (t*x')*y, so the
+        relaxed loop settles y_n = ((t*x')*y)_n/n. Elsewhere y' = x'*y fails,
+        and the power sum adds the terms x^n/n!, each the one before times x/n.
         """
         self._require_positive_valuation("exp")
         if self.ring.commutative:
-            tdx = RelaxedSeries.of(self.termwise(range(self.cap + 1), 1))
-            y = RelaxedSeries.of(TruncatedSeries.one(self.ring, self.cap))
-            for n in range(1, self.cap + 1):
-                num, den = tdx.product_coefficient(y, n, 1, n)
-                y.set(n, (num, den * n))
-            return y.series()
-        term = self
-        result = TruncatedSeries.one(self.ring, self.cap) + term
-        for n in range(2, self.cap + 1):
-            term = term._mul(self, n)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+            return _relaxed(self.termwise(range(self.cap + 1), 1), lambda n: (1, n))
+        return _power_sum(self, TruncatedSeries.one(self.ring, self.cap) + self, lambda n: (1, n))
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + x) = sum of (-1)^(n-1) x^n / n, the weight-1 logarithm;
@@ -331,51 +320,32 @@ class TruncatedSeries:
         """The weight-lambda logarithm sum of (-lam)^(n-1) x^n / n.
 
         At lam = 0 only the n = 1 term survives and the result is x itself.
-        Over a commutative ring L = lambda_log(x) has L' = x'/(1 + lam*x), so
-        M = t*L' solves M = t*x' - lam*x*M: M_n = n*x_n - lam*(x*M)_n, where
-        (x*M)_n reads M below n, and L_n = M_n/n. Elsewhere the powers are
-        summed.
+        Over a commutative ring it is the integral L of x'*(1 + lam*x)^(-1):
+        t*L' is t*x' times geom_inv's relaxed loop, and L_n = (t*L')_n/n.
+        Elsewhere the power sum adds the terms, each the one before times
+        -lam*x*(n-1)/n.
         """
         self._require_positive_valuation("lambda_log")
         lam = rational(lam)
         if lam == 0:
             return self
+        p, q = lam.numerator, lam.denominator
         if self.ring.commutative:
-            p, q = lam.numerator, lam.denominator
-            x = RelaxedSeries.of(self)
-            tdlog, log = RelaxedSeries(self.ring, self.cap), RelaxedSeries(self.ring, self.cap)
-            for n in range(1, self.cap + 1):
-                (xn, xd), (xm, md) = x.block(n), x.product_coefficient(tdlog, n)
-                # M_n = n*x_n - lam*(x*M)_n, over the denominator xd*md*q
-                num, den = tdlog.set(n, ([n * q * md * a - p * xd * b for a, b in zip(xn, xm)],
-                                         xd * md * q))
-                log.set(n, (num, den * n))
-            return log.series()
-        result = power = self
-        sign = -lam
-        for n in range(2, self.cap + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            result = result + power.scale(sign / n)
-            sign = sign * (-lam)
-        return result
+            tdlog = self.termwise(range(self.cap + 1), 1)._mul(_relaxed(self, lambda n: (-p, q)))
+            den = lcm(*range(1, self.cap + 1))  # coefficient n times (den/n)/den
+            return tdlog.termwise([den // max(n, 1) for n in range(self.cap + 1)], den)
+        return _power_sum(self, self, lambda n: (-p * (n - 1), q * n))
 
     def geom_inv(self, lam) -> "TruncatedSeries":
         """(1 + lam*x)^(-1) = sum of (-lam*x)^n; needs valuation >= 1.
 
-        y = 1 - lam*x*y over every ring, so y_n = -lam*(x*y)_n, which reads y
-        below n: y is settled one coefficient at a time.
+        y = 1 - lam*x*y over every ring: the relaxed loop settles
+        y_n = -lam*(x*y)_n.
         """
         self._require_positive_valuation("geom_inv")
         lam = rational(lam)
-        x, y = RelaxedSeries.of(self), RelaxedSeries.of(TruncatedSeries.one(self.ring, self.cap))
         p, q = lam.numerator, lam.denominator
-        if p:
-            for n in range(1, self.cap + 1):
-                num, den = x.product_coefficient(y, n, 1, n)
-                y.set(n, ([-p * v for v in num], den * q))
-        return y.series()
+        return _relaxed(self, lambda n: (-p, q))
 
     # ------------------------------------------------------------------- text
 
@@ -395,6 +365,34 @@ class TruncatedSeries:
             return entries
         return [[entries[i : i + d] for i in range(k, k + d * d, d)]
                 for k in range(0, len(entries), d * d)]
+
+
+def _relaxed(a: TruncatedSeries, ratio) -> TruncatedSeries:
+    """y with y_0 = 1 and y_n = r_n*(a*y)_n for n = 1..cap, where ratio(n) is
+    (p, q) for r_n = p/q, q > 0. With a of zero constant term, (a*y)_n reads
+    y below n alone: y is settled one coefficient at a time (relaxed
+    evaluation; Brent and Kung, JACM 1978)."""
+    a = RelaxedSeries.of(a)
+    y = RelaxedSeries.of(TruncatedSeries.one(a.ring, a.cap))
+    for n in range(1, a.cap + 1):
+        p, q = ratio(n)
+        num, den = a.product_coefficient(y, n, 1, n)
+        y.set(n, (num if p == 1 else [p * v for v in num], den * q))
+    return y.series()
+
+
+def _power_sum(x: TruncatedSeries, total: TruncatedSeries, ratio) -> TruncatedSeries:
+    """total plus t_2 + ... + t_cap, where t_1 = x, t_n = t_(n-1)*x*r_n and
+    ratio(n) is (p, q) for r_n = p/q, q > 0: one product per term, sharing its
+    gcd pass with r_n. The sum stops at the first zero term."""
+    term = x
+    for n in range(2, x.cap + 1):
+        p, q = ratio(n)
+        term = term._mul(x, q, p)
+        if term.is_zero():
+            break
+        total = total + term
+    return total
 
 
 def _numerators(ring: RingDescriptor, cap: int, values: Iterable) -> tuple[list, int]:

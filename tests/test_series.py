@@ -365,17 +365,20 @@ def test_negation_and_unit_scales_match_the_generic_path(ring):
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
 def test_exp_and_geom_inv_match_their_defining_sums(ring):
-    """The fused product-and-scale terms against x^n/n! and (-lam x)^n built
-    by plain products and scale."""
+    """The fused product-and-scale terms against x^n/n!, (-lam x)^n and
+    (-lam)^(n-1) x^n/n built by plain products and scale."""
     cap = 7
     x = random_series(ring, cap, random.Random(36), 1, 5)
-    exp_sum = geom_sum = TruncatedSeries.zero(ring, cap)
+    exp_sum = geom_sum = log_sum = TruncatedSeries.zero(ring, cap)
     lam = Q(-3, 2)
     for n in range(cap + 1):
         exp_sum = exp_sum + power(x, n).scale(Q(1, factorial(n)))
         geom_sum = geom_sum + power(x, n).scale((-lam) ** n)
+        if n:
+            log_sum = log_sum + power(x, n).scale((-lam) ** (n - 1) / n)
     assert x.exp() == exp_sum
     assert x.geom_inv(lam) == geom_sum
+    assert x.lambda_log(lam) == log_sum
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])

@@ -108,23 +108,36 @@ MUTANTS = (
     # combine leaves its sum unreduced; set makes the one gcd pass.
     Mutant("relaxed-set-no-reduce", SERIES,
            "num, den = _reduce(*block)", "num, den = block", ("tests/test_series.py",)),
-    Mutant("exp-no-reciprocal", SERIES,
-           "term = term._mul(self, n)", "term = term._mul(self)",
-           ("tests/test_series.py",)),
     Mutant("scale-minus-one-is-identity", SERIES,
            "return -self", "return self", ("tests/test_series.py",)),
     Mutant("log1p-of-weight-minus-one", SERIES,
            "return self.lambda_log(1)", "return self.lambda_log(-1)", ("tests/test_series.py",)),
-    # exp, lambda_log and geom_inv settled one coefficient at a time, and the
-    # text written from the numerators.
+    # exp, lambda_log and geom_inv on the two loops, each with its ratio.
+    Mutant("relaxed-loop-last-term-dropped", SERIES,
+           "a.product_coefficient(y, n, 1, n)", "a.product_coefficient(y, n, 1)",
+           ("tests/test_series.py",)),
+    Mutant("power-sum-ratio-ignored", SERIES,
+           "term = term._mul(x, q, p)", "term = term._mul(x)", ("tests/test_series.py",)),
+    Mutant("mul-ratio-numerator-ignored", SERIES,
+           "out = [p * v for v in out]", "pass", ("tests/test_series.py",)),
+    Mutant("exp-no-reciprocal", SERIES,
+           "+ self, lambda n: (1, n))", "+ self, lambda n: (1, 1))",
+           ("tests/test_series.py",)),
     Mutant("exp-recurrence-unweighted", SERIES,
-           "RelaxedSeries.of(self.termwise(range(self.cap + 1), 1))",
-           "RelaxedSeries.of(self)", ("tests/test_series.py",)),
+           "return _relaxed(self.termwise(range(self.cap + 1), 1),",
+           "return _relaxed(self,", ("tests/test_series.py",)),
     Mutant("log-recurrence-weight-sign", SERIES,
-           "- p * xd * b for a, b", "+ p * xd * b for a, b",
+           "_mul(_relaxed(self, lambda n: (-p, q)))", "_mul(_relaxed(self, lambda n: (p, q)))",
+           ("tests/test_series.py",)),
+    Mutant("log-integral-not-divided", SERIES,
+           "[den // max(n, 1) for n in", "[den for n in", ("tests/test_series.py",)),
+    Mutant("log-power-ratio-numerator-dropped", SERIES,
+           "lambda n: (-p * (n - 1), q * n)", "lambda n: (-p, q * n)",
            ("tests/test_series.py",)),
     Mutant("geom-inv-weight-sign", SERIES,
-           "[-p * v for v in num]", "[p * v for v in num]", ("tests/test_series.py",)),
+           "return _relaxed(self, lambda n: (-p, q))", "return _relaxed(self, lambda n: (p, q))",
+           ("tests/test_series.py",)),
+    # The text written from the numerators.
     Mutant("text-entry-not-reduced", SERIES,
            "g = gcd(v, den)", "g = 1", ("tests/test_series.py",)),
     Mutant("text-row-brackets-dropped", RINGS,
