@@ -580,6 +580,17 @@ def test_noncommutative_lambda_log_stops_at_a_zero_power(lam):
     assert x.lambda_log(lam) == _power_sum(x, lambda n: (-lam) ** (n - 1) / n if n else 0)
 
 
+@pytest.mark.parametrize("ring", ROUND_TRIP_RINGS, ids=RING_IDS)
+def test_the_analytic_maps_at_cap_zero(ring):
+    """Neither loop runs: exp and geom_inv give 1 and lambda_log gives 0."""
+    zero, one = TruncatedSeries.zero(ring, 0), TruncatedSeries.one(ring, 0)
+    assert zero.exp() == one
+    for lam in (Q(-3, 2), Q(0), Q(1)):
+        assert zero.geom_inv(lam) == one
+        assert zero.lambda_log(lam) == zero
+    assert zero.log1p() == zero
+
+
 @pytest.mark.parametrize("ring", [SCALAR, MAT2, MAT3], ids=["scalar", "mat2", "mat3"])
 def test_geom_inv_is_a_two_sided_inverse(ring):
     rng = random.Random(41)

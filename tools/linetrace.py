@@ -9,7 +9,9 @@ when a line event falls on its header: its lines up to its body for a
 compound statement, from its first decorator on for a def or class, and all
 its lines otherwise. Docstrings are not statements. Code that runs in a
 subprocess (the CLI tests' `python -m rbseries`) is not seen. The unrun
-statements are listed, `module:line: text`, at the end of the report.
+statements are listed, `module:line: text`, at the end of the report. Add
+`-m "not hypothesis"` to leave out every @given test and see what the plain
+tests reach without Hypothesis' random draws.
 Standard library only; the trace makes the run about 2.5 times slower.
 """
 
