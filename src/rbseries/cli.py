@@ -7,19 +7,17 @@ errors, 130 when interrupted (Ctrl-C). Rationals are always rendered as exact
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
-import re
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .checks import (
-    DOMAIN_ERROR,
-    FAIL,
     PASS,
     PARAMS,
+    STATUSES,
     CheckReport,
     IDENTITIES,
     ManifestError,
@@ -47,41 +45,64 @@ class UsageError(ValueError):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one. Do not mutate it: parse_args only reads it, filling a fresh
-    Namespace per call."""
-    parser = argparse.ArgumentParser(
-        prog="rbseries",
-        description="Exact verification and solving of Rota-Baxter series identities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The flag table that the reader and --help both read: command -> (the
+    function that runs it, its operands, {flag -> (default, help, or the values
+    it takes)}). verify's one operand is the identity id. A flag of
+    checks.PARAMS takes its default and help from there. Built on the first
+    call and shared by every later one; do not mutate it."""
+    def flags(params, **own):
+        table = {name: (PARAMS[name].default, PARAMS[name].help) for name in params}
+        return {**table, **own, "format": ("text", ("text", "json"))}
 
-    p_verify = sub.add_parser("verify", help="run a single identity check")
-    p_verify.add_argument("identity", help="identity id, e.g. eulerian-prop-two")
-    p_verify.add_argument(
-        "--expect", choices=(PASS, FAIL, DOMAIN_ERROR), default=PASS
-    )
+    series = (None, "series coefficients c0,c1,... e.g. 0,1")
+    return {
+        "verify": (_cmd_verify, ("IDENTITY",), flags(VERIFY_FLAGS, expect=(PASS, STATUSES))),
+        "suite": (_cmd_suite, (), flags((), manifest=(None, "path to a manifest JSON file"))),
+        "solve": (_cmd_solve, (), flags(SOLVE_FLAGS, equation=(INHOM_LEFT, FORMS), a0=series,
+                                        a1=series, method=("picard", ("picard", "closed")))),
+    }
 
-    p_suite = sub.add_parser("suite", help="run a check manifest")
-    p_suite.add_argument("--manifest", help="path to a manifest JSON file")
 
-    p_solve = sub.add_parser("solve", help="solve a linear equation")
-    p_solve.add_argument("--equation", choices=FORMS, default=INHOM_LEFT)
-    p_solve.add_argument(
-        "--method", choices=("picard", "closed"), default="picard"
-    )
-    p_solve.add_argument("--a0", help="series coefficients c0,c1,... e.g. 0,1")
-    p_solve.add_argument("--a1", help="series coefficients c0,c1,...")
-
-    # values arrive as text, read by checks.PARAMS when the command runs
-    for p, flags in ((p_verify, VERIFY_FLAGS), (p_suite, ()), (p_solve, SOLVE_FLAGS)):
-        for name in flags:
-            param = PARAMS[name]
-            p.add_argument(f"--{name}", default=param.default,
-                           help=f"{param.help} (default {param.default})")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command of `argv`, the function that runs it, verify's IDENTITY (an
+    identity id, anywhere after the command) and every flag of the command,
+    at its default when not given. A flag is `--name value` or `--name=value`
+    under its exact name, and its value may begin with '-'. -h or --help
+    anywhere prints the help of the command, or of every command, and exits 0;
+    any other misuse raises UsageError."""
+    table = build_parser()
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        for name in [command] if command in table else table:
+            print("usage: rbseries", name, *table[name][1], "[--flag value | --flag=value]...")
+            for flag, (default, text) in table[name][2].items():
+                text = text if isinstance(text, str) else "one of " + ", ".join(text)
+                default = "" if default is None else f" (default {default})"
+                print(f"  --{flag:8} {text}{default}")
+        raise SystemExit(0)
+    if command not in table:
+        raise UsageError("the first argument must be a command: " + ", ".join(table))
+    run, operands, flags = table[command]
+    args = SimpleNamespace(run=run, identity=None, **{f: d for f, (d, _) in flags.items()})
+    tokens = iter(argv[1:])
+    for arg in tokens:
+        if operands and args.identity is None and not arg.startswith("-"):
+            args.identity = arg
+            continue
+        flag, sep, value = arg[2:].partition("=")
+        if not arg.startswith("--") or flag not in flags:
+            raise UsageError(f"{command} takes no argument {arg.partition('=')[0]}")
+        value = value if sep else next(tokens, None)
+        if value is None:
+            raise UsageError(f"--{flag} needs a value")
+        choices = flags[flag][1]
+        if isinstance(choices, tuple) and value not in choices:
+            raise UsageError(f"--{flag} must be one of {', '.join(choices)}, not {value!r}")
+        setattr(args, flag, value)
+    if operands and args.identity is None:
+        raise UsageError(f"{command} needs an identity id, such as eulerian-prop-two")
+    return args
 
 
 def _parse_series(text: str, flag: str, ring: RingDescriptor, cap: int) -> TruncatedSeries:
@@ -116,7 +137,7 @@ def emit_report(reports: Sequence[CheckReport], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     if args.identity not in IDENTITIES:
         raise UsageError(f"unknown identity id: {args.identity!r}")
     reads = IDENTITIES[args.identity].reads
@@ -130,7 +151,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.status == args.expect else 1
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
+def _cmd_suite(args: SimpleNamespace) -> int:
     if args.manifest:
         try:
             manifest = load_manifest_file(args.manifest)
@@ -143,7 +164,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if suite_ok(manifest, reports) else 1
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     params = read_params(SOLVE_FLAGS, {name: getattr(args, name) for name in SOLVE_FLAGS})
     if not (args.a1 or "").strip():
         raise UsageError("solve requires --a1")
@@ -164,38 +185,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-_NEGATIVE_VALUE = re.compile(r"-[\d.]")
-
-
-def _join_negative_values(argv: Sequence[str]) -> list[str]:
-    """Join a value such as -1/2 to the long flag before it (`--q=-1/2`).
-
-    argparse reads an argument that starts with '-' as a flag unless it looks
-    like a negative int or decimal; no flag here starts with '-' and a digit.
-    """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
-        return _cmd_solve(args)
-    except ParamError as exc:
-        print(f"error: --{exc}", file=sys.stderr)
-        return 2
-    except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return args.run(args)
+    except (ParamError, UsageError, OSError) as exc:
+        flag = "--" if isinstance(exc, ParamError) else ""  # a ParamError begins with its name
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import io
@@ -342,11 +341,9 @@ def test_bad_flag_value_gives_one_line(capsys, argv):
 
 @pytest.mark.parametrize("flag", ["--seed", "--samples"])
 def test_solve_takes_no_sampling_flags(capsys, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--operator", "antider", "--a0", "0,1", "--a1", "0,1", flag, "1"])
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert f"unrecognized arguments: {flag}" in out.err
+    code, out, err = run(capsys, "solve", "--operator", "antider", "--a0", "0,1", "--a1", "0,1",
+                         flag, "1")
+    assert (code, out, err) == (2, "", f"error: solve takes no argument {flag}\n")
 
 
 @pytest.mark.parametrize("command, flags", [("verify", VERIFY_FLAGS), ("solve", SOLVE_FLAGS)])
@@ -356,6 +353,67 @@ def test_help_lists_every_generated_flag(capsys, command, flags):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert all(f"--{name} " in out for name in flags)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the first argument must be a command: verify, suite, solve"),
+    (["bogus"], "the first argument must be a command: verify, suite, solve"),
+    (["--order", "4"], "the first argument must be a command: verify, suite, solve"),
+    (["verify"], "verify needs an identity id, such as eulerian-prop-two"),
+    (["verify", "--order", "4"], "verify needs an identity id, such as eulerian-prop-two"),
+    (["verify", "rb-axiom", "spitzer"], "verify takes no argument spitzer"),
+    (["suite", "extra"], "suite takes no argument extra"),
+    (["verify", "rb-axiom", "--bogus", "1"], "verify takes no argument --bogus"),
+    (["verify", "rb-axiom", "--bogus=1"], "verify takes no argument --bogus"),
+    (["verify", "rb-axiom", "--ord", "4"], "verify takes no argument --ord"),
+    (["verify", "rb-axiom", "-q", "1/2"], "verify takes no argument -q"),
+    (["suite", "--order", "2"], "suite takes no argument --order"),
+    (["solve", "--method", "nope"], "--method must be one of picard, closed, not 'nope'"),
+    (["solve", "--equation=cubic"],
+     "--equation must be one of homogeneous, inhom-left, inhom-right, not 'cubic'"),
+    (["verify", "rb-axiom", "--expect", "maybe"],
+     "--expect must be one of pass, fail, domain-error, not 'maybe'"),
+    (["suite", "--format", "xml"], "--format must be one of text, json, not 'xml'"),
+    (["solve", "--order"], "--order needs a value"),
+    (["suite", "--manifest"], "--manifest needs a value"),
+    (["solve", "--seed", "1", "--a1", "0,1", "--a0", "0,1"], "solve takes no argument --seed"),
+], ids=["bare", "unknown-command", "flag-before-command", "no-identity", "flags-but-no-identity",
+        "second-identity", "suite-argument", "unknown-flag", "unknown-flag-joined", "prefix",
+        "short-flag", "flag-of-another-command", "method-choice", "equation-choice-joined",
+        "expect-choice", "format-choice", "order-no-value", "manifest-no-value", "solve-seed"])
+def test_every_misuse_of_the_command_line_gives_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_identity_is_read_wherever_it_stands(capsys):
+    first = run(capsys, "verify", "rb-axiom", "--order", "4", "--samples", "1")
+    assert first[0] == 0 and first[1].rstrip().endswith("PASS")
+    assert run(capsys, "verify", "--order", "4", "rb-axiom", "--samples", "1") == first
+    assert run(capsys, "verify", "--order=4", "--samples", "1", "rb-axiom") == first
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["--help"], ["verify", "suite", "solve"]),
+    (["-h"], ["verify", "suite", "solve"]),
+    (["suite", "-h"], ["suite"]),
+    (["solve", "--order", "4", "--help"], ["solve"]),
+])
+def test_help_is_written_from_the_flag_table(capsys, argv, commands):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    usages = [line for line in out.out.splitlines() if line.startswith("usage: ")]
+    assert usages == [f"usage: rbseries {c}{' IDENTITY' if c == 'verify' else ''} "
+                      "[--flag value | --flag=value]..." for c in commands]
+    for command in commands:
+        _, _, flags = cli.build_parser()[command]
+        for flag in flags:
+            assert f"--{flag} " in out.out
+    if "solve" in commands:
+        assert "--method   one of picard, closed (default picard)\n" in out.out
+        assert "--order    truncation cap (default 16)\n" in out.out
+    assert ("--manifest path to a manifest JSON file\n" in out.out) == ("suite" in commands)
 
 
 def test_solve_homogeneous_takes_no_a0(capsys):
@@ -427,11 +485,8 @@ def test_solve_rejects_a_malformed_series(capsys, flag, argv):
 
 
 def test_verify_takes_no_series_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "spitzer", "--a1", "0,1", "--order", "3"])
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert "unrecognized arguments: --a1" in out.err and "Traceback" not in out.err
+    code, out, err = run(capsys, "verify", "spitzer", "--a1", "0,1", "--order", "3")
+    assert (code, out, err) == (2, "", "error: verify takes no argument --a1\n")
 
 
 def test_verify_echoes_only_the_params_the_check_reads(capsys):
@@ -448,21 +503,13 @@ def test_verify_validates_q_of_a_check_without_an_operator(capsys):
     assert err.startswith("error: --q: ") and len(err.strip().splitlines()) == 1
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    run(capsys, "verify", "eulerian-prop-two", "--order", "4")
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+def test_parser_is_built_once_per_process(capsys):
+    table = cli.build_parser()
     for argv in (["verify", "eulerian-prop-two", "--order", "4"],
                  ["solve", "--operator", "antider", "--a0", "0,1", "--a1", "0,1", "--order", "4"],
                  ["verify", "not-an-identity"]):
         run(capsys, *argv)
-    assert built == []
+    assert cli.build_parser() is table
 
 
 def test_calls_in_a_row_do_not_share_state(capsys):
@@ -477,10 +524,8 @@ def test_calls_in_a_row_do_not_share_state(capsys):
     assert code == 0 and out.strip() == "0,0,1/2,0,1/8"
     code, out, err = run(capsys, "verify", "rb-axiom", "--dim", "0", "--order", "4")
     assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--method", "bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "solve", "--method", "bogus")
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
     assert run(capsys, *solve) == (0, "0,0,1/2,0,1/8\n", "")
 
 

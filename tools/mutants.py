@@ -95,8 +95,9 @@ MUTANTS = (
            LIFTED),
     # The suite holds chi_lambda against the BCH recursion, not only the split.
     Mutant("bch-chl-check-recursion-dropped", CHECKS,
-           "        yield chi, a + bch(px, ptx).scale(1 / op.weight)\n",
-           "", ("tests/test_checks.py",)),
+           "yield chi, a + bch(apply(op, chi), tilde_apply(op, chi)).scale(1 / op.weight)",
+           "yield chi, chi",
+           ("tests/test_checks.py",)),
     # The coefficient kernel and the exponential the proofs use.
     Mutant("block-kernel-right-transposed", SERIES,
            "b{k * d + c}", "b{c * d + k}", ("tests/test_series.py",)),
@@ -183,9 +184,21 @@ MUTANTS = (
            "-w * den - m", "w * den - m", ("tests/test_operators.py",)),
     Mutant("entry-vector-repeated-dim-times", OPERATORS,
            "for _ in range(dim * dim)", "for _ in range(dim)", ("tests/test_operators.py",)),
-    # The command line: one parser per process, and verify's echo of params.
+    # The command line: one flag table per process, read by one reader that
+    # takes values beginning with '-', splits `--name=value` and refuses a
+    # missing value or one off a flag's choices; and verify's echo of params.
     Mutant("cli-parser-rebuilt-per-call", CLI,
            "@functools.cache\ndef build_parser", "def build_parser", ("tests/test_cli.py",)),
+    Mutant("cli-dash-value-read-as-flag", CLI,
+           "        if value is None:\n", "        if value is None or value.startswith(\"-\"):\n",
+           ("tests/test_cli.py",)),
+    Mutant("cli-equals-not-split", CLI,
+           'arg[2:].partition("=")', '(arg[2:], "", "")', ("tests/test_cli.py",)),
+    Mutant("cli-choices-unchecked", CLI,
+           "if isinstance(choices, tuple) and value not in choices:", "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("cli-missing-value-unchecked", CLI,
+           "        if value is None:\n", "        if False:\n", ("tests/test_cli.py",)),
     Mutant("verify-echoes-unread-flags", CLI,
            "flags.pop(name) for name in VERIFY_FLAGS", "flags[name] for name in VERIFY_FLAGS",
            ("tests/test_cli.py",)),
