@@ -318,12 +318,20 @@ def _spitzer(params: Mapping) -> Pairs:
         yield spitzer_closed(op, a), picard_solve(EquationSpec(HOMOGENEOUS, op, a))
 
 
-def _generalized_spitzer(params: Mapping) -> Pairs:
+def _generalized_spitzer(params: Mapping, commutative: Optional[bool] = None,
+                         weight_zero: Optional[bool] = None) -> Pairs:
     """Closed inhomogeneous solutions, left and right, against the Picard fixed
     point. Over Q the right-handed equation is the left-handed one, so only
-    that one is solved."""
+    that one is solved. Each id binds its setting: whether the ring is
+    commutative (dim 1) and whether the weight is 0, None for either; outside
+    it the check is a domain-error."""
     op = operator_of(params["operator"], params["q"])
     ring = RingDescriptor(params["dim"])
+    if commutative not in (None, ring.commutative):
+        raise DomainError("the identity needs " + ("dim 1" if commutative else "dim >= 2"))
+    if weight_zero not in (None, op.weight == 0):
+        raise DomainError("the identity needs an operator of "
+                          + ("weight 0" if weight_zero else "nonzero weight"))
     forms = (INHOM_LEFT,) if ring.commutative else (INHOM_LEFT, INHOM_RIGHT)
     for a0, a1 in _samples(params, ring, params["order"], 2):
         for form in forms:
@@ -448,9 +456,13 @@ IDENTITIES: dict[str, Identity] = {
     "lemma-iter-a": Identity(_lemma_iteration, {"item": "A"}, _SAMPLED | {"kmax"}, 12),
     "lemma-iter-b": Identity(_lemma_iteration, {"item": "B"}, _SAMPLED | {"kmax"}, 12),
     "spitzer": Identity(_spitzer, {}, _OPERATOR_SAMPLED - {"dim"}, 20),
-    "gen-spitzer-comm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED, 12),
-    "gen-spitzer-noncomm": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED, 12),
-    "gen-spitzer-weight0": Identity(_generalized_spitzer, {}, _OPERATOR_SAMPLED, 12),
+    "gen-spitzer-comm": Identity(partial(_generalized_spitzer, commutative=True), {},
+                                 _OPERATOR_SAMPLED, 12),
+    "gen-spitzer-noncomm": Identity(
+        partial(_generalized_spitzer, commutative=False, weight_zero=False), {},
+        _OPERATOR_SAMPLED, 12),
+    "gen-spitzer-weight0": Identity(partial(_generalized_spitzer, weight_zero=True), {},
+                                    _OPERATOR_SAMPLED, 12),
     "bch-chl-factorization": Identity(_bch_chl_factorization, {}, _OPERATOR_SAMPLED, 10),
     "special-equality": Identity(_special_equality, {}, _OPERATOR_SAMPLED - {"dim"}, 12),
     **{f"eulerian-{v}": Identity(_eulerian, {"variant": v}, _Q_SERIES, 30)

@@ -5,19 +5,26 @@ t-valuation of differences: coefficient c of the image depends only on the
 coefficients below c. Each fixed point is therefore settled one coefficient
 at a time on series.RelaxedSeries (relaxed evaluation, van der Hoeven, "Relax,
 but don't be too lazy", JSC 2002): step c computes only coefficient c of every
-series the map builds, from the coefficients below c. The result is then
-proved at full cap, through the module-level `apply` and from the result
-alone, or ConvergenceError is raised.
+series the map builds, from the coefficients below c.
 
-chi_lambda is settled in product form: x = a + w^-1 BCH(P x, Pt x) holds
-exactly when exp(P x) exp(Pt x) = exp(-w a), since Pt x = -w x - P x and log
-is a bijection; the proof computes both exponentials afresh and multiplies
-them. The closed forms implement the exponential solutions: exp(P(chi))
-solves the homogeneous equation (Spitzer's identity over Q), and the
-inhomogeneous ones are built on that same exponential by the one left-handed
-formula of closed_solve. Over a non-commutative ring at nonzero weight,
-closed_solve settles the split of (1 + w a1)^-1 and builds its solution from
-the two exponentials the proof computed.
+What each solver proves at full cap, through the module-level `apply`, before
+it returns, or else raises ConvergenceError:
+- picard_solve: its result solves the equation (_require_solution, the
+  equation's residual; the fixed point is unique at the cap);
+- chi_lambda: exp(P x) exp(Pt x) = exp(-w a), both exponentials computed
+  afresh from x. chi_lambda is settled in that product form: x = a + w^-1
+  BCH(P x, Pt x) holds exactly when it does, since Pt x = -w x - P x and log
+  is a bijection;
+- chi_zero: one step of its map returns x unchanged;
+- closed_solve over a matrix ring: its answer solves the equation as given,
+  by the same residual as Picard's, and nothing of the settles it is built
+  from. Over Q closed_solve proves nothing: it settles no fixed point there.
+
+The closed forms implement the exponential solutions: exp(P(chi)) solves the
+homogeneous equation (Spitzer's identity over Q), and the inhomogeneous ones
+are built on that same exponential by the one left-handed formula of
+closed_solve. Over a non-commutative ring at nonzero weight, closed_solve
+takes both exponentials from the settled split of (1 + w a1)^-1.
 """
 
 from __future__ import annotations
@@ -99,18 +106,34 @@ def _require_equal(solver: str, got: TruncatedSeries, want: TruncatedSeries) -> 
         )
 
 
-def _shifted_a0(eq: EquationSpec) -> TruncatedSeries:
+def _require_solution(
+    solver: str, eq: EquationSpec, b: TruncatedSeries, const: TruncatedSeries
+) -> None:
+    """Pass if b solves eq at full cap: const + P(a1 b), or const + P(b a1) on
+    the right, is b, with const the equation's constant term. The equation's
+    fixed point is unique at the cap, so this proves b, whatever built it."""
+    right = eq.form == INHOM_RIGHT
+    _require_equal(solver, const + apply(eq.op, b * eq.a1 if right else eq.a1 * b), b)
+
+
+def _shifted_a0(eq: EquationSpec) -> Optional[TruncatedSeries]:
     """(1 + w*a1)*a0 of an inhomogeneous equation, or a0*(1 + w*a1) on the
-    right, as a0 + w*(a1*a0): one product of two series of valuation >= 1."""
+    right, as a0 + w*(a1*a0): one product of two series of valuation >= 1,
+    and none at weight 0, where it is a0. None for the homogeneous one."""
+    if eq.form == HOMOGENEOUS:
+        return None
+    if eq.op.weight == 0:
+        return eq.a0
     product = eq.a1 * eq.a0 if eq.form == INHOM_LEFT else eq.a0 * eq.a1
     return eq.a0 + product.scale(eq.op.weight)
 
 
-def _constant(eq: EquationSpec) -> TruncatedSeries:
-    """The term of the equation's right-hand side that does not depend on b."""
-    if eq.form == HOMOGENEOUS:
+def _constant(eq: EquationSpec, shifted: Optional[TruncatedSeries]) -> TruncatedSeries:
+    """The term of the equation's right-hand side that does not depend on b,
+    given the equation's _shifted_a0."""
+    if shifted is None:
         return TruncatedSeries.one(eq.a1.ring, eq.a1.cap)
-    return apply(eq.op, _shifted_a0(eq))
+    return apply(eq.op, shifted)
 
 
 def picard_solve(eq: EquationSpec) -> TruncatedSeries:
@@ -120,9 +143,9 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
     side depends only on b below t^c. Step c settles
     b[c] = const[c] + m*(a1 b)[c - shift], with m the factor P puts on that
     power, or (b a1) on the right. Raises ConvergenceError unless the result
-    equals the full right-hand side, const + P(a1 b) or const + P(b a1).
+    solves the equation at full cap (_require_solution).
     """
-    const = _constant(eq)
+    const = _constant(eq, _shifted_a0(eq))
     ring, cap = const.ring, const.cap
     shift, factor = power_shift(eq.op), factors(eq.op, cap)
     right = eq.form == INHOM_RIGHT
@@ -135,7 +158,7 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
             terms.append((factor[k], prod))
         b.set(c, combine(*terms))
     b = b.series()
-    _require_equal("picard_solve", const + apply(eq.op, b * eq.a1 if right else eq.a1 * b), b)
+    _require_solution("picard_solve", eq, b, const)
     return b
 
 
@@ -178,22 +201,26 @@ def _settle_powers(base: RelaxedSeries, terms: list, c: int) -> list:
     return out
 
 
-def _settle_split(op: OperatorSpec, g: TruncatedSeries) -> TruncatedSeries:
-    """The x with exp(X) exp(Y) = g, where X = P(x) and Y = Pt(x) = -w*x - X;
-    g must have constant term 1. The split in the opposite order is this one
-    of the transpose of g, transposed.
+def _settle_split(
+    op: OperatorSpec, g: TruncatedSeries
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+    """(x, E, F) with E F = g, where E = exp(X) and F = exp(Y) for X = P(x) and
+    Y = Pt(x) = -w*x - X; g must have constant term 1. Nothing is proved
+    here. The split in the opposite order is this one of the transpose of g,
+    transposed.
 
-    With E = exp(X) - 1 and F = exp(Y) - 1, coefficient c of the product is
-    X[c] + Y[c] = -w*x[c], plus the X^n/n! and Y^n/n! for n >= 2 and the
-    cross term E*F, all read from coefficients below c. So step c settles
-    x[c] = w^-1 (sum of those - g[c]), and P, diagonal for both nonzero
-    weights, gives X[c] = m_c*x[c].
+    Coefficient c of E F is X[c] + Y[c] = -w*x[c], plus the X^n/n! and Y^n/n!
+    for n >= 2 and the cross term sum E[j] F[c-j] for 0 < j < c, all read
+    from coefficients below c. So step c settles x[c] = w^-1 (sum of those -
+    g[c]), and P, diagonal for both nonzero weights, gives X[c] = m_c*x[c].
     """
     ring, cap = g.ring, g.cap
     w = op.weight
     inv_w = 1 / w
     factor = factors(op, cap)
-    x, X, Y, E, F = (RelaxedSeries(ring, cap) for _ in range(5))
+    one = TruncatedSeries.one(ring, cap)
+    x, X, Y = (RelaxedSeries(ring, cap) for _ in range(3))
+    E, F = RelaxedSeries.of(one), RelaxedSeries.of(one)
     # X^n/n! and Y^n/n! for n = 2..cap, at index n - 2
     x_terms, y_terms = ([RelaxedSeries(ring, cap) for _ in range(cap - 1)] for _ in range(2))
     for c in range(1, cap + 1):
@@ -206,21 +233,18 @@ def _settle_split(op: OperatorSpec, g: TruncatedSeries) -> TruncatedSeries:
         Y_c = Y.set(c, combine((-w, x_c), (-1, X_c)))
         E.set(c, combine((1, X_c), *((1, b) for b in x_pow)))
         F.set(c, combine((1, Y_c), *((1, b) for b in y_pow)))
-    return x.series()
+    return x.series(), E.series(), F.series()
 
 
-def _split(
-    solver: str, op: OperatorSpec, g: TruncatedSeries
-) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """(x, exp(P x), exp(Pt x)) for the x of _settle_split, proved at full cap:
-    both exponentials are computed afresh from x alone and their product
-    exp(P x) exp(Pt x) must be g. Raises ConvergenceError naming `solver`
-    otherwise."""
-    x = _settle_split(op, g)
+def _split(solver: str, op: OperatorSpec, g: TruncatedSeries) -> TruncatedSeries:
+    """The x of _settle_split, proved at full cap: exp(P x) and exp(Pt x) are
+    computed afresh from x alone, and their product must be g. Raises
+    ConvergenceError naming `solver` otherwise."""
+    x = _settle_split(op, g)[0]
     p = apply(op, x)
     e_p, e_pt = p.exp(), (x.scale(-op.weight) - p).exp()
     _require_equal(solver, e_p * e_pt, g)
-    return x, e_p, e_pt
+    return x
 
 
 def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
@@ -235,7 +259,7 @@ def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     if w == 0:
         raise SolverUsageError("chi_lambda requires nonzero weight; use chi_zero")
     require_domain(op, a)
-    return _split("chi_lambda", op, a.scale(-w).exp())[0]
+    return _split("chi_lambda", op, a.scale(-w).exp())
 
 
 _BERNOULLI_CACHE = [Q(1)]
@@ -266,19 +290,14 @@ def _chi_zero_map(op: OperatorSpec, a: TruncatedSeries, x: TruncatedSeries) -> T
     return out
 
 
-def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
-    """Magnus-type recursion for weight 0.
-
-    Fixed point of x = (1 + sum_k (B_k/k!) ad_{P(x)}^k)(a); then exp(P(chi0(a)))
-    solves the homogeneous equation b = 1 + P(a*b). P = P(x) raises the power
-    by one, so coefficient c of ad_P^k(a) = P ad_P^(k-1)(a) - ad_P^(k-1)(a) P
-    reads P[1..c] = P(x)[1..c], known from x below c, and ad_P^(k-1)(a) below
-    c; it is zero for k > c and while ad_P^(k-1)(a) is zero below c. Step c
-    settles P[c], then coefficient c of each ad_P^k(a) that can be nonzero,
-    then x[c]. Raises ConvergenceError if the result is not fixed at full cap.
+def _settle_chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
+    """The fixed point x = (1 + sum_k (B_k/k!) ad_{P(x)}^k)(a) of weight 0,
+    settled and not proved. P = P(x) raises the power by one, so coefficient
+    c of ad_P^k(a) = P ad_P^(k-1)(a) - ad_P^(k-1)(a) P reads P[1..c] =
+    P(x)[1..c], known from x below c, and ad_P^(k-1)(a) below c; it is zero
+    for k > c and while ad_P^(k-1)(a) is zero below c. Step c settles P[c],
+    then coefficient c of each ad_P^k(a) that can be nonzero, then x[c].
     """
-    if op.weight != 0:
-        raise SolverUsageError("chi_zero requires weight 0")
     ring, cap = a.ring, a.cap
     shift, factor = power_shift(op), factors(op, cap)
     scales = [bernoulli(k) / factorial(k) for k in range(cap + 1)]
@@ -298,7 +317,18 @@ def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
                 live = max(live, k + 1)
                 terms.append((scales[k], ad_c))
         x.set(c, combine(*terms))
-    x = x.series()
+    return x.series()
+
+
+def chi_zero(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
+    """Magnus-type recursion for weight 0: the fixed point of
+    x = (1 + sum_k (B_k/k!) ad_{P(x)}^k)(a), settled by _settle_chi_zero; then
+    exp(P(chi0(a))) solves the homogeneous equation b = 1 + P(a*b). Raises
+    ConvergenceError if the result is not fixed at full cap.
+    """
+    if op.weight != 0:
+        raise SolverUsageError("chi_zero requires weight 0")
+    x = _settle_chi_zero(op, a)
     _require_equal("chi_zero", _chi_zero_map(op, a, x), x)
     return x
 
@@ -325,40 +355,63 @@ def inhom_closed_weight0(eq: EquationSpec) -> TruncatedSeries:
     return closed_solve(eq)
 
 
+def _closed_noncommutative(
+    op: OperatorSpec, a1: TruncatedSeries, shifted: Optional[TruncatedSeries]
+) -> TruncatedSeries:
+    """The left-handed closed solution over a matrix ring, not proved:
+    exp(P chi) for the homogeneous equation (shifted None), and else
+    exp(P chi) P(exp(-P chi) a0), given shifted = (1 + w*a1) a0.
+
+    At nonzero weight chi = chi_lambda(u), u = w^-1 log(1 + w*a1), splits
+    (1 + w*a1)^-1 = exp(-w*u) as exp(P chi) exp(Pt chi), so
+    exp(-P chi) a0 = exp(Pt chi) shifted: the settled split gives both
+    exponentials, and no log of a1 is taken. At weight 0 chi = chi_zero(a1)
+    and shifted is a0.
+    """
+    w = op.weight
+    if w != 0:
+        _, e_plus, e_pt = _settle_split(op, a1.geom_inv(w))
+    else:
+        p_chi = apply(op, _settle_chi_zero(op, a1))
+        e_plus = p_chi.exp()
+    if shifted is None:
+        return e_plus
+    inner = e_pt * shifted if w != 0 else (-p_chi).exp() * shifted
+    return e_plus * apply(op, inner)
+
+
 def closed_solve(eq: EquationSpec) -> TruncatedSeries:
     """Closed-form solution of any of the three equations over any ring: the
     exponential exp(P(chi)) for the homogeneous one, and the one left-handed
     formula exp(P(chi)) P(exp(-P(chi)) a0) built on it for the inhomogeneous
     ones.
 
-    With u = w^-1 log(1 + w*a1), chi is u itself over a commutative ring,
-    where both recursions reduce to the identity, and chi_zero(u) at weight 0.
-    At nonzero weight over a non-commutative ring, chi = chi_lambda(u) splits
-    g = exp(-w*u) = (1 + w*a1)^-1 as exp(P chi) exp(Pt chi), so
-    exp(-P chi) = exp(Pt chi)(1 + w*a1): the split of g is settled directly
-    and its two proved exponentials give the solution, with no log of a1.
+    Over Q, chi = w^-1 log(1 + w*a1), where both recursions reduce to the
+    identity; the homogeneous solution is Spitzer's exponential
+    (spitzer_closed, computed by the same three calls), and the right-handed
+    equation is the left one. Nothing is proved over Q: no fixed point is
+    settled there.
 
-    Over Q the homogeneous solution is Spitzer's exponential (spitzer_closed,
-    computed by the same three calls). Over a matrix ring the right-handed
-    equation is solved as the left one in the transposes of a1 and a0, and
-    the solution is transposed back (see EquationSpec); over Q the two
-    equations are the same. picard_solve, the oracle the closed forms are
-    checked against, solves each equation on its own side.
+    Over a matrix ring the answer is built by _closed_noncommutative from
+    the settled split of (1 + w*a1)^-1 or the settled chi_zero(a1), neither
+    of them proved, and the right-handed equation is solved as the left one
+    in the transposes of a1 and a0, the solution transposed back (see
+    EquationSpec). The answer is then proved once, against the equation as
+    given (_require_solution), or ConvergenceError is raised. picard_solve,
+    the oracle the closed forms are checked against, solves each equation on
+    its own side.
     """
     op, a1, w = eq.op, eq.a1, eq.op.weight
-    commutative = a1.ring.commutative
-    if eq.form == INHOM_RIGHT and not commutative:
-        opposite = EquationSpec(INHOM_LEFT, op, a1.transpose(), eq.a0.transpose())
-        return closed_solve(opposite).transpose()
-    split = w != 0 and not commutative
-    if split:
-        _, e_plus, e_pt = _split("closed_solve", op, a1.geom_inv(w))
-    else:
-        u = a1.lambda_log(w)
-        p_chi = apply(op, u if commutative else chi_zero(op, u))
+    if a1.ring.commutative:
+        p_chi = apply(op, a1.lambda_log(w))
         e_plus = p_chi.exp()
-    if eq.form == HOMOGENEOUS:
-        return e_plus
-    # exp(-P chi) a0, which is exp(Pt chi)(1 + w*a1) a0 after the split
-    inner = e_pt * _shifted_a0(eq) if split else (-p_chi).exp() * eq.a0
-    return e_plus * apply(op, inner)
+        if eq.form == HOMOGENEOUS:
+            return e_plus
+        return e_plus * apply(op, (-p_chi).exp() * eq.a0)
+    shifted = _shifted_a0(eq)
+    if eq.form == INHOM_RIGHT:
+        b = _closed_noncommutative(op, a1.transpose(), shifted.transpose()).transpose()
+    else:
+        b = _closed_noncommutative(op, a1, shifted)
+    _require_solution("closed_solve", eq, b, _constant(eq, shifted))
+    return b

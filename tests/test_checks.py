@@ -234,17 +234,17 @@ def test_spitzer_check():
 
 
 def test_bch_chl_check_holds_chi_against_the_bch_recursion(monkeypatch):
-    """The check compares chi with a + w^-1 BCH(P chi, Pt chi) itself, not
-    only the product of the exponentials: the fixed point of the mirrored
-    recursion, exp(Pt x) exp(P x) = exp(-w a), fails at the first pair. That
-    x is the transpose of the split of the transpose of exp(-w a)."""
+    """The check's one pair compares chi with a + w^-1 BCH(P chi, Pt chi)
+    itself: the fixed point of the mirrored recursion, exp(Pt x) exp(P x) =
+    exp(-w a), fails at the first pair. That x is the transpose of the split
+    of the transpose of exp(-w a)."""
     from rbseries import checks, solvers
 
     settled = []
 
     def mirrored(op, a):
         g = a.scale(-op.weight).exp()
-        settled.append(solvers._split("chi_lambda", op, g.transpose())[0].transpose())
+        settled.append(solvers._split("chi_lambda", op, g.transpose()).transpose())
         return settled[-1]
 
     params = {"operator": "qint", "q": "1/2", "order": 8, "dim": 2, "samples": 2, "seed": 7}
@@ -266,6 +266,29 @@ def test_special_equality_check():
 def test_special_equality_weight0_domain_error():
     r = run_check("special-equality", {"operator": "antider", "order": 8})
     assert r.status == DOMAIN_ERROR
+
+
+@pytest.mark.parametrize("identity_id,params,status", [
+    ("gen-spitzer-comm", {"operator": "qscale"}, PASS),
+    ("gen-spitzer-comm", {"operator": "antider"}, PASS),
+    ("gen-spitzer-comm", {"operator": "qscale", "dim": 2}, DOMAIN_ERROR),
+    ("gen-spitzer-noncomm", {"dim": 2}, PASS),
+    ("gen-spitzer-noncomm", {"operator": "qscale", "dim": 3}, PASS),
+    ("gen-spitzer-noncomm", {}, DOMAIN_ERROR),
+    ("gen-spitzer-noncomm", {"operator": "antider", "dim": 2}, DOMAIN_ERROR),
+    ("gen-spitzer-weight0", {"operator": "antider"}, PASS),
+    ("gen-spitzer-weight0", {"operator": "antider", "dim": 2}, PASS),
+    ("gen-spitzer-weight0", {}, DOMAIN_ERROR),
+    ("gen-spitzer-weight0", {"operator": "qint", "dim": 3}, DOMAIN_ERROR),
+])
+def test_each_gen_spitzer_id_holds_its_setting(identity_id, params, status):
+    """comm runs at dim 1, noncomm at dim >= 2 with nonzero weight and weight0
+    at weight 0, each at any other params a domain-error; the report echoes
+    the params given and no others."""
+    given = {"order": 4, "samples": 2, **params}
+    r = run_check(identity_id, given)
+    assert r.status == status
+    assert r.params == given
 
 
 @pytest.mark.parametrize("q", EULERIAN_QS)
@@ -373,13 +396,18 @@ class _Recording(dict):
         return super().get(name, default)
 
 
+# the params that move an id whose setting excludes the defaults into it
+IN_SETTING = {"gen-spitzer-noncomm": {"dim": 2}, "gen-spitzer-weight0": {"operator": "antider"}}
+
+
 @pytest.mark.parametrize("identity_id", sorted(IDENTITIES))
 def test_identity_declares_the_params_it_reads(identity_id):
     """The names an identity declares are exactly those its pairs read, each
     a param of the table, when every param of the table is at hand."""
     pairs, fixed, reads, _ = IDENTITIES[identity_id]
     params = _Recording({**{name: param.default for name, param in PARAMS.items()},
-                         "order": 3, "samples": 2, "nmax": 1, "kmax": 1, **fixed})
+                         "order": 3, "samples": 2, "nmax": 1, "kmax": 1, **fixed,
+                         **IN_SETTING.get(identity_id, {})})
     for _ in pairs(params):
         pass
     assert params.read - set(fixed) == reads

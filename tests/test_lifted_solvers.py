@@ -15,6 +15,7 @@ from rbseries.solvers import (
     FORMS,
     HOMOGENEOUS,
     INHOM_LEFT,
+    INHOM_RIGHT,
     ConvergenceError,
     EquationSpec,
     bch,
@@ -253,3 +254,101 @@ def test_closed_solve_raises_on_a_wrong_operator(wrong_operator, form, op_name):
     eq = EquationSpec(form, OPS[op_name], a1, None if form == HOMOGENEOUS else a0)
     with pytest.raises(ConvergenceError, match="closed_solve"):
         solvers.closed_solve(eq)
+
+
+# ------------------------------ closed_solve proves its answer, not its split
+#
+# Over a matrix ring closed_solve builds its answer from unproved settles and
+# proves it once, by the residual of the equation it was given. Each fault
+# below changes the answer without touching P, so only that residual can
+# catch it.
+
+NONZERO_WEIGHT = ["qint-1/2", "qscale--1/2"]
+INHOM = [f for f in FORMS if f != HOMOGENEOUS]
+
+
+def closed_equation(op_name, form):
+    a0, a1 = inputs("2x2", op_name, 6)[0]
+    return EquationSpec(form, OPS[op_name], a1, None if form == HOMOGENEOUS else a0)
+
+
+def wrong_at_t1(s):
+    """s with 1 added to the top-left entry of its t^1 coefficient."""
+    return s + TruncatedSeries.from_coeffs(s.ring, s.cap, [0, [[1, 0], [0, 0]]])
+
+
+@pytest.mark.parametrize("op_name,part,form",
+                         [(op, "E", form) for op in NONZERO_WEIGHT for form in FORMS]
+                         # the homogeneous answer is exp(P chi) alone: F is not used
+                         + [(op, "F", form) for op in NONZERO_WEIGHT for form in INHOM]
+                         + [("antider", "x", form) for form in FORMS])
+def test_closed_solve_raises_on_a_wrong_settled_coefficient(monkeypatch, op_name, part, form):
+    """A settle returning E = exp(P chi) or F = exp(Pt chi) of the split, or
+    chi_zero's x, with one wrong coefficient."""
+    settle_split, settle_chi_zero = solvers._settle_split, solvers._settle_chi_zero
+
+    def split(op, g):
+        x, e, f = settle_split(op, g)
+        return (x, wrong_at_t1(e), f) if part == "E" else (x, e, wrong_at_t1(f))
+
+    if part == "x":
+        monkeypatch.setattr(solvers, "_settle_chi_zero",
+                            lambda op, a: wrong_at_t1(settle_chi_zero(op, a)))
+    else:
+        monkeypatch.setattr(solvers, "_settle_split", split)
+    with pytest.raises(ConvergenceError, match="^closed_solve: "):
+        solvers.closed_solve(closed_equation(op_name, form))
+
+
+@pytest.mark.parametrize("op_name", OPS)
+def test_closed_solve_raises_on_a_transpose_that_keeps_the_entries(monkeypatch, op_name):
+    """Only the right-handed equation is solved through transposes."""
+    eq = closed_equation(op_name, INHOM_RIGHT)
+    monkeypatch.setattr(TruncatedSeries, "transpose", lambda self: self)
+    with pytest.raises(ConvergenceError, match="^closed_solve: "):
+        solvers.closed_solve(eq)
+
+
+@pytest.mark.parametrize("op_name", NONZERO_WEIGHT)
+@pytest.mark.parametrize("form", INHOM)
+def test_closed_solve_raises_on_a_dropped_unit_shift(monkeypatch, op_name, form):
+    """The answer built on exp(-P chi) a0 = exp(Pt chi) a0, not on
+    exp(Pt chi)(1 + w a1) a0. At weight 0 the unit shift is 1."""
+    eq = closed_equation(op_name, form)
+    closed = solvers._closed_noncommutative
+    a0 = eq.a0 if form == INHOM_LEFT else eq.a0.transpose()
+    monkeypatch.setattr(solvers, "_closed_noncommutative",
+                        lambda op, a1, shifted: closed(op, a1, a0))
+    with pytest.raises(ConvergenceError, match="^closed_solve: "):
+        solvers.closed_solve(eq)
+
+
+@pytest.mark.parametrize("ring_name", ["scalar", "2x2", "3x3"])
+@pytest.mark.parametrize("op_name", OPS)
+@pytest.mark.parametrize("form", FORMS)
+def test_closed_solve_proves_once_against_the_equation_given(monkeypatch, form, op_name,
+                                                             ring_name):
+    """One residual per call over a matrix ring, of the answer returned and
+    the equation given, with no proof of the split or of chi_zero; none over
+    Q, where no fixed point is settled."""
+    a0, a1 = inputs(ring_name, op_name, 6)[0]
+    eq = EquationSpec(form, OPS[op_name], a1, None if form == HOMOGENEOUS else a0)
+    require_solution, proved = solvers._require_solution, []
+
+    def spy(solver, equation, b, const):
+        proved.append((solver, equation, b))
+        require_solution(solver, equation, b, const)
+
+    def unused(*args):
+        raise AssertionError("closed_solve ran a proof of its split or of chi_zero")
+
+    monkeypatch.setattr(solvers, "_require_solution", spy)
+    for name in ("_split", "_chi_zero_map", "chi_lambda", "chi_zero"):
+        monkeypatch.setattr(solvers, name, unused)
+    b = solvers.closed_solve(eq)
+    if ring_name == "scalar":
+        assert proved == []
+    else:
+        assert len(proved) == 1
+        assert proved[0][0] == "closed_solve" and proved[0][1] is eq and proved[0][2] is b
+    assert b == picard_solve(eq)

@@ -56,12 +56,17 @@ class Mutant:
 
 
 MUTANTS = (
-    # The relaxed kernel: chi_lambda's product-form split and its reuse.
+    # The relaxed kernel: chi_lambda's product-form split and its proof.
     Mutant("split-proof-removed", SOLVERS,
            "    _require_equal(solver, e_p * e_pt, g)\n",
            "", LIFTED),
+    # closed_solve builds on (1 + w*a1) a0 and proves its answer once.
     Mutant("closed-unit-shift-dropped", SOLVERS,
-           "e_pt * _shifted_a0(eq)", "e_pt * eq.a0", LIFTED),
+           "b = _closed_noncommutative(op, a1, shifted)",
+           "b = _closed_noncommutative(op, a1, eq.a0)", LIFTED),
+    Mutant("closed-residual-removed", SOLVERS,
+           '    _require_solution("closed_solve", eq, b, _constant(eq, shifted))\n', "",
+           LIFTED),
     Mutant("shifted-a0-factor-order", SOLVERS,
            "product = eq.a1 * eq.a0 if", "product = eq.a0 * eq.a1 if", SOLVING),
     Mutant("split-no-factorial", SOLVERS,
@@ -77,12 +82,12 @@ MUTANTS = (
            "X.set(c, combine((factor[c - 1], x_c)))", LIFTED),
     # The homogeneous solution is the exponential exp(P chi) itself.
     Mutant("closed-homogeneous-one-added", SOLVERS,
-           "        return e_plus\n",
-           "        return TruncatedSeries.one(a1.ring, a1.cap) + e_plus\n", SOLVING),
+           "    if shifted is None:\n        return e_plus\n",
+           "    if shifted is None:\n        return TruncatedSeries.one(a1.ring, a1.cap) + e_plus\n",
+           SOLVING),
     # The right-handed equation as the left one in the opposite algebra.
     Mutant("closed-right-untransposed", SOLVERS,
-           "return closed_solve(opposite).transpose()",
-           "return closed_solve(opposite)", LIFTED),
+           "shifted.transpose()).transpose()", "shifted.transpose())", LIFTED),
     # Relaxed Picard and chi_zero.
     Mutant("picard-last-term-dropped", SOLVERS,
            "a1.product_coefficient(b, k, 1, k)",
@@ -148,6 +153,13 @@ MUTANTS = (
     Mutant("constructor-keeps-excess", SERIES,
            "for e in ring.entries(v)][:size]", "for e in ring.entries(v)]",
            ("tests/test_series.py",)),
+    # Each gen-spitzer id runs only in its setting.
+    Mutant("gen-spitzer-dim-unchecked", CHECKS,
+           "if commutative not in (None, ring.commutative):", "if False:",
+           ("tests/test_checks.py",)),
+    Mutant("gen-spitzer-weight-unchecked", CHECKS,
+           "if weight_zero not in (None, op.weight == 0):", "if False:",
+           ("tests/test_checks.py",)),
     Mutant("q-product-inverse-ignored", CHECKS,
            "log_series = -log_series", "pass", ("tests/test_checks.py",)),
     # The bracketed text form read as JSON, each entry quoted.
