@@ -10,7 +10,6 @@ from .rings import (
     matrix_ring,
     random_element,
     rational,
-    scalar_ring,
 )
 from .series import DomainError, TruncatedSeries, parse_series
 from .operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
@@ -47,7 +46,6 @@ __all__ = [
     "matrix_ring",
     "random_element",
     "rational",
-    "scalar_ring",
     "DomainError",
     "TruncatedSeries",
     "parse_series",

@@ -15,16 +15,16 @@ the checker reports facts, not intentions.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from importlib import resources
 from math import factorial, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .operators import ANTIDER, KINDS, QINT, OperatorSpec, apply, tilde_apply
-from .rings import Q, RingDescriptor, random_entries, rational, scalar_ring
+from .rings import Q, RingDescriptor, random_entries, rational
 from .series import DomainError, TruncatedSeries
 from .solvers import (
     HOMOGENEOUS,
@@ -215,7 +215,7 @@ def q_product(q, cap: int, sign: int, inverse: bool) -> TruncatedSeries:
     products do not converge coefficientwise.
     """
     q = rational(q)
-    ring = scalar_ring()
+    ring = RingDescriptor()
     coeffs = [Q(0)]
     qj = Q(1)
     for j in range(1, cap + 1):
@@ -289,7 +289,7 @@ def _kingman(params: Mapping) -> Pairs:
 def _lemma_iteration(params: Mapping) -> Pairs:
     """Weight-0 commutative iteration lemma, items A and B."""
     op = OperatorSpec(ANTIDER)
-    ring = scalar_ring()
+    ring = RingDescriptor()
     cap = params["order"]
     kmax = params["kmax"]
     for (a,) in _samples(params, ring, cap, min_valuation=0):
@@ -314,7 +314,7 @@ def _lemma_iteration(params: Mapping) -> Pairs:
 def _spitzer(params: Mapping) -> Pairs:
     """Closed Spitzer exponential against the Picard sum, commutative setting."""
     op = operator_of(params["operator"], params["q"])
-    for (a,) in _samples(params, scalar_ring(), params["order"]):
+    for (a,) in _samples(params, RingDescriptor(), params["order"]):
         yield spitzer_closed(op, a), picard_solve(EquationSpec(HOMOGENEOUS, op, a))
 
 
@@ -355,7 +355,7 @@ def _special_equality(params: Mapping) -> Pairs:
     """1 - P(exp(-P(u)) (1+w a1)^-1 a1) = exp(-P(u)), and that element solves
     d = 1 + P(-(1+w a1)^-1 a1 d)."""
     op = _nonzero_weight(params)
-    ring = scalar_ring()
+    ring = RingDescriptor()
     cap = params["order"]
     one = TruncatedSeries.one(ring, cap)
     for (a1,) in _samples(params, ring, cap):
@@ -377,7 +377,7 @@ def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
         qn *= q
         pochhammer *= 1 - qn
         coeffs.append(sign(n) * q ** exponent(n) / pochhammer)
-    return TruncatedSeries.from_coeffs(scalar_ring(), cap, coeffs)
+    return TruncatedSeries.from_coeffs(RingDescriptor(), cap, coeffs)
 
 
 def _eulerian(params: Mapping) -> Pairs:
@@ -385,7 +385,7 @@ def _eulerian(params: Mapping) -> Pairs:
     variant = params["variant"]
     q = operator_of(QINT, params["q"]).q
     cap = params["order"]
-    ring = scalar_ring()
+    ring = RingDescriptor()
     one = TruncatedSeries.one(ring, cap)
     t = TruncatedSeries.var(ring, cap)
     # the three prop-* variants read it, so each builds it when it runs
@@ -411,7 +411,7 @@ def _computation_one(params: Mapping) -> Pairs:
     """exp(-P(log(1+t))) equals the product of 1/(1+q^k t) for the q-integral."""
     op = operator_of(QINT, params["q"])
     cap = params["order"]
-    t = TruncatedSeries.var(scalar_ring(), cap)
+    t = TruncatedSeries.var(RingDescriptor(), cap)
     yield ((-apply(op, t.log1p())).exp(), q_product(op.q, cap, 1, inverse=True))
 
 
@@ -419,7 +419,7 @@ def _eulerian_third(params: Mapping) -> Pairs:
     """P(exp(-P(log(1+t))) t) as an explicit alternating q-Pochhammer sum."""
     op = operator_of(QINT, params["q"])
     cap = params["order"]
-    t = TruncatedSeries.var(scalar_ring(), cap)
+    t = TruncatedSeries.var(RingDescriptor(), cap)
     rhs = _q_sum(cap, op.q, lambda m: 2 * m - 1, sign=lambda m: -((-1) ** m))
     yield apply(op, (-apply(op, t.log1p())).exp() * t), rhs - TruncatedSeries.one(t.ring, cap)
 
@@ -429,7 +429,7 @@ def _eulerian_first_partial(params: Mapping) -> Pairs:
     q-binomial form qt/(1-q) + sum_{n>=2} q^(n(n+1)/2-1) t^n / poch(n)."""
     op = operator_of(QINT, params["q"])
     cap = params["order"]
-    t = TruncatedSeries.var(scalar_ring(), cap)
+    t = TruncatedSeries.var(RingDescriptor(), cap)
     rhs = _q_sum(cap, op.q, lambda n: n * (n + 1) // 2 - 1 if n > 1 else 1)
     yield (picard_solve(EquationSpec(INHOM_LEFT, op, t, t)),
            rhs - TruncatedSeries.one(t.ring, cap))
@@ -558,8 +558,8 @@ def load_manifest_file(path: str) -> SuiteManifest:
 
 
 def default_manifest() -> SuiteManifest:
-    text = resources.files("rbseries").joinpath("data/default_manifest.json").read_text()
-    return load_manifest(json.loads(text))
+    return load_manifest_file(os.path.join(os.path.dirname(__file__), "data",
+                                           "default_manifest.json"))
 
 
 def run_suite(manifest: SuiteManifest) -> list[CheckReport]:

@@ -114,10 +114,6 @@ class RingDescriptor:
         return out
 
 
-def scalar_ring() -> RingDescriptor:
-    return RingDescriptor(1)
-
-
 def matrix_ring(dim: int) -> RingDescriptor:
     """The ring of dim x dim rational matrices; matrix_ring(1) is Q itself."""
     return RingDescriptor(dim)

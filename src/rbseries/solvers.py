@@ -20,11 +20,14 @@ it returns, or else raises ConvergenceError:
   by the same residual as Picard's, and nothing of the settles it is built
   from. Over Q closed_solve proves nothing: it settles no fixed point there.
 
-The closed forms implement the exponential solutions: exp(P(chi)) solves the
-homogeneous equation (Spitzer's identity over Q), and the inhomogeneous ones
-are built on that same exponential by the one left-handed formula of
-closed_solve. Over a non-commutative ring at nonzero weight, closed_solve
-takes both exponentials from the settled split of (1 + w a1)^-1.
+The closed forms implement the exponential solutions, written once in the
+builder _closed_left: exp(P(chi)) solves the homogeneous equation (Spitzer's
+identity over Q), and exp(P(chi)) P(exp(-P(chi)) a0) the inhomogeneous-left
+one. Only chi depends on the setting, by one of three routes: the lambda-log
+w^-1 log(1 + w a1) over Q, chi_zero(a1) at weight 0, and at nonzero weight
+over matrices chi_lambda, whose settled split of (1 + w a1)^-1 gives both
+exponentials. closed_solve, spitzer_closed and the inhom_closed_* wrappers
+all reach that builder.
 """
 
 from __future__ import annotations
@@ -163,12 +166,13 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
 
 
 def spitzer_closed(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
-    """exp(P(w^-1 log(1 + w*a))); for weight 0 this is exp(P(a)). Commutative rings only."""
+    """exp(P(w^-1 log(1 + w*a))) by _closed_left; for weight 0 this is exp(P(a)).
+    Commutative rings only."""
     if not a.ring.commutative:
         raise SolverUsageError(
             "Spitzer's exponential over a non-commutative ring; use closed_solve"
         )
-    return apply(op, a.lambda_log(op.weight)).exp()
+    return _closed_left(op, a, None)
 
 
 def inhom_closed_commutative(eq: EquationSpec) -> TruncatedSeries:
@@ -355,63 +359,59 @@ def inhom_closed_weight0(eq: EquationSpec) -> TruncatedSeries:
     return closed_solve(eq)
 
 
-def _closed_noncommutative(
-    op: OperatorSpec, a1: TruncatedSeries, shifted: Optional[TruncatedSeries]
+def _closed_left(
+    op: OperatorSpec, a1: TruncatedSeries, a0: Optional[TruncatedSeries]
 ) -> TruncatedSeries:
-    """The left-handed closed solution over a matrix ring, not proved:
-    exp(P chi) for the homogeneous equation (shifted None), and else
-    exp(P chi) P(exp(-P chi) a0), given shifted = (1 + w*a1) a0.
+    """The paper's left-handed closed solution, not proved: E = exp(P chi)
+    for the homogeneous equation (a0 None), and else E P(F a0) with
+    F = exp(-P chi).
 
-    At nonzero weight chi = chi_lambda(u), u = w^-1 log(1 + w*a1), splits
-    (1 + w*a1)^-1 = exp(-w*u) as exp(P chi) exp(Pt chi), so
-    exp(-P chi) a0 = exp(Pt chi) shifted: the settled split gives both
-    exponentials, and no log of a1 is taken. At weight 0 chi = chi_zero(a1)
-    and shifted is a0.
+    Only chi depends on the setting. Over Q chi = w^-1 log(1 + w*a1) (the
+    lambda-log), and over a matrix ring at weight 0 chi = chi_zero(a1); then
+    p = P(chi), E = exp(p) and, for an inhomogeneous equation only,
+    F = exp(-p). Over a matrix ring at nonzero weight chi = chi_lambda(u),
+    u = w^-1 log(1 + w*a1), splits (1 + w*a1)^-1 = exp(-w*u) as
+    exp(P chi) exp(Pt chi), so the settled split gives E and F = exp(Pt chi)
+    = exp(-P chi) (1 + w*a1)^-1, and no log of a1 is taken: there the caller
+    passes (1 + w*a1) a0 (_shifted_a0) as a0.
     """
     w = op.weight
-    if w != 0:
-        _, e_plus, e_pt = _settle_split(op, a1.geom_inv(w))
+    if w != 0 and not a1.ring.commutative:
+        _, e, f = _settle_split(op, a1.geom_inv(w))
     else:
-        p_chi = apply(op, _settle_chi_zero(op, a1))
-        e_plus = p_chi.exp()
-    if shifted is None:
-        return e_plus
-    inner = e_pt * shifted if w != 0 else (-p_chi).exp() * shifted
-    return e_plus * apply(op, inner)
+        p = apply(op, a1.lambda_log(w) if a1.ring.commutative else _settle_chi_zero(op, a1))
+        e = p.exp()
+        f = None if a0 is None else (-p).exp()
+    if a0 is None:
+        return e
+    return e * apply(op, f * a0)
 
 
 def closed_solve(eq: EquationSpec) -> TruncatedSeries:
-    """Closed-form solution of any of the three equations over any ring: the
-    exponential exp(P(chi)) for the homogeneous one, and the one left-handed
-    formula exp(P(chi)) P(exp(-P(chi)) a0) built on it for the inhomogeneous
-    ones.
+    """Closed-form solution of any of the three equations over any ring, by
+    the one builder _closed_left: the exponential exp(P(chi)) for the
+    homogeneous equation, and the left-handed formula exp(P(chi))
+    P(exp(-P(chi)) a0) for the inhomogeneous ones.
 
-    Over Q, chi = w^-1 log(1 + w*a1), where both recursions reduce to the
-    identity; the homogeneous solution is Spitzer's exponential
-    (spitzer_closed, computed by the same three calls), and the right-handed
-    equation is the left one. Nothing is proved over Q: no fixed point is
-    settled there.
+    Over Q the right-handed equation is the left one, and the answer is
+    returned unproved: no fixed point is settled there, and the spitzer and
+    gen-spitzer-comm checks compare it with a proved Picard answer.
 
-    Over a matrix ring the answer is built by _closed_noncommutative from
-    the settled split of (1 + w*a1)^-1 or the settled chi_zero(a1), neither
-    of them proved, and the right-handed equation is solved as the left one
+    Over a matrix ring the right-handed equation is solved as the left one
     in the transposes of a1 and a0, the solution transposed back (see
-    EquationSpec). The answer is then proved once, against the equation as
-    given (_require_solution), or ConvergenceError is raised. picard_solve,
-    the oracle the closed forms are checked against, solves each equation on
-    its own side.
+    EquationSpec). The answer is built from settles that are not proved (the
+    split of (1 + w*a1)^-1, or chi_zero(a1)) and is then proved once,
+    against the equation as given (_require_solution), or ConvergenceError
+    is raised. picard_solve, the oracle the closed forms are checked
+    against, solves each equation on its own side.
     """
-    op, a1, w = eq.op, eq.a1, eq.op.weight
+    op, a1 = eq.op, eq.a1
     if a1.ring.commutative:
-        p_chi = apply(op, a1.lambda_log(w))
-        e_plus = p_chi.exp()
-        if eq.form == HOMOGENEOUS:
-            return e_plus
-        return e_plus * apply(op, (-p_chi).exp() * eq.a0)
+        return _closed_left(op, a1, eq.a0)
     shifted = _shifted_a0(eq)
     if eq.form == INHOM_RIGHT:
-        b = _closed_noncommutative(op, a1.transpose(), shifted.transpose()).transpose()
+        b = _closed_left(op, a1.transpose(), shifted.transpose()).transpose()
     else:
-        b = _closed_noncommutative(op, a1, shifted)
+        b = _closed_left(op, a1, shifted)
     _require_solution("closed_solve", eq, b, _constant(eq, shifted))
     return b

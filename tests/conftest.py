@@ -4,10 +4,10 @@ from operator import mul
 
 from hypothesis import strategies as st
 
-from rbseries.rings import Q, matrix_ring, scalar_ring
+from rbseries.rings import Q, RingDescriptor, matrix_ring
 from rbseries.series import TruncatedSeries
 
-SCALAR = scalar_ring()
+SCALAR = RingDescriptor()
 MAT2 = matrix_ring(2)
 MAT3 = matrix_ring(3)
 

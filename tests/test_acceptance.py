@@ -22,7 +22,7 @@ from rbseries.checks import (
 )
 from rbseries.cli import report_to_dict
 from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
-from rbseries.rings import Q, matrix_ring, rational, scalar_ring
+from rbseries.rings import Q, RingDescriptor, matrix_ring, rational
 from rbseries.series import TruncatedSeries
 from rbseries.solvers import (
     HOMOGENEOUS,
@@ -44,7 +44,7 @@ from test_series import S, random_series
 Q_SET = ("1/2", "2/3", "-1/2", "3")
 EULERIAN_Q_SET = ("1/2", "2/3", "-1/2", "3", "5/7")
 
-SCALAR = scalar_ring()
+SCALAR = RingDescriptor()
 MAT2 = matrix_ring(2)
 
 

@@ -315,9 +315,9 @@ def test_closed_solve_raises_on_a_dropped_unit_shift(monkeypatch, op_name, form)
     """The answer built on exp(-P chi) a0 = exp(Pt chi) a0, not on
     exp(Pt chi)(1 + w a1) a0. At weight 0 the unit shift is 1."""
     eq = closed_equation(op_name, form)
-    closed = solvers._closed_noncommutative
+    closed = solvers._closed_left
     a0 = eq.a0 if form == INHOM_LEFT else eq.a0.transpose()
-    monkeypatch.setattr(solvers, "_closed_noncommutative",
+    monkeypatch.setattr(solvers, "_closed_left",
                         lambda op, a1, shifted: closed(op, a1, a0))
     with pytest.raises(ConvergenceError, match="^closed_solve: "):
         solvers.closed_solve(eq)

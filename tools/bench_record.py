@@ -153,7 +153,7 @@ def _layers(root: Path) -> dict:
     # calls lasting about 10 ms, and the fastest batch gives the per-call time.
     kernel_ms = {}
     for d in KERNEL_DIMS:
-        ring = rb.scalar_ring() if d == 1 else rb.matrix_ring(d)
+        ring = rb.RingDescriptor(d)
         for cap in CAPS + (MUL_CAP,):
             rng = random.Random(1000 + 100 * d + cap)
             x, y = series(ring, cap, rng), series(ring, cap, rng)

@@ -62,8 +62,8 @@ MUTANTS = (
            "", LIFTED),
     # closed_solve builds on (1 + w*a1) a0 and proves its answer once.
     Mutant("closed-unit-shift-dropped", SOLVERS,
-           "b = _closed_noncommutative(op, a1, shifted)",
-           "b = _closed_noncommutative(op, a1, eq.a0)", LIFTED),
+           "b = _closed_left(op, a1, shifted)",
+           "b = _closed_left(op, a1, eq.a0)", LIFTED),
     Mutant("closed-residual-removed", SOLVERS,
            '    _require_solution("closed_solve", eq, b, _constant(eq, shifted))\n', "",
            LIFTED),
@@ -82,8 +82,8 @@ MUTANTS = (
            "X.set(c, combine((factor[c - 1], x_c)))", LIFTED),
     # The homogeneous solution is the exponential exp(P chi) itself.
     Mutant("closed-homogeneous-one-added", SOLVERS,
-           "    if shifted is None:\n        return e_plus\n",
-           "    if shifted is None:\n        return TruncatedSeries.one(a1.ring, a1.cap) + e_plus\n",
+           "    if a0 is None:\n        return e\n",
+           "    if a0 is None:\n        return TruncatedSeries.one(a1.ring, a1.cap) + e\n",
            SOLVING),
     # The right-handed equation as the left one in the opposite algebra.
     Mutant("closed-right-untransposed", SOLVERS,
