@@ -231,6 +231,50 @@ def test_chi_zero_of_a_series_with_a_constant_term():
     assert chi_zero(OPS["antider"], a) == reference_chi_zero(OPS["antider"], a)
 
 
+
+# ------------------------------------------------ the settles' block towers
+#
+# _settle_split and _settle_chi_zero settle one reduced block per coefficient
+# and skip zero blocks. An input of valuation 3 leaves whole coefficients of
+# the towers (P x)^n/n!, (Pt x)^n/n! and ad_P^k(a) zero.
+
+TOWER_CAPS = (0, 1, 2, 16)
+
+
+def tower_input(ring_name, cap, valuation):
+    """A random series whose coefficients below t^valuation are zero."""
+    rng = random.Random(f"tower {ring_name} {cap} {valuation}")
+    return random_series(RINGS[ring_name], cap, rng, min(valuation, cap + 1), 3)
+
+
+@pytest.mark.parametrize("valuation", [1, 3])
+@pytest.mark.parametrize("cap", TOWER_CAPS)
+@pytest.mark.parametrize("op_name", ["qint-1/2", "qscale--1/2"])
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_settle_split_factors_its_input(ring_name, op_name, cap, valuation):
+    """E = exp(P x), F = exp(Pt x) with Pt x = -w x - P x, and E F = g."""
+    op = OPS[op_name]
+    w = op.weight
+    g = tower_input(ring_name, cap, valuation).geom_inv(w)
+    x, e, f = solvers._settle_split(op, g)
+    p = apply(op, x)
+    assert e == p.exp()
+    assert f == (x.scale(-w) - p).exp()
+    assert e * f == g
+    assert x.valuation() >= min(valuation, cap + 1)
+
+
+@pytest.mark.parametrize("valuation", [1, 3])
+@pytest.mark.parametrize("cap", TOWER_CAPS)
+@pytest.mark.parametrize("ring_name", RINGS)
+def test_settle_chi_zero_is_fixed_by_its_map(ring_name, cap, valuation):
+    op = OPS["antider"]
+    a = tower_input(ring_name, cap, valuation)
+    x = solvers._settle_chi_zero(op, a)
+    assert solvers._chi_zero_map(op, a, x) == x
+    assert x.valuation() >= min(valuation, cap + 1)
+
+
 # --------------------------------- closed_solve on the proved exponentials
 
 CLOSED_OPS = [OperatorSpec(kind, rational(q)) for kind in (QINT, QSCALE)

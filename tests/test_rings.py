@@ -71,7 +71,7 @@ def test_descriptor_invariants():
 
 def test_matrix_ring_of_dim_one_is_the_scalar_ring():
     """A ring is its dimension: the 1x1 matrices are Q, with Q's text."""
-    assert matrix_ring(1) == RingDescriptor() == RingDescriptor(1) == RingDescriptor()
+    assert matrix_ring(1) == RingDescriptor() == RingDescriptor(1)
     assert hash(matrix_ring(1)) == hash(RingDescriptor())
     x = TruncatedSeries.from_coeffs(matrix_ring(1), 2, [0, "1/2", -3])
     assert str(x) == "0,1/2,-3" and x.to_json() == ["0", "1/2", "-3"]

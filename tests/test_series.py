@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,18 @@ from hypothesis import strategies as st
 from rbseries import checks
 from rbseries.checks import first_mismatch
 from rbseries.rings import Q, RingDescriptor, RingMismatchError, matrix_ring, rational
-from rbseries.series import DomainError, RelaxedSeries, TruncatedSeries, combine, parse_series
+from rbseries.series import (
+    DomainError,
+    RelaxedSeries,
+    TruncatedSeries,
+    block_product,
+    combine,
+    from_blocks,
+    parse_series,
+    reduced,
+    reduced_sum,
+    to_blocks,
+)
 
 from conftest import MAT2, MAT3, SCALAR, power, rationals
 
@@ -537,6 +548,67 @@ def test_combine_sums_scaled_blocks():
     assert _block_values(combine((Q(3, 5), one_half), (-1, ([3], 10)))) == [0]
     assert _block_values(combine((Q(-2, 3), ([3, 6, 0, 9], 4)))) == [
         Fraction(-1, 2), -1, 0, Fraction(-3, 2)]
+
+
+
+# Block lists: one reduced Block per coefficient, None for a zero one.
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("cap", (0, 1, 6))
+def test_block_lists_round_trip(d, cap):
+    ring = matrix_ring(d)
+    x = _with_zero_blocks(random_series(ring, cap, random.Random(90 + cap), 0, 7), {1})
+    blocks = to_blocks(x)
+    assert len(blocks) == cap + 1
+    for k, b in enumerate(blocks):
+        if k == 1 or not any(x.block(k)[0]):
+            assert b is None
+        else:
+            num, den = b
+            assert gcd(den, *num) == 1
+            assert _block_values(b) == _block_values(x.block(k))
+    assert from_blocks(ring, cap, blocks) == x
+    zero = TruncatedSeries.zero(ring, cap)
+    assert to_blocks(zero) == [None] * (cap + 1)
+    assert from_blocks(ring, cap, [None] * (cap + 1)) == zero
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_block_product_matches_a_fraction_matrix_sum(d):
+    """Every c and lo..hi over block lists with zero blocks on either side,
+    each term over its own denominator, summed over their lcm unreduced."""
+    ring, cap = matrix_ring(d), 5
+    rng = random.Random(95 + d)
+    x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {3})
+    y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2})
+    xs, ys = _fraction_blocks(x), _fraction_blocks(y)
+    bx, by = to_blocks(x), to_blocks(y)
+    assert len({b[1] for b in bx + by if b}) > 1  # the terms need rescaling
+    for c in range(cap + 1):
+        bounds = [(lo, hi) for lo in range(c + 1) for hi in range(lo - 1, c + 1)]
+        for lo, hi in bounds + [(1, None)]:
+            got = block_product(bx, by, c, d, lo, hi)
+            js = [j for j in range(lo, c if hi is None else hi + 1) if bx[j] and by[c - j]]
+            if not js:
+                assert got is None
+                continue
+            num, den = got
+            assert den == lcm(*(bx[j][1] * by[c - j][1] for j in js))
+            assert [[Fraction(v, den) for v in num[r * d : (r + 1) * d]]
+                    for r in range(d)] == _fraction_sum(xs, ys, c, js)
+
+
+def test_reduced_and_reduced_sum():
+    """Reduced blocks, None for zero; None blocks are skipped and a lone term
+    is scaled by its ratio."""
+    assert reduced([2, 4], 6) == ([1, 2], 3)
+    assert reduced([0, 0], 6) is None
+    assert reduced_sum() is None and reduced_sum((1, None), (Q(1, 2), None)) is None
+    assert reduced_sum((1, ([2], 4))) == ([1], 2)
+    assert reduced_sum((Q(-2, 3), ([3, 6, 0, 9], 4)), (5, None)) == ([-1, -2, 0, -3], 2)
+    assert reduced_sum((1, ([1], 2)), (1, ([2], 6)), (7, None)) == ([5], 6)
+    assert reduced_sum((Q(3, 5), ([1], 2)), (-1, ([3], 10))) is None
 
 
 # exp, lambda_log and geom_inv settle one coefficient at a time; the

@@ -10,12 +10,13 @@ every workload in the change's BENCHMARK.json runs once on each side with
 `perfbench/run.py --seed <seed + i>`, the parent first on even i and the
 change first on odd i. The file holds, per workload and end-to-end metric,
 each side's median, quartiles and runs, the pairs the change won (ties count
-for neither) and the failed operations; then fastest-of-k timings on each side
+for neither) and the failed operations; then per-call timings on each side
 of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices (closed_solve on
 the left- and the right-handed equation), and of the kernels (x*y, apply,
 tilde_apply, exp, lambda_log(1), geom_inv(1)) at the same caps, and of x*y at
-cap 30 too, over scalars and 2x2 and 3x3 matrices, taken in two runs per side
-(parent, change, change, parent) and each the faster of its side's two; the
+cap 30 too, over scalars and 2x2 and 3x3 matrices, each the fastest of 5
+timeit batches of at least 10 ms, taken in two runs per side (parent, change,
+change, parent) and each the faster of its side's two; the
 wall time of each acceptance bound (the pytest nodes of criteria 1 and 4, and
 `python -m rbseries.cli suite`), run as a subprocess three times per side in
 the order parent, change, change, parent, parent, change, as each side's
@@ -26,7 +27,7 @@ library only.
 
     python3 tools/bench_record.py --layers DIR
 
-prints only those fastest-of-k timings for the checkout at DIR, as one JSON
+prints only those per-call timings for the checkout at DIR, as one JSON
 object with the keys solvers_fastest_ms and kernels_fastest_ms.
 """
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import random
@@ -108,9 +110,18 @@ def layer_timings(root: Path) -> dict:
     return json.loads(out)
 
 
+def _fastest(call) -> float:
+    """Seconds per call of `call`: a call takes microseconds to tens of
+    milliseconds, so each of 5 tries times a batch of calls lasting at least
+    10 ms, and the fastest batch gives the per-call time."""
+    timer = timeit.Timer(call)
+    number = math.ceil(0.01 / timer.timeit(1))
+    return min(timer.repeat(5, number)) / number
+
+
 def _layers(root: Path) -> dict:
-    """Fastest-of-k milliseconds of each solver and kernel, importing rbseries
-    from root, under LAYER_KEYS."""
+    """Fastest-batch milliseconds per call of each solver and kernel,
+    importing rbseries from root, under LAYER_KEYS."""
     sys.path.insert(0, str(root / "src"))
     import rbseries as rb
     from rbseries import solvers
@@ -140,17 +151,9 @@ def _layers(root: Path) -> dict:
                 "closed_solve": lambda: solvers.closed_solve(eq),
                 "closed_solve right": lambda: solvers.closed_solve(right),
             }
-            k = 7 if cap < 16 else 3
             for name in SOLVERS:
-                best = float("inf")
-                for _ in range(k):
-                    start = time.perf_counter()
-                    calls[name]()
-                    best = min(best, time.perf_counter() - start)
-                solver_ms[f"{name} {d}x{d} cap {cap}"] = round(best * 1000, 3)
+                solver_ms[f"{name} {d}x{d} cap {cap}"] = round(_fastest(calls[name]) * 1000, 3)
 
-    # A kernel call takes microseconds, so each of 5 tries times a batch of
-    # calls lasting about 10 ms, and the fastest batch gives the per-call time.
     kernel_ms = {}
     for d in KERNEL_DIMS:
         ring = rb.RingDescriptor(d)
@@ -166,10 +169,7 @@ def _layers(root: Path) -> dict:
                 "geom_inv": lambda: x.geom_inv(1),
             }
             for name in KERNELS if cap in CAPS else ("mul",):
-                timer = timeit.Timer(calls[name])
-                number = max(1, round(0.01 / timer.timeit(1)))
-                best = min(timer.repeat(5, number)) / number
-                kernel_ms[f"{name} {d}x{d} cap {cap}"] = round(best * 1000, 5)
+                kernel_ms[f"{name} {d}x{d} cap {cap}"] = round(_fastest(calls[name]) * 1000, 5)
     return dict(zip(LAYER_KEYS, (solver_ms, kernel_ms)))
 
 

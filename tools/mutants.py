@@ -70,16 +70,16 @@ MUTANTS = (
     Mutant("shifted-a0-factor-order", SOLVERS,
            "product = eq.a1 * eq.a0 if", "product = eq.a0 * eq.a1 if", SOLVING),
     Mutant("split-no-factorial", SOLVERS,
-           "out.append(prev.set(c, (num, den * n)))",
-           "out.append(prev.set(c, (num, den)))", LIFTED),
+           "prev[c] = reduced(prod[0], prod[1] * n)",
+           "prev[c] = reduced(*prod)", LIFTED),
     Mutant("split-cross-term-dropped", SOLVERS,
-           "combine((inv_w, cross), ", "combine(", LIFTED),
+           "reduced_sum((inv_w, cross), ", "reduced_sum(", LIFTED),
     Mutant("split-power-sum-late", SOLVERS,
-           "prev.product_coefficient(base, c, n - 1)",
-           "prev.product_coefficient(base, c, n)", LIFTED),
+           "block_product(prev, base, c, d, n - 1)",
+           "block_product(prev, base, c, d, n)", LIFTED),
     Mutant("split-multiplier-of-previous-power", SOLVERS,
-           "X.set(c, combine((factor[c], x_c)))",
-           "X.set(c, combine((factor[c - 1], x_c)))", LIFTED),
+           "X[c] = X_c = reduced_sum((factor[c], x_c))",
+           "X[c] = X_c = reduced_sum((factor[c - 1], x_c))", LIFTED),
     # The homogeneous solution is the exponential exp(P chi) itself.
     Mutant("closed-homogeneous-one-added", SOLVERS,
            "    if a0 is None:\n        return e\n",
@@ -93,10 +93,10 @@ MUTANTS = (
            "a1.product_coefficient(b, k, 1, k)",
            "a1.product_coefficient(b, k, 1)", SOLVING),
     Mutant("chi-zero-commutator-sign", SOLVERS,
-           "combine((1, p.product_coefficient(prev, c, 1, c)),\n"
-           "                                         (-1, prev.product_coefficient(p, c, 0)))",
-           "combine((-1, p.product_coefficient(prev, c, 1, c)),\n"
-           "                                         (1, prev.product_coefficient(p, c, 0)))",
+           "reduced_sum((1, block_product(p, prev, c, d, 1, c)),\n"
+           "                                           (-1, block_product(prev, p, c, d, 0)))",
+           "reduced_sum((-1, block_product(p, prev, c, d, 1, c)),\n"
+           "                                           (1, block_product(prev, p, c, d, 0)))",
            LIFTED),
     # The suite holds chi_lambda against the BCH recursion, not only the split.
     Mutant("bch-chl-check-recursion-dropped", CHECKS,
