@@ -231,7 +231,6 @@ def test_chi_zero_of_a_series_with_a_constant_term():
     assert chi_zero(OPS["antider"], a) == reference_chi_zero(OPS["antider"], a)
 
 
-
 # ------------------------------------------------ the settles' block towers
 #
 # _settle_split and _settle_chi_zero settle one reduced block per coefficient
