@@ -584,7 +584,7 @@ def test_block_product_matches_a_fraction_matrix_sum(d):
     y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2})
     xs, ys = _fraction_blocks(x), _fraction_blocks(y)
     bx, by = to_blocks(x), to_blocks(y)
-    assert len({b[1] for b in bx + by if b}) > 1  # the terms need rescaling
+    rescaled = False
     for c in range(cap + 1):
         bounds = [(lo, hi) for lo in range(c + 1) for hi in range(lo - 1, c + 1)]
         for lo, hi in bounds + [(1, None)]:
@@ -594,9 +594,12 @@ def test_block_product_matches_a_fraction_matrix_sum(d):
                 assert got is None
                 continue
             num, den = got
-            assert den == lcm(*(bx[j][1] * by[c - j][1] for j in js))
+            dens = [bx[j][1] * by[c - j][1] for j in js]
+            assert den == lcm(*dens)
+            rescaled |= den != min(dens)
             assert [[Fraction(v, den) for v in num[r * d : (r + 1) * d]]
                     for r in range(d)] == _fraction_sum(xs, ys, c, js)
+    assert rescaled  # some sum had terms over differing denominators
 
 
 def test_reduced_and_reduced_sum():
