@@ -166,7 +166,8 @@ def random_series(
     bound: int = 5,
     min_valuation: int = 1,
 ) -> TruncatedSeries:
-    """Random series whose coefficients below t^min_valuation are zero.
+    """Random series whose coefficients below t^min_valuation are zero: the
+    zero series, with nothing drawn, when min_valuation > cap.
 
     Every other entry is p/q with |p| <= bound and 1 <= q <= bound, drawn by
     rings.random_entries in the order rings.random_element draws them, so a
@@ -174,9 +175,10 @@ def random_series(
     denominator directly.
     """
     dd = ring.dim * ring.dim
-    drawn = random_entries(rng, (cap + 1 - min_valuation) * dd, bound)
+    zeros = min(min_valuation, cap + 1)
+    drawn = random_entries(rng, (cap + 1 - zeros) * dd, bound)
     den = lcm(*(q for _, q in drawn))
-    num = [0] * (min_valuation * dd) + [p * (den // q) for p, q in drawn]
+    num = [0] * (zeros * dd) + [p * (den // q) for p, q in drawn]
     return TruncatedSeries.from_numerators(ring, cap, num, den)
 
 

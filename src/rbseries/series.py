@@ -9,20 +9,21 @@ sits at index k*d*d + e (row-major), so a scalar series is the d = 1 case. The
 pair is kept reduced (gcd 1, the zero series over 1), so equal series have
 equal representations. Arithmetic, the text form and JSON run on the integers
 alone; RingElement values are built only when `coefficient` or `coeffs` is
-read. RelaxedSeries keeps the same layout for a series settled one coefficient
-at a time, as Picard and _relaxed settle it. A block list (to_blocks) keeps
-one reduced Block per coefficient instead, each over its own denominator:
-the towers of powers and commutators that the solvers' split and chi_0
-settle run 1.2-1.5x faster on it over 2x2 and 3x3 matrices, since on a shared
-denominator nearly every settled coefficient rescales its whole series, while
-_relaxed on it ran scalar exp 1.4x slower.
+read. A block list (to_blocks) keeps one reduced Block per coefficient
+instead, each over its own denominator: the towers of powers and commutators
+that the solvers' split and chi_0 settle run 1.2-1.5x faster on it over 2x2
+and 3x3 matrices, since on a shared denominator nearly every settled
+coefficient rescales its whole series.
 
-Over a matrix ring every block product, in `x * y`, in
-RelaxedSeries.product_coefficient and in block_product, runs one
-straight-line multiply-add generated for the dimension (_block_madd), so no
-Python loop runs per entry.
-exp, lambda_log and geom_inv run on two loops: _relaxed settles y_0 = 1,
-y_n = r_n*(a*y)_n, and _power_sum adds t_n = t_(n-1)*x*r_n.
+Every linear settle of the kernel is one call of `settle`, which solves
+b = c + R(a*b) one coefficient at a time for a diagonal R, on the flat
+layout over one shared denominator. Its callers and their R: Picard's solver
+(the operator P); exp over Q (J: t^n -> t^n/n, weight 0); geom_inv over every
+ring and the lambda-log over Q (-lambda*id, weight lambda). The power sum
+_power_sum adds t_n = t_(n-1)*x*r_n for exp and the lambda-log over a
+non-commutative ring. Over a matrix ring every block product, in `x * y`, in
+settle and in block_product, runs one straight-line multiply-add generated
+for the dimension (_block_madd), so no Python loop runs per entry.
 """
 
 from __future__ import annotations
@@ -90,6 +91,20 @@ class TruncatedSeries:
         """Series with numerators `num` over the positive `den`, reduced here."""
         self = object.__new__(cls)
         self._init(ring, cap, num, den)
+        return self
+
+    @classmethod
+    def _lowest(
+        cls, ring: RingDescriptor, cap: int, num: list, den: int
+    ) -> "TruncatedSeries":
+        """Series with numerators `num` over `den`, a pair in lowest terms
+        already, so no gcd pass."""
+        self = object.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "ring", ring)
+        _set(self, "cap", cap)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
         return self
 
     def __setattr__(self, name, value):
@@ -225,14 +240,7 @@ class TruncatedSeries:
         return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        # Negating a reduced pair leaves it reduced, so no gcd pass.
-        out = object.__new__(TruncatedSeries)
-        _set = object.__setattr__
-        _set(out, "ring", self.ring)
-        _set(out, "cap", self.cap)
-        _set(out, "_num", [-v for v in self._num])
-        _set(out, "_den", self._den)
-        return out
+        return TruncatedSeries._lowest(self.ring, self.cap, [-v for v in self._num], self._den)
 
     def _mul(self, other: "TruncatedSeries", q: int = 1, p: int = 1) -> "TruncatedSeries":
         """Cauchy product truncated at cap, times the ratio p/q (q > 0):
@@ -308,14 +316,16 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """Sum of x^n/n! for n = 0..cap; needs valuation >= 1.
 
-        Over a commutative ring y = exp(x) solves t*y' = (t*x')*y, so the
-        relaxed loop settles y_n = ((t*x')*y)_n/n. Elsewhere y' = x'*y fails,
-        and the power sum adds the terms x^n/n!, each the one before times x/n.
+        Over a commutative ring y = exp(x) solves t*y' = (t*x')*y, that is
+        y = 1 + J((t*x')*y) for J: t^n -> t^n/n, which settle solves.
+        Elsewhere y' = x'*y fails, and the power sum adds the terms x^n/n!,
+        each the one before times x/n.
         """
         self._require_positive_valuation("exp")
+        one = TruncatedSeries.one(self.ring, self.cap)
         if self.ring.commutative:
-            return _relaxed(self.termwise(range(self.cap + 1), 1), lambda n: (1, n))
-        return _power_sum(self, TruncatedSeries.one(self.ring, self.cap) + self, lambda n: (1, n))
+            return settle(one, self.termwise(range(self.cap + 1), 1), lambda n: (1, n))
+        return _power_sum(self, one + self, lambda n: (1, n))
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + x) = sum of (-1)^(n-1) x^n / n, the weight-1 logarithm;
@@ -327,9 +337,9 @@ class TruncatedSeries:
 
         At lam = 0 only the n = 1 term survives and the result is x itself.
         Over a commutative ring it is the integral L of x'*(1 + lam*x)^(-1):
-        t*L' is t*x' times geom_inv's relaxed loop, and L_n = (t*L')_n/n.
-        Elsewhere the power sum adds the terms, each the one before times
-        -lam*x*(n-1)/n.
+        u = t*L' solves u = t*x' - lam*x*u, which settle solves, and
+        L_n = u_n/n. Elsewhere the power sum adds the terms, each the one
+        before times -lam*x*(n-1)/n.
         """
         self._require_positive_valuation("lambda_log")
         lam = rational(lam)
@@ -337,7 +347,7 @@ class TruncatedSeries:
             return self
         p, q = lam.numerator, lam.denominator
         if self.ring.commutative:
-            tdlog = self.termwise(range(self.cap + 1), 1)._mul(_relaxed(self, lambda n: (-p, q)))
+            tdlog = settle(self.termwise(range(self.cap + 1), 1), self, lambda n: (-p, q))
             den = lcm(*range(1, self.cap + 1))  # coefficient n times (den/n)/den
             return tdlog.termwise([den // max(n, 1) for n in range(self.cap + 1)], den)
         return _power_sum(self, self, lambda n: (-p * (n - 1), q * n))
@@ -345,13 +355,12 @@ class TruncatedSeries:
     def geom_inv(self, lam) -> "TruncatedSeries":
         """(1 + lam*x)^(-1) = sum of (-lam*x)^n; needs valuation >= 1.
 
-        y = 1 - lam*x*y over every ring: the relaxed loop settles
-        y_n = -lam*(x*y)_n.
+        y = 1 - lam*x*y over every ring, which settle solves.
         """
         self._require_positive_valuation("geom_inv")
         lam = rational(lam)
         p, q = lam.numerator, lam.denominator
-        return _relaxed(self, lambda n: (-p, q))
+        return settle(TruncatedSeries.one(self.ring, self.cap), self, lambda n: (-p, q))
 
     # ------------------------------------------------------------------- text
 
@@ -373,18 +382,58 @@ class TruncatedSeries:
                 for k in range(0, len(entries), d * d)]
 
 
-def _relaxed(a: TruncatedSeries, ratio) -> TruncatedSeries:
-    """y with y_0 = 1 and y_n = r_n*(a*y)_n for n = 1..cap, where ratio(n) is
-    (p, q) for r_n = p/q, q > 0. With a of zero constant term, (a*y)_n reads
-    y below n alone: y is settled one coefficient at a time (relaxed
-    evaluation; Brent and Kung, JACM 1978)."""
-    a = RelaxedSeries.of(a)
-    y = RelaxedSeries.of(TruncatedSeries.one(a.ring, a.cap))
-    for n in range(1, a.cap + 1):
-        p, q = ratio(n)
-        num, den = a.product_coefficient(y, n, 1, n)
-        y.set(n, (num if p == 1 else [p * v for v in num], den * q))
-    return y.series()
+def settle(
+    const: TruncatedSeries, a: TruncatedSeries, ratio, shift: int = 0, right: bool = False
+) -> TruncatedSeries:
+    """The series b with b[c] = const[c] + r_k*(a*b)[k], or r_k*(b*a)[k] when
+    right, for c = 0..cap and k = c - shift, where ratio(k) is (p, q) for
+    r_k = p/q, q > 0: the fixed point of b = const + R(a*b) for the diagonal
+    R that takes t^k to r_k*t^(k + shift).
+
+    a has zero constant term, so (a*b)[k] and (b*a)[k] read b below k <= c
+    alone, and step c settles b[c] from the coefficients settled before it
+    (relaxed evaluation, O(cap^2) work; van der Hoeven, "Relax, but don't be
+    too lazy", JSC 2002). b's numerators are kept over one shared
+    denominator; each settled coefficient is reduced, and when its
+    denominator is new the shared one is raised to their least common
+    multiple, rescaling the coefficients settled before. So the pair stays
+    in lowest terms, and the result needs no gcd pass.
+    """
+    ring, cap, d = a.ring, a.cap, a.ring.dim
+    dd = d * d
+    xs, x_den = a._num, a._den
+    cs, c_den = const._num, const._den
+    madd = _block_madd(d)
+    num, den = [0] * ((cap + 1) * dd), 1
+    for c in range(cap + 1):
+        o, k = c * dd, c - shift
+        block, b_den = cs[o : o + dd], c_den
+        if k > 0:
+            js = range(1, k + 1)  # a[j]*b[k - j]; a[0] is zero
+            if d == 1:
+                prod = [sum(xs[j] * num[k - j] for j in js)]
+            else:
+                prod = [0] * dd
+                for j in js:
+                    x, y = xs[j * dd : (j + 1) * dd], num[(k - j) * dd : (k - j + 1) * dd]
+                    if any(x):
+                        madd(prod, 0, y, x) if right else madd(prod, 0, x, y)
+            p, q = ratio(k)
+            p_den = q * x_den * den
+            if any(block):
+                b_den = c_den * p_den // gcd(c_den, p_den)
+                mc, mp = b_den // c_den, p * (b_den // p_den)
+                block = [mc * u + mp * v for u, v in zip(block, prod)]
+            else:
+                block, b_den = [p * v for v in prod], p_den
+        block, b_den = _reduce(block, b_den)
+        if den % b_den:
+            m = b_den // gcd(den, b_den)
+            num[:o] = [m * v for v in num[:o]]
+            den *= m
+        m = den // b_den
+        num[o : o + dd] = block if m == 1 else [m * v for v in block]
+    return TruncatedSeries._lowest(ring, cap, num, den)
 
 
 def _power_sum(x: TruncatedSeries, total: TruncatedSeries, ratio) -> TruncatedSeries:
@@ -438,20 +487,6 @@ def _reduce(num: list, den: int) -> Block:
     if g == 1:
         return num, den
     return [v // g for v in num], den // g
-
-
-def combine(*terms: tuple) -> Block:
-    """The sum of r*block over (r, block) pairs, r an int or a Fraction, over
-    the least common denominator and not reduced: RelaxedSeries.set or
-    reduced_sum, which settles it, makes the one gcd pass."""
-    den = lcm(*(d * r.denominator for r, (_, d) in terms))
-    out = [0] * len(terms[0][1][0])
-    for r, (num, d) in terms:
-        m = r.numerator * (den // (d * r.denominator))
-        if m:
-            for e, v in enumerate(num):
-                out[e] += m * v
-    return out, den
 
 
 # A block list holds a series as one reduced Block per coefficient, or None
@@ -516,85 +551,25 @@ def block_product(
 
 
 def reduced_sum(*terms: tuple) -> Block | None:
-    """combine(*terms) over the (r, block) pairs whose block is not None,
-    reduced; None when the sum is zero. A lone term is scaled, not combined."""
+    """The sum of r*block over the (r, block) pairs whose block is not None,
+    r an int or a Fraction, over the least common denominator and reduced;
+    None when the sum is zero. A lone term is scaled, not summed."""
     terms = [t for t in terms if t[1]]
-    if len(terms) > 1:
-        return reduced(*combine(*terms))
     if not terms:
         return None
-    r, (num, den) = terms[0]
-    if r == 1:
-        return reduced(num, den)
-    return reduced([r.numerator * v for v in num], den * r.denominator)
-
-
-class RelaxedSeries:
-    """A series modulo t^(cap+1) settled one coefficient at a time, in order.
-
-    This is the state of relaxed evaluation: each coefficient is set once,
-    from coefficients settled before it, and unsettled ones read as zero. The
-    numerators are laid out as in TruncatedSeries over one positive
-    denominator, which is raised to the least common one, rescaling the
-    settled numerators, when a coefficient over a new denominator is set.
-    """
-
-    __slots__ = ("ring", "cap", "_num", "_den")
-
-    def __init__(self, ring: RingDescriptor, cap: int):
-        self.ring = ring
-        self.cap = cap
-        self._num = [0] * ((cap + 1) * ring.dim**2)
-        self._den = 1
-
-    @classmethod
-    def of(cls, series: TruncatedSeries) -> "RelaxedSeries":
-        """A known series, with every coefficient settled."""
-        self = cls(series.ring, series.cap)
-        self._num, self._den = list(series._num), series._den
-        return self
-
-    def product_coefficient(
-        self, other: "RelaxedSeries", c: int, lo: int = 1, hi: int | None = None
-    ) -> Block:
-        """Sum of self[j]*other[c-j] for j = lo..hi (hi = c - 1 by default),
-        not reduced.
-
-        When both series have zero constant term and lo is self's valuation,
-        this is coefficient c of self*other, read from coefficients below c
-        alone.
-        """
-        d = self.ring.dim
-        xs, ys = self._num, other._num
-        top = c if hi is None else hi + 1
-        if d == 1:
-            out = [sum(xs[j] * ys[c - j] for j in range(lo, top))]
-        else:
-            dd = d * d
-            out = [0] * dd
-            madd = _block_madd(d)
-            for j in range(lo, top):
-                a = xs[j * dd : (j + 1) * dd]
-                if any(a):
-                    madd(out, 0, a, ys[(c - j) * dd : (c - j + 1) * dd])
-        return out, self._den * other._den
-
-    def set(self, c: int, block: Block) -> Block:
-        """Settle coefficient c to `block`; return the block reduced."""
-        num, den = _reduce(*block)
-        if self._den % den:
-            # A new denominator: raise the shared one to the least common one
-            # and rescale every entry, since RelaxedSeries.of settles them all.
-            k = lcm(self._den, den) // self._den
-            self._num = [k * v for v in self._num]
-            self._den *= k
-        dd = len(num)
-        k = self._den // den
-        self._num[c * dd : (c + 1) * dd] = num if k == 1 else [k * v for v in num]
-        return num, den
-
-    def series(self) -> TruncatedSeries:
-        return TruncatedSeries._make(self.ring, self.cap, list(self._num), self._den)
+    if len(terms) == 1:
+        r, (num, den) = terms[0]
+        if r == 1:
+            return reduced(num, den)
+        return reduced([r.numerator * v for v in num], den * r.denominator)
+    den = lcm(*(d * r.denominator for r, (_, d) in terms))
+    out = [0] * len(terms[0][1][0])
+    for r, (num, d) in terms:
+        m = r.numerator * (den // (d * r.denominator))
+        if m:
+            for e, v in enumerate(num):
+                out[e] += m * v
+    return reduced(out, den)
 
 
 # An entry token of the bracketed text form: a run of characters that are not

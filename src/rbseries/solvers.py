@@ -5,13 +5,14 @@ t-valuation of differences: coefficient c of the image depends only on the
 coefficients below c. Each fixed point is therefore settled one coefficient
 at a time (relaxed evaluation, van der Hoeven, "Relax, but don't be too
 lazy", JSC 2002): step c computes only coefficient c of every series the map
-builds, from the coefficients below c. Picard settles on
-series.RelaxedSeries, over one shared denominator. The split behind
-chi_lambda and the chi_zero settle build towers of series (powers and
-commutators), which settle on block lists, one reduced block per
-coefficient (series.to_blocks): that made them 1.2-1.5x faster over 2x2 and
-3x3 matrices, where a shared denominator rescaled a whole tower series on
-nearly every settled coefficient.
+builds, from the coefficients below c. Picard's map is linear: it is one
+series.settle of b = const + P(a1 b) (P(b a1) on the right), with R = P,
+the operator, diagonal with its shift, as for every linear settle of the
+kernel. The split behind chi_lambda and the chi_zero settle build towers of
+series (powers and commutators), which settle on block lists, one reduced
+block per coefficient (series.to_blocks): that made them 1.2-1.5x faster
+over 2x2 and 3x3 matrices, where a shared denominator rescaled a whole tower
+series on nearly every settled coefficient.
 
 What each solver proves at full cap, through the module-level `apply`, before
 it returns, or else raises ConvergenceError:
@@ -46,13 +47,12 @@ from .operators import OperatorSpec, apply, factors, power_shift, require_domain
 from .rings import Q
 from .series import (
     Block,
-    RelaxedSeries,
     TruncatedSeries,
     block_product,
-    combine,
     from_blocks,
     reduced,
     reduced_sum,
+    settle,
     to_blocks,
 )
 
@@ -159,24 +159,15 @@ def picard_solve(eq: EquationSpec) -> TruncatedSeries:
     """Unique fixed point of the equation at the truncation cap.
 
     P acts coefficientwise and val(a1) >= 1, so coefficient c of the right-hand
-    side depends only on b below t^c. Step c settles
+    side depends only on b below t^c. series.settle settles
     b[c] = const[c] + m*(a1 b)[c - shift], with m the factor P puts on that
     power, or (b a1) on the right. Raises ConvergenceError unless the result
     solves the equation at full cap (_require_solution).
     """
     const = _constant(eq, _shifted_a0(eq))
-    ring, cap = const.ring, const.cap
-    shift, factor = power_shift(eq.op), factors(eq.op, cap)
-    right = eq.form == INHOM_RIGHT
-    a1, b = RelaxedSeries.of(eq.a1), RelaxedSeries(ring, cap)
-    for c in range(cap + 1):
-        k = c - shift
-        terms = [(1, const.block(c))]
-        if k >= 0:
-            prod = b.product_coefficient(a1, k, 0) if right else a1.product_coefficient(b, k, 1, k)
-            terms.append((factor[k], prod))
-        b.set(c, combine(*terms))
-    b = b.series()
+    factor = factors(eq.op, const.cap)
+    b = settle(const, eq.a1, lambda k: (factor[k].numerator, factor[k].denominator),
+               power_shift(eq.op), eq.form == INHOM_RIGHT)
     _require_solution("picard_solve", eq, b, const)
     return b
 

@@ -243,7 +243,7 @@ TOWER_CAPS = (0, 1, 2, 16)
 def tower_input(ring_name, cap, valuation):
     """A random series whose coefficients below t^valuation are zero."""
     rng = random.Random(f"tower {ring_name} {cap} {valuation}")
-    return random_series(RINGS[ring_name], cap, rng, min(valuation, cap + 1), 3)
+    return random_series(RINGS[ring_name], cap, rng, valuation, 3)
 
 
 @pytest.mark.parametrize("valuation", [1, 3])

@@ -11,14 +11,13 @@ from rbseries.checks import first_mismatch
 from rbseries.rings import Q, RingDescriptor, RingMismatchError, matrix_ring, rational
 from rbseries.series import (
     DomainError,
-    RelaxedSeries,
     TruncatedSeries,
     block_product,
-    combine,
     from_blocks,
     parse_series,
     reduced,
     reduced_sum,
+    settle,
     to_blocks,
 )
 
@@ -392,38 +391,8 @@ def test_exp_and_geom_inv_match_their_defining_sums(ring):
     assert x.lambda_log(lam) == log_sum
 
 
-@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
-def test_relaxed_series_settles_a_product_one_coefficient_at_a_time(ring):
-    """Coefficient c of x*y read from coefficients below c, set in order,
-    gives the truncated product, whatever the denominators met on the way."""
-    cap = 6
-    rng = random.Random(37)
-    x, y = (random_series(ring, cap, rng, 1, 7) for _ in range(2))
-    rx, ry, rxy = (RelaxedSeries(ring, cap) for _ in range(3))
-    for c in range(cap + 1):
-        rxy.set(c, rx.product_coefficient(ry, c))
-        rx.set(c, x.block(c))
-        ry.set(c, y.block(c))
-    assert rx.series() == x and ry.series() == y
-    assert rxy.series() == x * y
-    assert RelaxedSeries(ring, cap).series() == TruncatedSeries.zero(ring, cap)
-
-
-@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
-def test_relaxed_set_rescales_the_settled_coefficients(ring):
-    x = random_series(ring, 3, random.Random(38), 0, 9)
-    r = RelaxedSeries(ring, 3)
-    for c in (0, 1, 2, 3):
-        num, den = x.block(c)
-        # set returns the block in lowest terms
-        g = gcd(den, *num)
-        assert r.set(c, ([5 * v for v in num], 5 * den)) == ([v // g for v in num], den // g)
-        assert truncated(r.series(), c) == truncated(x, c)
-    assert r.series() == x
-
-
-# The block kernel of x*y and of RelaxedSeries.product_coefficient, held
-# against products of Fraction matrices built from the coefficients alone.
+# The block kernel of x*y and of settle, held against products of Fraction
+# matrices built from the coefficients alone.
 
 KERNEL_DIMS = [1, 2, 3, 4, 5]
 
@@ -472,23 +441,81 @@ def test_mul_matches_a_fraction_matrix_product(d):
                                        for c in range(cap + 1)]
 
 
+def _fraction_settle(const, a, ratio, shift, right):
+    """The recurrence settle solves, in Fraction matrices: b[c] = const[c] +
+    (p/q)*(a*b)[k], or (p/q)*(b*a)[k] when right, for k = c - shift and
+    (p, q) = ratio(k), with every product term that reads b below c."""
+    cs, xs, b = _fraction_blocks(const), _fraction_blocks(a), []
+    for c in range(const.cap + 1):
+        k, out = c - shift, cs[c]
+        if k > 0:
+            p, q = ratio(k)
+            prod = _fraction_sum(b, xs, k, range(k)) if right else _fraction_sum(
+                xs, b, k, range(1, k + 1))
+            out = [[u + Fraction(p, q) * v for u, v in zip(*rows)] for rows in zip(out, prod)]
+        b.append(out)
+    return b
+
+
+def _denominator_rises(s):
+    """How often the least common denominator of s's coefficients, each in
+    lowest terms, rises after the first nonzero coefficient, read from t^0
+    upward: each rise rescales the coefficients settle settled before."""
+    dens = [reduced(*s.block(k)) for k in range(s.cap + 1)]
+    seen, den, rises = False, 1, 0
+    for b in dens:
+        if b:
+            rises += seen and den % b[1] != 0
+            den, seen = lcm(den, b[1]), True
+    return rises
+
+
+# (p, q) for the ratio r_k: integers and fractions, p and q both unlike 1.
+SETTLE_RATIOS = {
+    "minus-three-halves": lambda k: (-3, 2),
+    "one-over-k": lambda k: (1, k),
+    "moving": lambda k: (2 * k - 5, 3 * k + 1),
+}
+
+
+@pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
+@pytest.mark.parametrize("shift", (0, 1))
 @pytest.mark.parametrize("d", KERNEL_DIMS)
-def test_product_coefficient_matches_a_fraction_matrix_sum(d):
-    """Every c and every explicit lo..hi, the empty ranges too, not reduced."""
-    ring, cap = matrix_ring(d), 5
-    rng = random.Random(50 + d)
-    x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {3})
-    y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2})
-    xs, ys = _fraction_blocks(x), _fraction_blocks(y)
-    rx, ry = RelaxedSeries.of(x), RelaxedSeries.of(y)
-    for c in range(cap + 1):
-        bounds = [(lo, hi) for lo in range(c + 1) for hi in range(lo - 1, c + 1)]
-        for lo, hi in bounds + [(1, None)]:
-            num, den = rx.product_coefficient(ry, c, lo, hi)
-            assert den == x._den * y._den
-            want = _fraction_sum(xs, ys, c, range(lo, c if hi is None else hi + 1))
-            assert [[Fraction(v, den) for v in num[r * d : (r + 1) * d]]
-                    for r in range(d)] == want
+def test_settle_matches_a_fraction_recurrence(d, shift, right):
+    """Fraction inputs, whose denominators make the shared one rise, and
+    integer ones with an integer ratio, where it never does; const has
+    nonzero blocks above t^0 and a has zero blocks."""
+    ring, cap = matrix_ring(d), 6
+    rng = random.Random(110 + 10 * d + shift)
+    const = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2})
+    a = _with_zero_blocks(random_series(ring, cap, rng, 1, 7), {3})
+    assert any(any(const.block(k)[0]) for k in range(1, cap + 1))
+    for name, ratio in SETTLE_RATIOS.items():
+        got = settle(const, a, ratio, shift, right)
+        assert _fraction_blocks(got) == _fraction_settle(const, a, ratio, shift, right), name
+        assert gcd(got._den, *got._num) == 1  # in lowest terms, with no gcd pass at the end
+        assert _denominator_rises(got) > 0, name
+    integral = [TruncatedSeries.from_numerators(ring, cap, s._num, 1) for s in (const, a)]
+    got = settle(*integral, lambda k: (-2, 1), shift, right)
+    assert got._den == 1
+    assert _fraction_blocks(got) == _fraction_settle(*integral, lambda k: (-2, 1), shift, right)
+
+
+@pytest.mark.parametrize("d", KERNEL_DIMS[1:])
+def test_settle_keeps_the_factor_order(d):
+    """b = 1 + E_10 t + (b*a) for a = E_01 t has b[2] = b[1] a[1] = E_11,
+    and the left-handed b = 1 + E_10 t + (a*b) has b[2] = E_00: a kernel
+    that swaps the factors of either side reads the other."""
+    ring, cap, dd = matrix_ring(d), 2, d * d
+    unit = [int(e % (d + 1) == 0) for e in range(dd)]
+    const = TruncatedSeries.from_numerators(ring, cap, unit + [int(e == d) for e in range(dd)]
+                                            + [0] * dd, 1)
+    a = TruncatedSeries.from_numerators(ring, cap, [0] * dd + [int(e == 1) for e in range(dd)]
+                                        + [0] * dd, 1)
+    e00 = [int(e == 0) for e in range(dd)]
+    e11 = [int(e == d + 1) for e in range(dd)]
+    assert settle(const, a, lambda k: (1, 1), right=True).block(2) == (e11, 1)
+    assert settle(const, a, lambda k: (1, 1)).block(2) == (e00, 1)
 
 
 @pytest.mark.parametrize("d", KERNEL_DIMS[1:])
@@ -503,9 +530,6 @@ def test_block_kernel_keeps_the_factor_order(d):
     e00 = [int(e == 0) for e in range(dd)]
     e11 = [int(e == d + 1) for e in range(dd)]
     assert (x * y).block(2) == (e00, 1) and (y * x).block(2) == (e11, 1)
-    rx, ry = RelaxedSeries.of(x), RelaxedSeries.of(y)
-    assert rx.product_coefficient(ry, 2) == (e00, 1)
-    assert ry.product_coefficient(rx, 2) == (e11, 1)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -539,16 +563,6 @@ def test_transpose_is_the_identity_over_q(cap):
 def _block_values(block):
     num, den = block
     return [Fraction(v, den) for v in num]
-
-
-def test_combine_sums_scaled_blocks():
-    """combine leaves its sum unreduced; RelaxedSeries.set reduces it."""
-    one_half, one_third = ([1], 2), ([2], 6)
-    assert _block_values(combine((1, one_half), (1, one_third))) == [Fraction(5, 6)]
-    assert _block_values(combine((Q(3, 5), one_half), (-1, ([3], 10)))) == [0]
-    assert _block_values(combine((Q(-2, 3), ([3, 6, 0, 9], 4)))) == [
-        Fraction(-1, 2), -1, 0, Fraction(-3, 2)]
-
 
 
 # Block lists: one reduced Block per coefficient, None for a zero one.

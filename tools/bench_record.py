@@ -15,8 +15,9 @@ of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices (closed_solve on
 the left- and the right-handed equation), and of the kernels (x*y, apply,
 tilde_apply, exp, lambda_log(1), geom_inv(1)) at the same caps, and of x*y at
 cap 30 too, over scalars and 2x2 and 3x3 matrices, each the fastest of 5
-timeit batches of at least 10 ms, taken in two runs per side (parent, change,
-change, parent) and each the faster of its side's two; the
+timeit batches of at least 10 ms. Both sides' rbseries are imported into this
+one process under two package names, and per layer their batches alternate,
+so a drift in the machine's speed reaches both sides alike. Then the
 wall time of each acceptance bound (the pytest nodes of criteria 1 and 4, and
 `python -m rbseries.cli suite`), run as a subprocess three times per side in
 the order parent, change, change, parent, parent, change, as each side's
@@ -34,6 +35,7 @@ object with the keys solvers_fastest_ms and kernels_fastest_ms.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -101,30 +103,47 @@ def bound_times(root: Path) -> dict:
     return times
 
 
-def layer_timings(root: Path) -> dict:
-    """This script's --layers mode, run on the checkout at `root`."""
-    out = subprocess.run(
-        [sys.executable, __file__, "--layers", str(root)],
-        check=True, capture_output=True, text=True,
-    ).stdout
-    return json.loads(out)
+def _load(name: str, root: Path):
+    """rbseries of the checkout at `root`, imported as the package `name`.
+    src/rbseries imports its own modules by relative imports only, so two
+    checkouts load side by side under two names."""
+    package = root / "src" / "rbseries"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def _fastest(call) -> float:
-    """Seconds per call of `call`: a call takes microseconds to tens of
-    milliseconds, so each of 5 tries times a batch of calls lasting at least
-    10 ms, and the fastest batch gives the per-call time."""
-    timer = timeit.Timer(call)
-    number = math.ceil(0.01 / timer.timeit(1))
-    return min(timer.repeat(5, number)) / number
+def _batch(timer: timeit.Timer) -> int:
+    """The least power of two of calls that `timer` takes at least 10 ms to
+    make, measured, since a first single call pays one-time costs and a
+    batch sized from it runs short."""
+    number = 1
+    while timer.timeit(number) < 0.01:
+        number *= 2
+    return number
 
 
-def _layers(root: Path) -> dict:
-    """Fastest-batch milliseconds per call of each solver and kernel,
-    importing rbseries from root, under LAYER_KEYS."""
-    sys.path.insert(0, str(root / "src"))
-    import rbseries as rb
-    from rbseries import solvers
+def _fastest(calls: dict) -> dict:
+    """Seconds per call of each side's call in `calls` (side: call). A call
+    takes microseconds to tens of milliseconds, so each try times a batch of
+    calls lasting at least 10 ms; the sides' batches alternate, the order
+    flipping each try, and each side's fastest of 5 gives its per-call time."""
+    timers = {side: timeit.Timer(call) for side, call in calls.items()}
+    numbers = {side: _batch(timer) for side, timer in timers.items()}
+    best = dict.fromkeys(calls, math.inf)
+    for i in range(5):
+        for side in list(timers)[:: 1 if i % 2 == 0 else -1]:
+            best[side] = min(best[side], timers[side].timeit(numbers[side]))
+    return {side: best[side] / numbers[side] for side in calls}
+
+
+def _layer_calls(rb) -> dict:
+    """The solver and kernel calls on the package `rb`, under LAYER_KEYS:
+    name: call."""
+    solvers = rb.solvers
 
     def series(ring, cap, rng):
         """A series with zero constant term and entries p/q, |p| <= 3, q <= 3."""
@@ -137,7 +156,7 @@ def _layers(root: Path) -> dict:
 
     qint = rb.OperatorSpec(rb.QINT, rb.rational("1/2"))
     antider = rb.OperatorSpec(rb.ANTIDER)
-    solver_ms = {}
+    solver_calls = {}
     for d in DIMS:
         for cap in CAPS:
             rng = random.Random(100 * d + cap)
@@ -145,32 +164,47 @@ def _layers(root: Path) -> dict:
             eq = solvers.EquationSpec(solvers.INHOM_LEFT, qint, a1, a0)
             right = solvers.EquationSpec(solvers.INHOM_RIGHT, qint, a1, a0)
             calls = {
-                "picard_solve": lambda: solvers.picard_solve(eq),
-                "chi_lambda": lambda: solvers.chi_lambda(qint, a1),
-                "chi_zero": lambda: solvers.chi_zero(antider, a1),
-                "closed_solve": lambda: solvers.closed_solve(eq),
-                "closed_solve right": lambda: solvers.closed_solve(right),
+                "picard_solve": lambda eq=eq: solvers.picard_solve(eq),
+                "chi_lambda": lambda a1=a1: solvers.chi_lambda(qint, a1),
+                "chi_zero": lambda a1=a1: solvers.chi_zero(antider, a1),
+                "closed_solve": lambda eq=eq: solvers.closed_solve(eq),
+                "closed_solve right": lambda right=right: solvers.closed_solve(right),
             }
             for name in SOLVERS:
-                solver_ms[f"{name} {d}x{d} cap {cap}"] = round(_fastest(calls[name]) * 1000, 3)
+                solver_calls[f"{name} {d}x{d} cap {cap}"] = calls[name]
 
-    kernel_ms = {}
+    kernel_calls = {}
     for d in KERNEL_DIMS:
         ring = rb.RingDescriptor(d)
         for cap in CAPS + (MUL_CAP,):
             rng = random.Random(1000 + 100 * d + cap)
             x, y = series(ring, cap, rng), series(ring, cap, rng)
             calls = {
-                "mul": lambda: x * y,
-                "apply": lambda: rb.apply(qint, x),
-                "tilde_apply": lambda: rb.tilde_apply(qint, x),
-                "exp": lambda: x.exp(),
-                "lambda_log": lambda: x.lambda_log(1),
-                "geom_inv": lambda: x.geom_inv(1),
+                "mul": lambda x=x, y=y: x * y,
+                "apply": lambda x=x: rb.apply(qint, x),
+                "tilde_apply": lambda x=x: rb.tilde_apply(qint, x),
+                "exp": lambda x=x: x.exp(),
+                "lambda_log": lambda x=x: x.lambda_log(1),
+                "geom_inv": lambda x=x: x.geom_inv(1),
             }
             for name in KERNELS if cap in CAPS else ("mul",):
-                kernel_ms[f"{name} {d}x{d} cap {cap}"] = round(_fastest(calls[name]) * 1000, 5)
-    return dict(zip(LAYER_KEYS, (solver_ms, kernel_ms)))
+                kernel_calls[f"{name} {d}x{d} cap {cap}"] = calls[name]
+    return dict(zip(LAYER_KEYS, (solver_calls, kernel_calls)))
+
+
+def _layers(roots: dict) -> dict:
+    """Fastest-batch milliseconds per call of each solver and kernel on each
+    side's checkout in `roots` (side: root), under LAYER_KEYS: side: key:
+    name: ms. The sides' batches alternate per call (_fastest)."""
+    calls = {side: _layer_calls(_load(f"rbseries_{side}", root)) for side, root in roots.items()}
+    first = calls[next(iter(roots))]
+    timings = {side: {key: {} for key in LAYER_KEYS} for side in roots}
+    for key, digits in zip(LAYER_KEYS, (3, 5)):
+        for name in first[key]:
+            seconds = _fastest({side: calls[side][key][name] for side in roots})
+            for side, secs in seconds.items():
+                timings[side][key][name] = round(secs * 1000, digits)
+    return timings
 
 
 def main() -> int:
@@ -186,7 +220,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     if args.layers is not None:
-        print(json.dumps(_layers(args.layers)))
+        print(json.dumps(_layers({"change": args.layers})["change"]))
         return 0
     if None in (args.parent, args.change, args.parent_rev, args.change_rev, args.out):
         parser.error("--parent, --change, --parent-rev, --change-rev and --out are required")
@@ -243,16 +277,9 @@ def main() -> int:
         },
         "workloads": report,
     }
-    # Two layer runs per side, in the order parent, change, change, parent, so
-    # a drift in the machine's speed reaches both sides alike; each figure is
-    # the faster of its side's two.
-    layers = {side: [] for side in sides}
-    for side in ("parent", "change", "change", "parent"):
-        layers[side].append(layer_timings(sides[side]))
+    layers = _layers(sides)
     for key in LAYER_KEYS:
-        record[key] = {side: {name: min(run[key][name] for run in runs)
-                              for name in runs[0][key]}
-                       for side, runs in layers.items()}
+        record[key] = {side: layers[side][key] for side in sides}
     bounds = {side: [] for side in sides}
     for side in BOUND_ORDER:
         bounds[side].append(bound_times(sides[side]))

@@ -88,10 +88,9 @@ MUTANTS = (
     # The right-handed equation as the left one in the opposite algebra.
     Mutant("closed-right-untransposed", SOLVERS,
            "shifted.transpose()).transpose()", "shifted.transpose())", LIFTED),
-    # Relaxed Picard and chi_zero.
-    Mutant("picard-last-term-dropped", SOLVERS,
-           "a1.product_coefficient(b, k, 1, k)",
-           "a1.product_coefficient(b, k, 1)", SOLVING),
+    # Relaxed Picard, which is one settle, and chi_zero.
+    Mutant("picard-last-term-dropped", SERIES,
+           "js = range(1, k + 1)", "js = range(1, k)", SOLVING),
     Mutant("chi-zero-commutator-sign", SOLVERS,
            "reduced_sum((1, block_product(p, prev, c, d, 1, c)),\n"
            "                                           (-1, block_product(prev, p, c, d, 0)))",
@@ -108,20 +107,25 @@ MUTANTS = (
            "b{k * d + c}", "b{c * d + k}", ("tests/test_series.py",)),
     Mutant("transpose-keeps-entries", SERIES,
            "self._num[k + c * d + r]", "self._num[k + r * d + c]", ("tests/test_series.py",)),
+    # settle reduces each settled coefficient, and rescales the ones settled
+    # before when the shared denominator rises.
     Mutant("relaxed-set-no-rescale", SERIES,
-           "self._num = [k * v for v in self._num]",
-           "self._num = list(self._num)", ("tests/test_series.py",)),
-    # combine leaves its sum unreduced; set makes the one gcd pass.
+           "num[:o] = [m * v for v in num[:o]]",
+           "num[:o] = num[:o]", ("tests/test_series.py",)),
     Mutant("relaxed-set-no-reduce", SERIES,
-           "num, den = _reduce(*block)", "num, den = block", ("tests/test_series.py",)),
+           "block, b_den = _reduce(block, b_den)", "block, b_den = block, b_den",
+           ("tests/test_series.py",)),
+    Mutant("settle-right-factor-order", SERIES,
+           "madd(prod, 0, y, x) if right", "madd(prod, 0, x, y) if right",
+           ("tests/test_series.py",)),
     Mutant("scale-minus-one-is-identity", SERIES,
            "return -self", "return self", ("tests/test_series.py",)),
     Mutant("log1p-of-weight-minus-one", SERIES,
            "return self.lambda_log(1)", "return self.lambda_log(-1)", ("tests/test_series.py",)),
-    # exp, lambda_log and geom_inv on the two loops, each with its ratio.
+    # exp, lambda_log and geom_inv on settle or the power sum, each with its
+    # ratio.
     Mutant("relaxed-loop-last-term-dropped", SERIES,
-           "a.product_coefficient(y, n, 1, n)", "a.product_coefficient(y, n, 1)",
-           ("tests/test_series.py",)),
+           "js = range(1, k + 1)", "js = range(1, k)", ("tests/test_series.py",)),
     Mutant("power-sum-ratio-ignored", SERIES,
            "term = term._mul(x, q, p)", "term = term._mul(x)", ("tests/test_series.py",)),
     Mutant("mul-ratio-numerator-ignored", SERIES,
@@ -130,10 +134,10 @@ MUTANTS = (
            "+ self, lambda n: (1, n))", "+ self, lambda n: (1, 1))",
            ("tests/test_series.py",)),
     Mutant("exp-recurrence-unweighted", SERIES,
-           "return _relaxed(self.termwise(range(self.cap + 1), 1),",
-           "return _relaxed(self,", ("tests/test_series.py",)),
+           "return settle(one, self.termwise(range(self.cap + 1), 1),",
+           "return settle(one, self,", ("tests/test_series.py",)),
     Mutant("log-recurrence-weight-sign", SERIES,
-           "_mul(_relaxed(self, lambda n: (-p, q)))", "_mul(_relaxed(self, lambda n: (p, q)))",
+           "1), self, lambda n: (-p, q))", "1), self, lambda n: (p, q))",
            ("tests/test_series.py",)),
     Mutant("log-integral-not-divided", SERIES,
            "[den // max(n, 1) for n in", "[den for n in", ("tests/test_series.py",)),
@@ -141,7 +145,7 @@ MUTANTS = (
            "lambda n: (-p * (n - 1), q * n)", "lambda n: (-p, q * n)",
            ("tests/test_series.py",)),
     Mutant("geom-inv-weight-sign", SERIES,
-           "return _relaxed(self, lambda n: (-p, q))", "return _relaxed(self, lambda n: (p, q))",
+           "self.cap), self, lambda n: (-p, q))", "self.cap), self, lambda n: (p, q))",
            ("tests/test_series.py",)),
     # The text written from the numerators.
     Mutant("text-entry-not-reduced", SERIES,
