@@ -1,80 +1,21 @@
 """Exact computer-algebra kernel for Rota-Baxter operators on truncated
 formal power series, with equation solvers and an identity verification suite.
+
+The API is the modules, and each name is imported from the module that
+defines it:
+
+    rbseries.rings      exact rationals, matrix rings, RingDescriptor
+    rbseries.series     TruncatedSeries, settle, parse_series, DomainError
+    rbseries.operators  OperatorSpec and the operators P and P~ (apply,
+                        tilde_apply)
+    rbseries.solvers    EquationSpec, picard_solve, closed_solve, chi_lambda,
+                        chi_zero, bch
+    rbseries.checks     the identity checks, run_check, run_suite
+    rbseries.cli        the rbseries command
+
+The package itself re-exports nothing and imports none of them, so write
+`from rbseries.series import TruncatedSeries`, not `from rbseries import
+TruncatedSeries`.
 """
-
-from .rings import (
-    Q,
-    RingDescriptor,
-    RingElement,
-    RingMismatchError,
-    matrix_ring,
-    random_element,
-    rational,
-)
-from .series import DomainError, TruncatedSeries, parse_series
-from .operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
-from .solvers import (
-    ConvergenceError,
-    EquationSpec,
-    SolverUsageError,
-    bch,
-    bernoulli,
-    chi_lambda,
-    chi_zero,
-    closed_solve,
-    inhom_closed_commutative,
-    inhom_closed_noncommutative,
-    inhom_closed_weight0,
-    picard_solve,
-    spitzer_closed,
-)
-from .checks import (
-    CheckReport,
-    SuiteManifest,
-    default_manifest,
-    q_product,
-    run_check,
-    run_suite,
-    suite_ok,
-)
-
-__all__ = [
-    "Q",
-    "RingDescriptor",
-    "RingElement",
-    "RingMismatchError",
-    "matrix_ring",
-    "random_element",
-    "rational",
-    "DomainError",
-    "TruncatedSeries",
-    "parse_series",
-    "ANTIDER",
-    "QINT",
-    "QSCALE",
-    "OperatorSpec",
-    "apply",
-    "tilde_apply",
-    "ConvergenceError",
-    "EquationSpec",
-    "SolverUsageError",
-    "bch",
-    "bernoulli",
-    "chi_lambda",
-    "chi_zero",
-    "closed_solve",
-    "inhom_closed_commutative",
-    "inhom_closed_noncommutative",
-    "inhom_closed_weight0",
-    "picard_solve",
-    "spitzer_closed",
-    "CheckReport",
-    "SuiteManifest",
-    "default_manifest",
-    "q_product",
-    "run_check",
-    "run_suite",
-    "suite_ok",
-]
 
 __version__ = "0.1.0"

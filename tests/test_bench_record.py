@@ -3,9 +3,15 @@ kernel timings are required from BENCH_9.json on, and absent before it; the
 lambda_log and geom_inv kernels are required from BENCH_11.json on, the
 wall times of the acceptance bounds from BENCH_13.json on, the per-round
 work counts of a traced run from BENCH_17.json on, and closed_solve on the
-right-handed equation and x*y at cap 30 after BENCH_18.json."""
+right-handed equation and x*y at cap 30 after BENCH_18.json. The
+recorder's in-process loader builds and runs every layer call on this
+checkout and on one whose package imports its modules itself, as a
+re-exporting rbseries/__init__.py did."""
 
+import importlib.util
 import json
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +20,49 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 SIDES = {"parent", "change"}
+
+
+def _load_recorder():
+    path = ROOT / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("rbseries_bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+recorder = _load_recorder()
+FACADE = """from .rings import rational
+from .series import TruncatedSeries
+from .operators import apply
+from .solvers import closed_solve
+"""
+
+
+@pytest.mark.parametrize("layout", ("this checkout", "re-exporting package"))
+def test_every_layer_call_builds_and_runs(layout, tmp_path):
+    root = ROOT
+    if layout != "this checkout":
+        root = tmp_path
+        shutil.copytree(ROOT / "src" / "rbseries", root / "src" / "rbseries")
+        (root / "src" / "rbseries" / "__init__.py").write_text(FACADE)
+    name = f"rbseries_layers_{tmp_path.name}"
+    try:
+        calls = recorder._layer_calls(recorder._load(name, root))
+        assert Path(sys.modules[f"{name}.series"].__file__).parent == root / "src" / "rbseries"
+        for by_name in calls.values():
+            for call in by_name.values():
+                call()
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+            del sys.modules[module]
+    assert set(calls) == set(recorder.LAYER_KEYS)
+    assert set(calls["solvers_fastest_ms"]) == {
+        f"{s} {d}x{d} cap {cap}"
+        for s in recorder.SOLVERS for d in recorder.DIMS for cap in recorder.CAPS}
+    assert set(calls["kernels_fastest_ms"]) == {
+        f"{k} {d}x{d} cap {cap}"
+        for k in recorder.KERNELS for d in recorder.KERNEL_DIMS for cap in recorder.CAPS
+    } | {f"mul {d}x{d} cap {recorder.MUL_CAP}" for d in recorder.KERNEL_DIMS}
 
 
 def test_a_record_exists():

@@ -588,6 +588,35 @@ def test_block_lists_round_trip(d, cap):
     assert from_blocks(ring, cap, [None] * (cap + 1)) == zero
 
 
+@pytest.mark.parametrize("d, blocks", [
+    # 3**2 only in the first block, 2**2 only in the last
+    (1, [([2], 9), None, ([1], 2), ([5], 4)]),
+    (2, [([2, 0, 0, 1], 9), ([3, 6, 0, 3], 2), None, ([1, 2, 3, 4], 6)]),
+    # rescaled over 50, one entry alone is odd (25) and one alone prime to 5 (6)
+    (2, [([4, 0, 0, 4], 1), ([1, 10, 4, 2], 2), ([5, 10, 3, 0], 25)]),
+])
+def test_from_blocks_is_in_lowest_terms(d, blocks):
+    """Over reduced blocks with differing denominators the common one needs
+    no gcd pass: each prime's full power sits in a block with an entry prime
+    to it, whose multiplier is prime to it too."""
+    ring, cap = matrix_ring(d), len(blocks) - 1
+    got = from_blocks(ring, cap, blocks)
+    assert gcd(got._den, *got._num) == 1
+    assert got._den == lcm(*(b[1] for b in blocks if b))
+    for k, b in enumerate(blocks):
+        assert _block_values(got.block(k)) == (_block_values(b) if b else [0] * (d * d))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_builders_without_a_gcd_pass_give_lowest_terms(d):
+    ring, cap = matrix_ring(d), 5
+    x = random_series(ring, cap, random.Random(70 + d), 0, 7)
+    for s in (TruncatedSeries.zero(ring, cap), TruncatedSeries.one(ring, cap),
+              TruncatedSeries.var(ring, cap), x.transpose()):
+        assert gcd(s._den, *s._num) == 1
+    assert TruncatedSeries.zero(ring, cap)._den == 1
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_block_product_matches_a_fraction_matrix_sum(d):
     """Every c and lo..hi over block lists with zero blocks on either side,

@@ -55,6 +55,7 @@ KERNEL_DIMS = (1, 2, 3)
 KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv")
 MUL_CAP = 30  # the product alone is also timed at this cap
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
+LOADED = ("rings", "series", "operators", "solvers")  # the modules the layer calls read
 CRITERIA = ("test_criterion_1_rota_baxter_axiom", "test_criterion_4_noncommutative_inhomogeneous")
 BOUNDS = {  # name: interpreter arguments
     **{node: ("-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/test_acceptance.py::{node}")
@@ -104,15 +105,18 @@ def bound_times(root: Path) -> dict:
 
 
 def _load(name: str, root: Path):
-    """rbseries of the checkout at `root`, imported as the package `name`.
-    src/rbseries imports its own modules by relative imports only, so two
-    checkouts load side by side under two names."""
+    """rbseries of the checkout at `root`, imported as the package `name`,
+    with each module of LOADED imported as its attribute. src/rbseries
+    imports its own modules by relative imports only, so two checkouts load
+    side by side under two names."""
     package = root / "src" / "rbseries"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    for submodule in LOADED:
+        importlib.import_module(f"{name}.{submodule}")
     return module
 
 
@@ -143,24 +147,24 @@ def _fastest(calls: dict) -> dict:
 def _layer_calls(rb) -> dict:
     """The solver and kernel calls on the package `rb`, under LAYER_KEYS:
     name: call."""
-    solvers = rb.solvers
+    rings, operators, solvers = rb.rings, rb.operators, rb.solvers
 
     def series(ring, cap, rng):
         """A series with zero constant term and entries p/q, |p| <= 3, q <= 3."""
         def entry():
-            return rb.rational(rng.randint(-3, 3), rng.randint(1, 3))
+            return rings.rational(rng.randint(-3, 3), rng.randint(1, 3))
         d = ring.dim
-        return rb.TruncatedSeries.from_coeffs(ring, cap, [0] + [
+        return rb.series.TruncatedSeries.from_coeffs(ring, cap, [0] + [
             entry() if d == 1 else [[entry() for _ in range(d)] for _ in range(d)]
             for _ in range(cap)])
 
-    qint = rb.OperatorSpec(rb.QINT, rb.rational("1/2"))
-    antider = rb.OperatorSpec(rb.ANTIDER)
+    qint = operators.OperatorSpec(operators.QINT, rings.rational("1/2"))
+    antider = operators.OperatorSpec(operators.ANTIDER)
     solver_calls = {}
     for d in DIMS:
         for cap in CAPS:
             rng = random.Random(100 * d + cap)
-            a0, a1 = series(rb.matrix_ring(d), cap, rng), series(rb.matrix_ring(d), cap, rng)
+            a0, a1 = series(rings.matrix_ring(d), cap, rng), series(rings.matrix_ring(d), cap, rng)
             eq = solvers.EquationSpec(solvers.INHOM_LEFT, qint, a1, a0)
             right = solvers.EquationSpec(solvers.INHOM_RIGHT, qint, a1, a0)
             calls = {
@@ -175,14 +179,14 @@ def _layer_calls(rb) -> dict:
 
     kernel_calls = {}
     for d in KERNEL_DIMS:
-        ring = rb.RingDescriptor(d)
+        ring = rings.RingDescriptor(d)
         for cap in CAPS + (MUL_CAP,):
             rng = random.Random(1000 + 100 * d + cap)
             x, y = series(ring, cap, rng), series(ring, cap, rng)
             calls = {
                 "mul": lambda x=x, y=y: x * y,
-                "apply": lambda x=x: rb.apply(qint, x),
-                "tilde_apply": lambda x=x: rb.tilde_apply(qint, x),
+                "apply": lambda x=x: operators.apply(qint, x),
+                "tilde_apply": lambda x=x: operators.tilde_apply(qint, x),
                 "exp": lambda x=x: x.exp(),
                 "lambda_log": lambda x=x: x.lambda_log(1),
                 "geom_inv": lambda x=x: x.geom_inv(1),
