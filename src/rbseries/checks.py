@@ -214,19 +214,21 @@ def q_product(q, cap: int, sign: int, inverse: bool) -> TruncatedSeries:
     log prod (1 + s q^n t) = sum_j (-1)^(j-1) s^j p_j t^j / j with the power
     sums p_j = sum_n q^(jn) evaluated in closed form as q^j/(1-q^j). This is
     exact for every rational q with |q| != 1, including |q| > 1 where partial
-    products do not converge coefficientwise.
+    products do not converge coefficientwise. Over q = a/b, b > 0, the
+    coefficient of t^j is -(-s a)^j / (j (b^j - a^j)), and the inverse's log
+    is its negative; the sign of a negative b^j - a^j goes onto the
+    numerator, and the coefficients are put over their least common
+    denominator in integers.
     """
     q = rational(q)
-    ring = RingDescriptor()
-    coeffs = [Q(0)]
-    qj = Q(1)
+    a, b = q.numerator, q.denominator
+    terms = [(0, 1)]
     for j in range(1, cap + 1):
-        qj = qj * q
-        pj = qj / (1 - qj)
-        coeffs.append(Q((-1) ** (j - 1) * sign**j, j) * pj)
-    log_series = TruncatedSeries.from_coeffs(ring, cap, coeffs)
-    if inverse:
-        log_series = -log_series
+        num, den = (1 if inverse else -1) * (-sign * a) ** j, j * (b**j - a**j)
+        terms.append((-num, -den) if den < 0 else (num, den))
+    den = lcm(*(e for _, e in terms))
+    log_series = TruncatedSeries.from_numerators(
+        RingDescriptor(), cap, [v * (den // e) for v, e in terms], den)
     return log_series.exp()
 
 
@@ -372,14 +374,20 @@ def _special_equality(params: Mapping) -> Pairs:
 def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
            sign: Callable[[int], int] = lambda n: 1) -> TruncatedSeries:
     """1 + sum over n >= 1 of sign(n) q^exponent(n) t^n / ((1-q)...(1-q^n)),
-    with the q-Pochhammer product poch(q, n) kept as a running product."""
-    coeffs = [Q(1)]
-    qn = pochhammer = Q(1)
-    for n in range(1, cap + 1):
-        qn *= q
-        pochhammer *= 1 - qn
-        coeffs.append(sign(n) * q ** exponent(n) / pochhammer)
-    return TruncatedSeries.from_coeffs(RingDescriptor(), cap, coeffs)
+    for exponent(n) <= T_n = n(n+1)/2. Over q = a/b, b > 0, term n is
+    sign(n) a^e b^(T_n - e) / prod_{k<=n} (b^k - a^k) for e = exponent(n),
+    so over the whole product up to cap its numerator takes the factors
+    above n; the sign of a negative product goes onto the numerators."""
+    a, b = q.numerator, q.denominator
+    num, tail = [], 1  # tail: the product of b^k - a^k for n < k <= cap
+    for n in range(cap, 0, -1):
+        e = exponent(n)
+        num.append(sign(n) * a**e * b ** (n * (n + 1) // 2 - e) * tail)
+        tail *= b**n - a**n
+    num.append(tail)
+    if tail < 0:
+        num, tail = [-v for v in num], -tail
+    return TruncatedSeries.from_numerators(RingDescriptor(), cap, num[::-1], tail)
 
 
 def _eulerian(params: Mapping) -> Pairs:

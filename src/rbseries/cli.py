@@ -1,8 +1,8 @@
 """Command-line front end: run single checks, full suites, or solvers.
 
 Exit codes: 0 all statuses matched expectations, 1 on mismatch, 2 on usage
-errors, 130 when interrupted (Ctrl-C). Rationals are always rendered as exact
-'p/q' strings, never floats.
+errors and on a result too long to write, 130 when interrupted (Ctrl-C).
+Rationals are always rendered as exact 'p/q' strings, never floats.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .checks import (
     suite_ok,
 )
 from .rings import RingDescriptor
-from .series import DomainError, TruncatedSeries, parse_series
+from .series import DigitLimitError, DomainError, TruncatedSeries, parse_series
 from .solvers import FORMS, INHOM_LEFT, EquationError, EquationSpec, closed_solve, picard_solve
 
 # The params of checks.PARAMS that verify and solve take as flags, in the
@@ -189,7 +189,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.run(args)
-    except (ParamError, UsageError, OSError) as exc:
+    except (ParamError, UsageError, DigitLimitError, OSError) as exc:
         flag = "--" if isinstance(exc, ParamError) else ""  # a ParamError begins with its name
         print(f"error: {flag}{exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,8 @@ CACHE_SIZE = 128
 @dataclass(frozen=True)
 class OperatorSpec:
     """An operator kind and its q. The hash is computed once, as every apply
-    looks the operator's cached vector up by it."""
+    looks the operator's cached vector up by it, and so is the weight, which a
+    scalar solve reads three or four times."""
 
     kind: str
     q: object = None  # rational; None for antider
@@ -57,17 +58,14 @@ class OperatorSpec:
                 raise ValueError("q must avoid {0, 1, -1}")
             object.__setattr__(self, "q", q)
         object.__setattr__(self, "_hash", hash((self.kind, self.q)))
+        object.__setattr__(self, "_weight", Q({QINT: 1, QSCALE: -1}.get(self.kind, 0)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def weight(self) -> Q:
-        if self.kind == QINT:
-            return Q(1)
-        if self.kind == QSCALE:
-            return Q(-1)
-        return Q(0)
+        return self._weight
 
 
 def _factor(op: OperatorSpec, n: int) -> Q:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -60,18 +61,51 @@ def test_poch():
     assert poch(q, 2) == Q(1, 2) * Q(3, 4)
 
 
-@pytest.mark.parametrize("q", EULERIAN_QS)
-def test_q_sum_running_product_matches_poch(q):
-    """Each coefficient of _q_sum, built on a running q-Pochhammer product,
-    against the term computed with poch afresh."""
+# q values on both sides of 1 and of 0, so b^k - a^k of q = a/b takes both
+# signs, and the caps the q-series are checked at.
+Q_SERIES_QS = EULERIAN_QS + ["-3", "-2/5"]
+Q_SERIES_CAPS = (0, 1, 2, 8, 16, 30)
+
+
+@pytest.mark.parametrize("q", Q_SERIES_QS)
+def test_q_sum_matches_its_poch_terms(q):
+    """_q_sum, built on integer numerators over the product of b^k - a^k,
+    against the series of the terms sign(n) q^e / poch(q, n) in Fractions,
+    for every exponent and sign the Eulerian checks pass: the same
+    numerators over the same denominator."""
     q = rational(q)
-    cap = 12
-    for exponent, sign in ((lambda n: 2 * n - 1, lambda n: 1), (lambda n: 0, lambda n: (-1) ** n),
-                           (lambda n: n * (n + 1) // 2, lambda n: -((-1) ** n))):
-        got = checks._q_sum(cap, q, exponent, sign)
-        for n in range(cap + 1):
-            want = sign(n) * q ** exponent(n) / poch(q, n) if n else 1
-            assert got.coefficient(n).value == want
+
+    def triangle(n):
+        return n * (n + 1) // 2
+
+    plus, alternating = (lambda n: 1), (lambda n: (-1) ** n)
+    for exponent, sign in ((lambda n: 2 * n - 1, plus), (lambda n: n, plus),
+                           (lambda n: triangle(n) - 1, plus), (triangle, plus),
+                           (lambda n: 0, alternating),
+                           (lambda n: 2 * n - 1, lambda n: -alternating(n)),
+                           (lambda n: triangle(n) - 1 if n > 1 else 1, plus)):
+        terms = [Q(1)] + [sign(n) * q ** exponent(n) / poch(q, n)
+                          for n in range(1, Q_SERIES_CAPS[-1] + 1)]
+        for cap in Q_SERIES_CAPS:
+            got = checks._q_sum(cap, q, exponent, sign)
+            want = TruncatedSeries.from_coeffs(SCALAR, cap, terms)
+            assert (got._num, got._den) == (want._num, want._den), cap
+
+
+@pytest.mark.parametrize("q", Q_SERIES_QS)
+def test_q_product_matches_its_fraction_logarithm(q):
+    """q_product, whose log coefficients are integer pairs with the inverse
+    folded into their sign, against the exp of the log series built in
+    Fractions, negated for the inverse."""
+    q = rational(q)
+    for sign, inverse in itertools.product((1, -1), (False, True)):
+        log = [Q(0)] + [Q((-1) ** (j - 1) * sign**j, j) * q**j / (1 - q**j)
+                        for j in range(1, Q_SERIES_CAPS[-1] + 1)]
+        for cap in Q_SERIES_CAPS:
+            want = TruncatedSeries.from_coeffs(SCALAR, cap, log)
+            want = (-want if inverse else want).exp()
+            got = q_product(q, cap, sign, inverse)
+            assert (got._num, got._den) == (want._num, want._den), (sign, inverse, cap)
 
 
 def test_first_mismatch_reports_smallest_power():

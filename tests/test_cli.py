@@ -564,3 +564,26 @@ def test_solve_output_is_unchanged_byte_for_byte():
     assert len(argvs) == 76 and results[0] == [0, "0,0,1/2,0,1/8\n", ""]
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == "d89042c96571b53688522ddb07f91d9a7c4525578b615854c62775a15836b876"
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter's limit of integer string conversion at its least,
+    640 digits, so that a result too long to write stays small."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a1", "0,1e200", "--a0", "0,1"],
+    ["solve", "--a1", "0,1e200", "--a0", "0,1", "--format", "json"],
+    ["verify", "eulerian-prop-one-printed", "--q", "1e700", "--order", "2", "--expect", "fail"],
+], ids=["solve", "solve-json", "verify"])
+def test_a_result_too_long_to_write_is_a_usage_error(capsys, digit_limit_640, argv):
+    """The solution, or the first mismatch, has an entry of more digits than
+    str converts: exit 2 with one error line that names the limit."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "640 digits" in err

@@ -34,6 +34,12 @@ def test_weights():
     assert J.weight == 0
 
 
+def test_weight_is_computed_once():
+    """Every read returns the one Fraction built with the operator."""
+    for op in (QI, QS, J):
+        assert op.weight is op.weight and type(op.weight) is Q
+
+
 def test_q_guard():
     for bad in ("0", "1", "-1"):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -516,6 +517,30 @@ def test_settle_keeps_the_factor_order(d):
     e11 = [int(e == d + 1) for e in range(dd)]
     assert settle(const, a, lambda k: (1, 1), right=True).block(2) == (e11, 1)
     assert settle(const, a, lambda k: (1, 1)).block(2) == (e00, 1)
+
+
+@pytest.mark.parametrize("shift", (0, 1))
+def test_scalar_settle_matches_a_fraction_recurrence(shift):
+    """Over Q settle runs its own loop on ints. Consts zero, one (as exp's),
+    and with zero and nonzero coefficients above t^0; a with Fraction
+    entries, so settled coefficients reduce and the shared denominator
+    rises, rescaling the prefix; and integral inputs, where it never does."""
+    cap = 8
+    rng = random.Random(170 + shift)
+    a = _with_zero_blocks(random_series(SCALAR, cap, rng, 1, 7), {3})
+    consts = {"zero": TruncatedSeries.zero(SCALAR, cap), "one": TruncatedSeries.one(SCALAR, cap),
+              "sparse": _with_zero_blocks(random_series(SCALAR, cap, rng, 0, 7), {1, 4, 5})}
+    assert any(consts["sparse"]._num[1:]) and a._den > 1
+    for (name, ratio), (kind, const) in itertools.product(SETTLE_RATIOS.items(), consts.items()):
+        got = settle(const, a, ratio, shift)
+        assert _fraction_blocks(got) == _fraction_settle(const, a, ratio, shift, False), name
+        assert gcd(got._den, *got._num) == 1, (name, kind)
+        assert (_denominator_rises(got) > 0) == (kind != "zero"), (name, kind)
+    integral = [TruncatedSeries.from_numerators(SCALAR, cap, s._num, 1)
+                for s in (consts["sparse"], a)]
+    got = settle(*integral, lambda k: (-2, 1), shift)
+    assert got._den == 1
+    assert _fraction_blocks(got) == _fraction_settle(*integral, lambda k: (-2, 1), shift, False)
 
 
 @pytest.mark.parametrize("d", KERNEL_DIMS[1:])

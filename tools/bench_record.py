@@ -14,10 +14,11 @@ for neither) and the failed operations; then per-call timings on each side
 of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices (closed_solve on
 the left- and the right-handed equation), and of the kernels (x*y, apply,
 tilde_apply, exp, lambda_log(1), geom_inv(1)) at the same caps, and of x*y at
-cap 30 too, over scalars and 2x2 and 3x3 matrices, each the fastest of 5
-timeit batches of at least 10 ms. Both sides' rbseries are imported into this
-one process under two package names, and per layer their batches alternate,
-so a drift in the machine's speed reaches both sides alike. Then the
+cap 30 too, over scalars and 2x2 and 3x3 matrices, each the fastest of 15
+timeit batches of at least 10 ms, made in 15 rounds over every layer. Both
+sides' rbseries are imported into this one process under two package names,
+and per layer their batches alternate, so a drift in the machine's speed
+reaches both sides alike. Then the
 wall time of each acceptance bound (the pytest nodes of criteria 1 and 4, and
 `python -m rbseries.cli suite`), run as a subprocess three times per side in
 the order parent, change, change, parent, parent, change, as each side's
@@ -64,6 +65,7 @@ BOUNDS = {  # name: interpreter arguments
 }
 BOUND_ORDER = ("parent", "change", "change", "parent", "parent", "change")
 COUNT_SECONDS = 3  # length of the traced run that gives the layer counts
+TRIES = 15  # rounds of alternated timeit batches, one per side and layer
 
 
 def quartiles(values: list) -> dict:
@@ -130,18 +132,28 @@ def _batch(timer: timeit.Timer) -> int:
     return number
 
 
-def _fastest(calls: dict) -> dict:
-    """Seconds per call of each side's call in `calls` (side: call). A call
-    takes microseconds to tens of milliseconds, so each try times a batch of
-    calls lasting at least 10 ms; the sides' batches alternate, the order
-    flipping each try, and each side's fastest of 5 gives its per-call time."""
-    timers = {side: timeit.Timer(call) for side, call in calls.items()}
-    numbers = {side: _batch(timer) for side, timer in timers.items()}
-    best = dict.fromkeys(calls, math.inf)
-    for i in range(5):
-        for side in list(timers)[:: 1 if i % 2 == 0 else -1]:
-            best[side] = min(best[side], timers[side].timeit(numbers[side]))
-    return {side: best[side] / numbers[side] for side in calls}
+def _fastest(layers: dict) -> dict:
+    """Seconds per call of each side's call of each layer in `layers` (name:
+    side: call), under the same keys. A call takes microseconds to tens of
+    milliseconds, so each try times a batch of calls lasting at least 10 ms.
+    A round makes one try of every layer, the sides' batches alternating and
+    their order flipping each round, and each side's fastest of TRIES rounds
+    gives its per-call time. So a layer's tries spread over the whole run:
+    the machine's speed can drift for seconds at a time, and 5 tries made
+    back to back read a layer of 7-30 us per call 10-70 % apart from one run
+    to the next."""
+    timers = {name: {side: timeit.Timer(call) for side, call in calls.items()}
+              for name, calls in layers.items()}
+    numbers = {name: {side: _batch(timer) for side, timer in by_side.items()}
+               for name, by_side in timers.items()}
+    best = {name: dict.fromkeys(by_side, math.inf) for name, by_side in timers.items()}
+    for i in range(TRIES):
+        for name, by_side in timers.items():
+            for side in list(by_side)[:: 1 if i % 2 == 0 else -1]:
+                best[name][side] = min(best[name][side],
+                                       by_side[side].timeit(numbers[name][side]))
+    return {name: {side: best[name][side] / numbers[name][side] for side in by_side}
+            for name, by_side in timers.items()}
 
 
 def _layer_calls(rb) -> dict:
@@ -199,14 +211,16 @@ def _layer_calls(rb) -> dict:
 def _layers(roots: dict) -> dict:
     """Fastest-batch milliseconds per call of each solver and kernel on each
     side's checkout in `roots` (side: root), under LAYER_KEYS: side: key:
-    name: ms. The sides' batches alternate per call (_fastest)."""
+    name: ms. The sides' batches alternate per call, and the tries of every
+    layer are made in rounds over all of them (_fastest)."""
     calls = {side: _layer_calls(_load(f"rbseries_{side}", root)) for side, root in roots.items()}
     first = calls[next(iter(roots))]
+    seconds = _fastest({(key, name): {side: calls[side][key][name] for side in roots}
+                        for key in LAYER_KEYS for name in first[key]})
     timings = {side: {key: {} for key in LAYER_KEYS} for side in roots}
     for key, digits in zip(LAYER_KEYS, (3, 5)):
         for name in first[key]:
-            seconds = _fastest({side: calls[side][key][name] for side in roots})
-            for side, secs in seconds.items():
+            for side, secs in seconds[key, name].items():
                 timings[side][key][name] = round(secs * 1000, digits)
     return timings
 

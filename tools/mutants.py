@@ -88,9 +88,9 @@ MUTANTS = (
     # The right-handed equation as the left one in the opposite algebra.
     Mutant("closed-right-untransposed", SOLVERS,
            "shifted.transpose()).transpose()", "shifted.transpose())", LIFTED),
-    # Relaxed Picard, which is one settle, and chi_zero.
+    # Relaxed Picard, which is one settle (the scalar loop over Q), and chi_zero.
     Mutant("picard-last-term-dropped", SERIES,
-           "js = range(1, k + 1)", "js = range(1, k)", SOLVING),
+           "xs[1 : k + 1], num[k - 1 :: -1]", "xs[1 : k], num[k - 1 :: -1]", SOLVING),
     Mutant("chi-zero-commutator-sign", SOLVERS,
            "reduced_sum((1, block_product(p, prev, c, d, 1, c)),\n"
            "                                           (-1, block_product(prev, p, c, d, 0)))",
@@ -108,12 +108,19 @@ MUTANTS = (
     Mutant("transpose-keeps-entries", SERIES,
            "self._num[k + c * d + r]", "self._num[k + r * d + c]", ("tests/test_series.py",)),
     # settle reduces each settled coefficient, and rescales the ones settled
-    # before when the shared denominator rises.
+    # before when the shared denominator rises: the matrix loop, then the
+    # scalar one.
     Mutant("relaxed-set-no-rescale", SERIES,
            "num[:o] = [m * v for v in num[:o]]",
            "num[:o] = num[:o]", ("tests/test_series.py",)),
     Mutant("relaxed-set-no-reduce", SERIES,
            "block, b_den = _reduce(block, b_den)", "block, b_den = block, b_den",
+           ("tests/test_series.py",)),
+    Mutant("scalar-settle-no-rescale", SERIES,
+           "num[:c] = [m * u for u in num[:c]]",
+           "num[:c] = num[:c]", ("tests/test_series.py",)),
+    Mutant("scalar-settle-no-reduce", SERIES,
+           "v, v_den = v // g, v_den // g", "v, v_den = v, v_den",
            ("tests/test_series.py",)),
     Mutant("settle-right-factor-order", SERIES,
            "madd(prod, 0, y, x) if right", "madd(prod, 0, x, y) if right",
@@ -125,7 +132,7 @@ MUTANTS = (
     # exp, lambda_log and geom_inv on settle or the power sum, each with its
     # ratio.
     Mutant("relaxed-loop-last-term-dropped", SERIES,
-           "js = range(1, k + 1)", "js = range(1, k)", ("tests/test_series.py",)),
+           "for j in range(1, k + 1):", "for j in range(1, k):", ("tests/test_series.py",)),
     Mutant("power-sum-ratio-ignored", SERIES,
            "term = term._mul(x, q, p)", "term = term._mul(x)", ("tests/test_series.py",)),
     Mutant("mul-ratio-numerator-ignored", SERIES,
@@ -165,7 +172,16 @@ MUTANTS = (
            "if weight_zero not in (None, op.weight == 0):", "if False:",
            ("tests/test_checks.py",)),
     Mutant("q-product-inverse-ignored", CHECKS,
-           "log_series = -log_series", "pass", ("tests/test_checks.py",)),
+           "(1 if inverse else -1) * (-sign * a) ** j", "-(-sign * a) ** j",
+           ("tests/test_checks.py",)),
+    # The q-series on integers: a negative denominator's sign moves onto the
+    # numerators.
+    Mutant("q-product-negative-denominator-sign-dropped", CHECKS,
+           "terms.append((-num, -den) if den < 0 else (num, den))",
+           "terms.append((num, abs(den)))", ("tests/test_checks.py",)),
+    Mutant("q-sum-negative-product-sign-dropped", CHECKS,
+           "num, tail = [-v for v in num], -tail", "tail = -tail",
+           ("tests/test_checks.py",)),
     # The bracketed text form read as JSON, each entry quoted.
     Mutant("reader-lets-recursion-error-out", SERIES,
            "except (TypeError, RecursionError) as exc:", "except TypeError as exc:",
@@ -218,6 +234,10 @@ MUTANTS = (
     Mutant("verify-echoes-unread-flags", CLI,
            "flags.pop(name) for name in VERIFY_FLAGS", "flags[name] for name in VERIFY_FLAGS",
            ("tests/test_cli.py",)),
+    # A result too long to write is an error line and exit 2, not a traceback.
+    Mutant("digit-limit-error-uncaught", CLI,
+           "except (ParamError, UsageError, DigitLimitError, OSError) as exc:",
+           "except (ParamError, UsageError, OSError) as exc:", ("tests/test_cli.py",)),
     # One reader of params for verify, solve, manifests and run_check.
     Mutant("read-params-accepts-unknown-name", CHECKS,
            "if name not in names:", "if name not in PARAMS:", PARAMS_READ),
