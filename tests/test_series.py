@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rbseries import checks
 from rbseries.checks import first_mismatch
+from rbseries.operators import ANTIDER, QINT, QSCALE, OperatorSpec, apply, tilde_apply
 from rbseries.rings import Q, RingDescriptor, RingMismatchError, matrix_ring, rational
 from rbseries.series import (
     DomainError,
@@ -245,6 +246,76 @@ def test_equal_values_from_different_denominators_compare_equal(ring):
     assert TruncatedSeries(ring, cap, tuple(x.coeffs)) == x
     zero = TruncatedSeries.zero(ring, cap)
     assert x - x == zero and x.scale(0) == zero
+
+
+EQUALITY_OPERATORS = [OperatorSpec(QINT, Q(1, 2)), OperatorSpec(QSCALE, Q(2, 3)),
+                      OperatorSpec(ANTIDER)]
+
+
+@pytest.mark.parametrize("op", EQUALITY_OPERATORS, ids=["qint", "qscale", "antider"])
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_one_value_by_unreduced_routes_compares_and_hashes_alike(ring, op):
+    """Sums, scales and applies make no gcd pass, so one value reached by
+    several routes sits over several denominators: == cross-multiplies, hash
+    reduces, a set holds the value once, and first_mismatch names the power
+    a bump moves."""
+    cap = 6
+    rng = random.Random(41 + ring.dim)
+    x, y = (random_series(ring, cap, rng, 1, 7) for _ in range(2))
+    px, r = apply(op, x), Q(-4, 9)
+
+    def lowest(s):
+        return TruncatedSeries(ring, cap, s.coeffs)
+
+    values = [
+        [px, lowest(px), apply(op, x + y) - apply(op, y), apply(op, x.scale(r)).scale(1 / r)],
+        [tilde_apply(op, x), x.scale(-op.weight) - px, lowest(tilde_apply(op, x))],
+        [x, (x + y) - y, x.scale(Q(6, 35)).scale(Q(35, 6))],
+        [apply(op, x.scale(r)), px.scale(r), lowest(px.scale(r))],
+    ]
+    var = TruncatedSeries.var(ring, cap)
+    for routes in values:
+        assert len({s._den for s in routes}) > 1  # more than one representation
+        assert any(gcd(s._den, *s._num) > 1 for s in routes)  # one of them unreduced
+        assert len(set(routes)) == 1
+        for a, b in itertools.product(routes, repeat=2):
+            assert a == b and hash(a) == hash(b)
+            assert first_mismatch(a, b) is None
+            for k in (0, 3, cap):
+                bumped = b + power(var, k).scale(Q(1, 3))
+                assert a != bumped and bumped != a
+                assert first_mismatch(a, bumped).power == k
+
+
+@st.composite
+def unreduced_pairs(draw):
+    """Two series over dims 1-3 built by sums and non-unit scales, so neither
+    pair is reduced: b is a's value by another route, or a's value moved by
+    another scale or by a multiple of a third series."""
+    d = draw(st.integers(1, 3))
+    ring, cap = matrix_ring(d), draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    x, y = (random_series(ring, cap, rng, 0, 4) for _ in range(2))
+    r = draw(rationals(6, 6).filter(bool))
+    a = (x + y).scale(r) - y.scale(r)
+    b = draw(st.sampled_from(("scale", "sum", "other scale", "plus y")))
+    if b == "scale":
+        return a, x.scale(r)
+    if b == "sum":
+        return a, x.scale(r / 3) + x.scale(r * 2 / 3)
+    if b == "other scale":
+        return a, x.scale(draw(rationals(6, 6)))
+    return a, x.scale(r) + y.scale(draw(rationals(2, 3)))
+
+
+@given(unreduced_pairs())
+@settings(max_examples=80)
+def test_equality_is_equality_of_fraction_coefficients(pair):
+    a, b = pair
+    fractions = [[Fraction(v, s._den) for v in s._num] for s in (a, b)]
+    assert (a == b) == (fractions[0] == fractions[1]) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])

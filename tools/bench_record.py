@@ -13,19 +13,23 @@ each side's median, quartiles and runs, the pairs the change won (ties count
 for neither) and the failed operations; then per-call timings on each side
 of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices (closed_solve on
 the left- and the right-handed equation), and of the kernels (x*y, apply,
-tilde_apply, exp, lambda_log(1), geom_inv(1)) at the same caps, and of x*y at
-cap 30 too, over scalars and 2x2 and 3x3 matrices, each the fastest of 15
-timeit batches of at least 10 ms, made in 15 rounds over every layer. Both
-sides' rbseries are imported into this one process under two package names,
-and per layer their batches alternate, so a drift in the machine's speed
-reaches both sides alike. Then the
-wall time of each acceptance bound (the pytest nodes of criteria 1 and 4, and
-`python -m rbseries.cli suite`), run as a subprocess three times per side in
-the order parent, change, change, parent, parent, change, as each side's
-median; the exact work counts per round (every metric of unit count: the
-layers' calls and products) of one traced run (`perfbench/run.py --trace 1`)
-per side and workload, at the first pair's seed; and the environment. Standard
-library only.
+tilde_apply, exp, lambda_log(1), geom_inv(1), x+y, a scale by -5/7, and P(x)
+== its reduced copy, whose pairs differ where apply leaves its pair
+unreduced) at the same caps, and of x*y at cap 30 too, over scalars and 2x2
+and 3x3 matrices, each the fastest of 15 timeit batches of at least 10 ms,
+made in 15 rounds over every layer.
+Both sides' rbseries are imported into this one process under two package
+names, and per layer their batches alternate, so a drift in the machine's
+speed reaches both sides alike. Then the wall time of each acceptance bound
+(the pytest nodes of criteria 1 and 4, and `python -m rbseries.cli suite`),
+run as a subprocess once per side in each of --pairs pairs, alternated as
+the workloads are, with each side's median, quartiles and runs and the pairs
+the change won; the exact work counts per round (every metric of unit
+count: the layers' calls and products) of one traced run
+(`perfbench/run.py --trace 1`) per side and workload, at the first pair's
+seed; the gcd passes (calls of series._reduce) of one round of each
+workload at that seed, counted in this process on each side's package after
+a warm-up round; and the environment. Standard library only.
 
     python3 tools/bench_record.py --layers DIR
 
@@ -53,17 +57,17 @@ CAPS = (6, 10, 16)
 DIMS = (2, 3)
 SOLVERS = ("picard_solve", "chi_lambda", "chi_zero", "closed_solve", "closed_solve right")
 KERNEL_DIMS = (1, 2, 3)
-KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv")
+KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv", "add", "scale", "eq")
 MUL_CAP = 30  # the product alone is also timed at this cap
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
-LOADED = ("rings", "series", "operators", "solvers")  # the modules the layer calls read
+# the modules the layer calls and the workloads read (perfbench/run.py's MODULES)
+LOADED = ("rings", "series", "operators", "solvers", "checks", "cli")
 CRITERIA = ("test_criterion_1_rota_baxter_axiom", "test_criterion_4_noncommutative_inhomogeneous")
 BOUNDS = {  # name: interpreter arguments
     **{node: ("-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/test_acceptance.py::{node}")
        for node in CRITERIA},
     "rbseries suite": ("-m", "rbseries.cli", "suite"),
 }
-BOUND_ORDER = ("parent", "change", "change", "parent", "parent", "change")
 COUNT_SECONDS = 3  # length of the traced run that gives the layer counts
 TRIES = 15  # rounds of alternated timeit batches, one per side and layer
 
@@ -71,6 +75,26 @@ TRIES = 15  # rounds of alternated timeit batches, one per side and layer
 def quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def order(i: int) -> tuple:
+    """The sides of pair i in running order: the parent first on even i."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def paired(values: dict, better: str, unit: str) -> dict:
+    """One metric's runs on both sides (side: list, pair by pair) as each
+    side's median and quartiles, the pairs the change won (ties count for
+    neither) and the runs."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    return {
+        "unit": unit,
+        "parent": quartiles(values["parent"]),
+        "change": quartiles(values["change"]),
+        "change_wins": wins,
+        "runs": {side: [round(v, 4) for v in runs] for side, runs in values.items()},
+    }
 
 
 def run_workload(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -104,6 +128,51 @@ def bound_times(root: Path) -> dict:
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         times[name] = time.perf_counter() - start
     return times
+
+
+def reduce_calls(packages: dict, workloads_module, workloads: list, seed: int) -> dict:
+    """Calls of series._reduce, the gcd pass, in one round of each workload
+    at `seed` on each package in `packages` (side: package, as _load gives
+    it), after an uncounted warm-up round: side: workload: calls."""
+    def one_round(ops):
+        for op in ops:
+            try:
+                op.call()
+            except Exception:
+                pass  # a known fault, counted as perfbench/run.py counts it
+
+    counts = {}
+    for side, rb in packages.items():
+        series, counts[side] = rb.series, {}
+        gcd_pass = series._reduce
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return gcd_pass(*args)
+
+        for w in workloads:
+            ops = workloads_module.build(w, seed, rb)
+            one_round(ops)
+            calls, series._reduce = 0, counted
+            try:
+                one_round(ops)
+            finally:
+                series._reduce = gcd_pass
+            counts[side][w] = calls
+    return counts
+
+
+def _load_workloads(root: Path):
+    """perfbench/workloads.py of the checkout at `root`, with its directory on
+    sys.path for its own imports, as perfbench/run.py puts it."""
+    sys.path.insert(0, str(root / "perfbench"))
+    spec = importlib.util.spec_from_file_location("rbseries_bench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass reads its module from here
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load(name: str, root: Path):
@@ -171,6 +240,7 @@ def _layer_calls(rb) -> dict:
             for _ in range(cap)])
 
     qint = operators.OperatorSpec(operators.QINT, rings.rational("1/2"))
+    ratio = rings.rational("-5/7")
     antider = operators.OperatorSpec(operators.ANTIDER)
     solver_calls = {}
     for d in DIMS:
@@ -195,6 +265,8 @@ def _layer_calls(rb) -> dict:
         for cap in CAPS + (MUL_CAP,):
             rng = random.Random(1000 + 100 * d + cap)
             x, y = series(ring, cap, rng), series(ring, cap, rng)
+            px = operators.apply(qint, x)
+            reduced = rb.series.TruncatedSeries.from_coeffs(ring, cap, px.coeffs)
             calls = {
                 "mul": lambda x=x, y=y: x * y,
                 "apply": lambda x=x: operators.apply(qint, x),
@@ -202,22 +274,26 @@ def _layer_calls(rb) -> dict:
                 "exp": lambda x=x: x.exp(),
                 "lambda_log": lambda x=x: x.lambda_log(1),
                 "geom_inv": lambda x=x: x.geom_inv(1),
+                "add": lambda x=x, y=y: x + y,
+                "scale": lambda x=x: x.scale(ratio),
+                "eq": lambda px=px, reduced=reduced: px == reduced,
             }
             for name in KERNELS if cap in CAPS else ("mul",):
                 kernel_calls[f"{name} {d}x{d} cap {cap}"] = calls[name]
     return dict(zip(LAYER_KEYS, (solver_calls, kernel_calls)))
 
 
-def _layers(roots: dict) -> dict:
+def _layers(packages: dict) -> dict:
     """Fastest-batch milliseconds per call of each solver and kernel on each
-    side's checkout in `roots` (side: root), under LAYER_KEYS: side: key:
-    name: ms. The sides' batches alternate per call, and the tries of every
-    layer are made in rounds over all of them (_fastest)."""
-    calls = {side: _layer_calls(_load(f"rbseries_{side}", root)) for side, root in roots.items()}
-    first = calls[next(iter(roots))]
-    seconds = _fastest({(key, name): {side: calls[side][key][name] for side in roots}
+    side's package in `packages` (side: package, as _load gives it), under
+    LAYER_KEYS: side: key: name: ms. The sides' batches alternate per call,
+    and the tries of every layer are made in rounds over all of them
+    (_fastest)."""
+    calls = {side: _layer_calls(rb) for side, rb in packages.items()}
+    first = calls[next(iter(packages))]
+    seconds = _fastest({(key, name): {side: calls[side][key][name] for side in packages}
                         for key in LAYER_KEYS for name in first[key]})
-    timings = {side: {key: {} for key in LAYER_KEYS} for side in roots}
+    timings = {side: {key: {} for key in LAYER_KEYS} for side in packages}
     for key, digits in zip(LAYER_KEYS, (3, 5)):
         for name in first[key]:
             for side, secs in seconds[key, name].items():
@@ -238,7 +314,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     if args.layers is not None:
-        print(json.dumps(_layers({"change": args.layers})["change"]))
+        print(json.dumps(_layers({"change": _load("rbseries_change", args.layers)})["change"]))
         return 0
     if None in (args.parent, args.change, args.parent_rev, args.change_rev, args.out):
         parser.error("--parent, --change, --parent-rev, --change-rev and --out are required")
@@ -249,9 +325,8 @@ def main() -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     runs = {w: {side: [] for side in sides} for w in workloads}
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
-            for side in order:
+            for side in order(i):
                 result = run_workload(sides[side], w, args.seed + i, args.seconds)
                 runs[w][side].append(result)
                 print(f"pair {i} {w} {side}: {result['metrics']['ops_per_s']['value']:.1f} ops/s",
@@ -262,15 +337,7 @@ def main() -> int:
         entry = {}
         for name, better in metrics.items():
             values = {side: [r["metrics"][name]["value"] for r in by_side[side]] for side in sides}
-            sign = 1 if better == "higher" else -1
-            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-            entry[name] = {
-                "unit": by_side["change"][0]["metrics"][name]["unit"],
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
-                "change_wins": wins,
-                "runs": {side: [round(v, 4) for v in values[side]] for side in sides},
-            }
+            entry[name] = paired(values, better, by_side["change"][0]["metrics"][name]["unit"])
         entry["failed"] = {side: sum(r["failed"] for r in by_side[side]) for side in sides}
         entry["attempted"] = {side: sum(r["attempted"] for r in by_side[side]) for side in sides}
         report[w] = entry
@@ -295,17 +362,20 @@ def main() -> int:
         },
         "workloads": report,
     }
-    layers = _layers(sides)
+    packages = {side: _load(f"rbseries_{side}", root) for side, root in sides.items()}
+    layers = _layers(packages)
     for key in LAYER_KEYS:
         record[key] = {side: layers[side][key] for side in sides}
-    bounds = {side: [] for side in sides}
-    for side in BOUND_ORDER:
-        bounds[side].append(bound_times(sides[side]))
-    record["bounds_s"] = {side: {name: round(statistics.median(run[name] for run in runs), 3)
-                                 for name in BOUNDS}
-                          for side, runs in bounds.items()}
+    bounds = {name: {side: [] for side in sides} for name in BOUNDS}
+    for i in range(args.pairs):
+        for side in order(i):
+            for name, secs in bound_times(sides[side]).items():
+                bounds[name][side].append(secs)
+    record["bounds_s"] = {name: paired(values, "lower", "s") for name, values in bounds.items()}
     record["layer_counts"] = {side: {w: layer_counts(root, w, args.seed) for w in workloads}
                               for side, root in sides.items()}
+    record["reduce_calls"] = reduce_calls(packages, _load_workloads(args.change), workloads,
+                                          args.seed)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -125,6 +125,17 @@ MUTANTS = (
     Mutant("settle-right-factor-order", SERIES,
            "madd(prod, 0, y, x) if right", "madd(prod, 0, x, y) if right",
            ("tests/test_series.py",)),
+    # Sums, scales and applies leave their pair unreduced: == cross-multiplies
+    # over different denominators and hash reduces first.
+    Mutant("eq-compares-unreduced-numerators", SERIES,
+           "return list(map(db.__mul__, self._num)) == list(map(da.__mul__, other._num))",
+           "return self._num == other._num", ("tests/test_series.py",)),
+    Mutant("hash-over-unreduced-pair", SERIES,
+           "num, den = _reduce(self._num, self._den)", "num, den = self._num, self._den",
+           ("tests/test_series.py",)),
+    Mutant("eq-same-denominator-skips-numerators", SERIES,
+           "        if da == db:\n            return self._num == other._num\n",
+           "        if da == db:\n            return True\n", ("tests/test_series.py",)),
     Mutant("scale-minus-one-is-identity", SERIES,
            "return -self", "return self", ("tests/test_series.py",)),
     Mutant("log1p-of-weight-minus-one", SERIES,
