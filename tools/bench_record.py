@@ -13,17 +13,17 @@ each side's median, quartiles and runs, the pairs the change won (ties count
 for neither) and the failed operations; then per-call timings on each side
 of the solvers at caps 6, 10 and 16 over 2x2 and 3x3 matrices (closed_solve on
 the left- and the right-handed equation), and of the kernels (x*y, apply,
-tilde_apply, exp, lambda_log(1), geom_inv(1), x+y, a scale by -5/7, and P(x)
-== its reduced copy, whose pairs differ where apply leaves its pair
-unreduced) at the same caps, and of x*y at cap 30 too, over scalars and 2x2
-and 3x3 matrices, each the fastest of 15 timeit batches of at least 10 ms,
-made in 15 rounds over every layer.
-Both sides' rbseries are imported into this one process under two package
-names, and per layer their batches alternate, so a drift in the machine's
-speed reaches both sides alike. Then the wall time of each acceptance bound
-(the pytest nodes of criteria 1 and 4, and `python -m rbseries.cli suite`),
-run as a subprocess once per side in each of --pairs pairs, alternated as
-the workloads are, with each side's median, quartiles and runs and the pairs
+tilde_apply, exp, lambda_log(1), geom_inv(1), x+y, a scale by -5/7, and
+x == x scaled by -5/7 and back, whose pair stays unreduced where a scale
+makes no gcd pass) at the same caps, and of x*y at cap 30 too, over scalars
+and 2x2 and 3x3 matrices, each the fastest of 15 timeit batches of at least
+10 ms, made in 15 rounds over every layer. Both sides' rbseries are
+imported into this one process under two package names, and per layer
+their batches alternate, so a drift in the machine's speed reaches both
+sides alike. Then the wall time of each acceptance bound (the pytest nodes
+of criteria 1 and 4, and `python -m rbseries.cli suite`), run as a
+subprocess once per side in each of --pairs pairs, alternated as the
+workloads are, with each side's median, quartiles and runs and the pairs
 the change won; the exact work counts per round (every metric of unit
 count: the layers' calls and products) of one traced run
 (`perfbench/run.py --trace 1`) per side and workload, at the first pair's
@@ -265,8 +265,7 @@ def _layer_calls(rb) -> dict:
         for cap in CAPS + (MUL_CAP,):
             rng = random.Random(1000 + 100 * d + cap)
             x, y = series(ring, cap, rng), series(ring, cap, rng)
-            px = operators.apply(qint, x)
-            reduced = rb.series.TruncatedSeries.from_coeffs(ring, cap, px.coeffs)
+            round_trip = x.scale(ratio).scale(1 / ratio)
             calls = {
                 "mul": lambda x=x, y=y: x * y,
                 "apply": lambda x=x: operators.apply(qint, x),
@@ -276,7 +275,7 @@ def _layer_calls(rb) -> dict:
                 "geom_inv": lambda x=x: x.geom_inv(1),
                 "add": lambda x=x, y=y: x + y,
                 "scale": lambda x=x: x.scale(ratio),
-                "eq": lambda px=px, reduced=reduced: px == reduced,
+                "eq": lambda x=x, round_trip=round_trip: x == round_trip,
             }
             for name in KERNELS if cap in CAPS else ("mul",):
                 kernel_calls[f"{name} {d}x{d} cap {cap}"] = calls[name]
