@@ -128,8 +128,10 @@ MUTANTS = (
     # Sums, scales and applies leave their pair unreduced: == cross-multiplies
     # over different denominators and hash reduces first.
     Mutant("eq-compares-unreduced-numerators", SERIES,
-           "return list(map(db.__mul__, self._num)) == list(map(da.__mul__, other._num))",
+           "return list(map(ma.__mul__, self._num)) == list(map(mb.__mul__, other._num))",
            "return self._num == other._num", ("tests/test_series.py",)),
+    Mutant("eq-cofactors-swapped", SERIES,
+           "ma, mb = db // g, da // g", "ma, mb = da // g, db // g", ("tests/test_series.py",)),
     Mutant("hash-over-unreduced-pair", SERIES,
            "num, den = _reduce(self._num, self._den)", "num, den = self._num, self._den",
            ("tests/test_series.py",)),
