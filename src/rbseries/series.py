@@ -13,7 +13,7 @@ apply multiplies it by one fixed factor, so a linear map cannot grow it
 without bound (Knuth, TAOCP vol. 2, 4.5.1). So == cross-multiplies over
 different denominators, hash reduces first, and the text form, JSON and
 block lists reduce what they read. Against a gcd pass after every new series
-this takes the rb-axiom round at cap 16 from 12.9 to 9.7 ms (2-vCPU KVM
+this takes the rb-axiom round at cap 16 from 13.6 to 10.8 ms (2-vCPU KVM
 guest, Python 3.11.7). Arithmetic, the text form and JSON run on the
 integers alone; RingElement values are built only when `coefficient` or
 `coeffs` is read. A block list (to_blocks) keeps one reduced Block per

@@ -289,8 +289,8 @@ def test_one_value_by_unreduced_routes_compares_and_hashes_alike(ring, op):
 
 @st.composite
 def unreduced_pairs(draw):
-    """Two series over dims 1-3 built by sums and non-unit scales, so neither
-    pair is reduced: b is a's value by another route, or a's value moved by
+    """Two series over dims 1-3 built by sums and scales, which leave their
+    pairs unreduced: b is a's value by another route, or a's value moved by
     another scale or by a multiple of a third series."""
     d = draw(st.integers(1, 3))
     ring, cap = matrix_ring(d), draw(st.integers(0, 4))
@@ -298,12 +298,12 @@ def unreduced_pairs(draw):
     x, y = (random_series(ring, cap, rng, 0, 4) for _ in range(2))
     r = draw(rationals(6, 6).filter(bool))
     a = (x + y).scale(r) - y.scale(r)
-    b = draw(st.sampled_from(("scale", "sum", "other scale", "plus y")))
-    if b == "scale":
+    route = draw(st.sampled_from(("scale", "sum", "other scale", "plus y")))
+    if route == "scale":
         return a, x.scale(r)
-    if b == "sum":
+    if route == "sum":
         return a, x.scale(r / 3) + x.scale(r * 2 / 3)
-    if b == "other scale":
+    if route == "other scale":
         return a, x.scale(draw(rationals(6, 6)))
     return a, x.scale(r) + y.scale(draw(rationals(2, 3)))
 
