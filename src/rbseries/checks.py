@@ -60,10 +60,6 @@ class CheckReport:
     first_mismatch: Optional[Mismatch] = None
     elapsed: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
 
 def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> Optional[Mismatch]:
     """The least power where the sides differ, with both coefficients' text."""
@@ -193,16 +189,6 @@ def _samples(params: Mapping, ring: RingDescriptor, cap: int, count: int = 1,
         else:
             yield tuple(random_series(ring, cap, rng, min_valuation=min_valuation)
                         for _ in range(count))
-
-
-def poch(q: Q, n: int) -> Q:
-    """(1-q)(1-q^2)...(1-q^n)."""
-    out = Q(1)
-    qk = Q(1)
-    for _ in range(n):
-        qk = qk * q
-        out = out * (1 - qk)
-    return out
 
 
 def q_product(q, cap: int, sign: int, inverse: bool) -> TruncatedSeries:
@@ -390,11 +376,13 @@ def _q_sum(cap: int, q: Q, exponent: Callable[[int], int],
     return TruncatedSeries.from_numerators(RingDescriptor(), cap, num[::-1], tail)
 
 
-def _eulerian(params: Mapping) -> Pairs:
-    """q-series identities: both printed statements and corrected variants."""
-    variant = params["variant"]
-    q = operator_of(QINT, params["q"]).q
-    cap = params["order"]
+def _eulerian(variant: str, params: Mapping) -> Pairs:
+    """The q-series identity `variant` of the q-integral P at q: one of the
+    six Eulerian statements, printed and corrected (the eulerian-* ids
+    without their prefix, which they fix as `variant`), or one of the ids
+    computation-one, eulerian-third and eulerian-first-partial, which read P."""
+    op = operator_of(QINT, params["q"])
+    q, cap = op.q, params["order"]
     ring = RingDescriptor()
     one = TruncatedSeries.one(ring, cap)
     t = TruncatedSeries.var(ring, cap)
@@ -415,34 +403,18 @@ def _eulerian(params: Mapping) -> Pairs:
         # prod 1/(1+q^k t) = (1+t)(1 + sum (-t)^n / ((1-q)...(1-q^n)))
         yield (q_product(q, cap, 1, inverse=True),
                (one + t) * _q_sum(cap, q, lambda n: 0, sign=lambda n: (-1) ** n))
-
-
-def _computation_one(params: Mapping) -> Pairs:
-    """exp(-P(log(1+t))) equals the product of 1/(1+q^k t) for the q-integral."""
-    op = operator_of(QINT, params["q"])
-    cap = params["order"]
-    t = TruncatedSeries.var(RingDescriptor(), cap)
-    yield ((-apply(op, t.log1p())).exp(), q_product(op.q, cap, 1, inverse=True))
-
-
-def _eulerian_third(params: Mapping) -> Pairs:
-    """P(exp(-P(log(1+t))) t) as an explicit alternating q-Pochhammer sum."""
-    op = operator_of(QINT, params["q"])
-    cap = params["order"]
-    t = TruncatedSeries.var(RingDescriptor(), cap)
-    rhs = _q_sum(cap, op.q, lambda m: 2 * m - 1, sign=lambda m: -((-1) ** m))
-    yield apply(op, (-apply(op, t.log1p())).exp() * t), rhs - TruncatedSeries.one(t.ring, cap)
-
-
-def _eulerian_first_partial(params: Mapping) -> Pairs:
-    """The nested inhomogeneous sum for a0 = a1 = t against its explicit
-    q-binomial form qt/(1-q) + sum_{n>=2} q^(n(n+1)/2-1) t^n / poch(n)."""
-    op = operator_of(QINT, params["q"])
-    cap = params["order"]
-    t = TruncatedSeries.var(RingDescriptor(), cap)
-    rhs = _q_sum(cap, op.q, lambda n: n * (n + 1) // 2 - 1 if n > 1 else 1)
-    yield (picard_solve(EquationSpec(INHOM_LEFT, op, t, t)),
-           rhs - TruncatedSeries.one(t.ring, cap))
+    elif variant == "computation-one":
+        # exp(-P(log(1+t))) is the product of 1/(1+q^k t)
+        yield (-apply(op, t.log1p())).exp(), q_product(q, cap, 1, inverse=True)
+    elif variant == "eulerian-third":
+        # P(exp(-P(log(1+t))) t) as an explicit alternating q-Pochhammer sum
+        yield (apply(op, (-apply(op, t.log1p())).exp() * t),
+               _q_sum(cap, q, lambda m: 2 * m - 1, sign=lambda m: -((-1) ** m)) - one)
+    elif variant == "eulerian-first-partial":
+        # the nested inhomogeneous sum for a0 = a1 = t against its q-binomial
+        # form qt/(1-q) + sum_{n>=2} q^(n(n+1)/2-1) t^n / ((1-q)...(1-q^n))
+        yield (picard_solve(EquationSpec(INHOM_LEFT, op, t, t)),
+               _q_sum(cap, q, lambda n: n * (n + 1) // 2 - 1 if n > 1 else 1) - one)
 
 
 # ------------------------------------------------------------------- registry
@@ -475,12 +447,11 @@ IDENTITIES: dict[str, Identity] = {
                                     _OPERATOR_SAMPLED, 12),
     "bch-chl-factorization": Identity(_bch_chl_factorization, {}, _OPERATOR_SAMPLED, 10),
     "special-equality": Identity(_special_equality, {}, _OPERATOR_SAMPLED - {"dim"}, 12),
-    **{f"eulerian-{v}": Identity(_eulerian, {"variant": v}, _Q_SERIES, 30)
+    **{f"eulerian-{v}": Identity(partial(_eulerian, v), {"variant": v}, _Q_SERIES, 30)
        for v in ("prop-one-printed", "prop-one-corrected", "prop-two",
                  "qbinomial-printed", "qbinomial-corrected", "interior-lemma")},
-    "computation-one": Identity(_computation_one, {}, _Q_SERIES, 16),
-    "eulerian-third": Identity(_eulerian_third, {}, _Q_SERIES, 16),
-    "eulerian-first-partial": Identity(_eulerian_first_partial, {}, _Q_SERIES, 16),
+    **{i: Identity(partial(_eulerian, i), {}, _Q_SERIES, 16)
+       for i in ("computation-one", "eulerian-third", "eulerian-first-partial")},
 }
 
 

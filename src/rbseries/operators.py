@@ -58,14 +58,10 @@ class OperatorSpec:
                 raise ValueError("q must avoid {0, 1, -1}")
             object.__setattr__(self, "q", q)
         object.__setattr__(self, "_hash", hash((self.kind, self.q)))
-        object.__setattr__(self, "_weight", Q({QINT: 1, QSCALE: -1}.get(self.kind, 0)))
+        object.__setattr__(self, "weight", Q({QINT: 1, QSCALE: -1}.get(self.kind, 0)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def weight(self) -> Q:
-        return self._weight
 
 
 def _factor(op: OperatorSpec, n: int) -> Q:

@@ -24,14 +24,12 @@ class RingMismatchError(ValueError):
     """Values of different rings used together."""
 
 
-def rational(value=0, den: int | None = None) -> Q:
+def rational(value) -> Q:
     """Build an exact rational. Accepts ints, 'p/q' strings and rationals; a
     float or a bool raises TypeError, as a float is not the number written."""
     if isinstance(value, (float, bool)):
         raise TypeError(
             f"expected an int, a 'p/q' string or a rational, not {type(value).__name__} {value!r}")
-    if den is not None:
-        return Q(value, den)
     if isinstance(value, str):
         return Q(value.strip())
     return Q(value)

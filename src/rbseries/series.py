@@ -6,8 +6,9 @@ valuation val(x), the least k with c_k != 0 (N+1 for 0), is the filtration.
 Storage follows FLINT's fmpq_poly: one flat list of Python int numerators
 over one shared positive denominator. Entry e of the d x d coefficient of t^k
 sits at index k*d*d + e (row-major), so a scalar series is the d = 1 case. The
-pair is reduced (gcd 1, the zero series over 1) after the constructors,
-products and settles, where denominators multiply. Sums, scales and applies
+pair is reduced (gcd 1, the zero series over 1) where denominators multiply:
+by one _reduce call in each of __init__, from_numerators, from_coeffs and the
+product _mul, and per coefficient in the settles. Sums, scales and applies
 (termwise) are not reduced: a sum's denominator is an lcm, and a scale or an
 apply multiplies it by one fixed factor, so a linear map cannot grow it
 without bound (Knuth, TAOCP vol. 2, 4.5.1). So == cross-multiplies over
@@ -35,9 +36,10 @@ which cost more than the convolution; against them exp, geom_inv and the
 lambda-log over Q take 0.60-0.69x the time at caps 6-16, and the whole
 scalar Picard solve 0.72-0.78x (medians of 9 alternated timeit batches,
 2-vCPU KVM guest, Python 3.11.7). Over d x d matrices, d >= 2, it is the
-block loop. There, and in `x * y` and block_product, every block product
-runs one straight-line multiply-add generated for the dimension
-(_block_madd), so no Python loop runs per entry.
+block loop. There, in `x * y` over matrices, and in block_product at every
+d, Q's 1 x 1 blocks too, every block product runs one straight-line
+multiply-add generated for the dimension (_block_madd), so no Python loop
+runs per entry.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class TruncatedSeries:
 
     def _fill(self, ring: RingDescriptor, cap: int, num: list, den: int) -> "TruncatedSeries":
         """self, with its fields set to `ring`, `cap` and the pair num/den,
-        taken as given."""
+        taken as given: every series is built here, through __init__ or
+        _no_gcd. The callers that need a gcd pass (__init__,
+        from_numerators, from_coeffs and _mul) make it with _reduce first."""
         _set = object.__setattr__
         _set(self, "ring", ring)
         _set(self, "cap", cap)
@@ -107,21 +111,14 @@ class TruncatedSeries:
         return self
 
     @classmethod
-    def _make(
-        cls, ring: RingDescriptor, cap: int, num: list, den: int
-    ) -> "TruncatedSeries":
-        """Series with numerators `num` over the positive `den`, reduced here."""
-        num, den = _reduce(num, den)  # a starred _reduce made _make about 10 % slower
-        return object.__new__(cls)._fill(ring, cap, num, den)
-
-    @classmethod
     def _no_gcd(
         cls, ring: RingDescriptor, cap: int, num: list, den: int
     ) -> "TruncatedSeries":
-        """Series with numerators `num` over the positive `den`, with no gcd
-        pass: for a pair in lowest terms by construction, and for the results
-        of sums, scales and termwise, which cannot grow a denominator without
-        bound (see the module docstring)."""
+        """Series with numerators `num` over the positive `den`, taken as
+        given: a pair reduced by the caller (from_numerators, from_coeffs and
+        _mul call _reduce first), a pair in lowest terms by construction, or
+        the result of a sum, scale or termwise, which cannot grow a
+        denominator without bound (see the module docstring)."""
         return object.__new__(cls)._fill(ring, cap, num, den)
 
     def __setattr__(self, name, value):
@@ -164,7 +161,8 @@ class TruncatedSeries:
             raise ValueError("expected (cap+1)*dim*dim numerators")
         if den < 1:
             raise ValueError("the denominator must be positive")
-        return cls._make(ring, cap, list(num), den)
+        num, den = _reduce(list(num), den)
+        return cls._no_gcd(ring, cap, num, den)
 
     @classmethod
     def from_coeffs(
@@ -172,7 +170,8 @@ class TruncatedSeries:
     ) -> "TruncatedSeries":
         """TruncatedSeries(ring, cap, values): the same coercion, building the
         series without running __init__."""
-        return cls._make(ring, cap, *_numerators(ring, cap, values))
+        num, den = _reduce(*_numerators(ring, cap, values))
+        return cls._no_gcd(ring, cap, num, den)
 
     # --------------------------------------------------------------- structure
 
@@ -303,7 +302,8 @@ class TruncatedSeries:
                     madd(out, o, a, b)
         if p != 1:
             out = [p * v for v in out]
-        return TruncatedSeries._make(self.ring, self.cap, out, self._den * other._den * q)
+        num, den = _reduce(out, self._den * other._den * q)
+        return TruncatedSeries._no_gcd(self.ring, self.cap, num, den)
 
     __mul__ = _mul
 
@@ -605,8 +605,6 @@ def block_product(
     if not pairs:
         return None
     den = lcm(*dens)
-    if d == 1:
-        return [sum(den // e * a[0] * b[0] for (a, b), e in zip(pairs, dens))], den
     out = [0] * (d * d)
     madd = _block_madd(d)
     for (a, b), e in zip(pairs, dens):

@@ -250,30 +250,24 @@ def _settle_split(
     return tuple(from_blocks(ring, cap, s) for s in (x, E, F))
 
 
-def _split(solver: str, op: OperatorSpec, g: TruncatedSeries) -> TruncatedSeries:
-    """The x of _settle_split, proved at full cap: exp(P x) and exp(Pt x) are
-    computed afresh from x alone, and their product must be g. Raises
-    ConvergenceError naming `solver` otherwise."""
-    x = _settle_split(op, g)[0]
-    p = apply(op, x)
-    e_p, e_pt = p.exp(), (x.scale(-op.weight) - p).exp()
-    _require_equal(solver, e_p * e_pt, g)
-    return x
-
-
 def chi_lambda(op: OperatorSpec, a: TruncatedSeries) -> TruncatedSeries:
     """BCH-recursion: fixed point of x = a + w^-1 BCH(P(x), Pt(x)).
 
-    Splits exp(-w*a) into exp(P(chi)) * exp(Pt(chi)), which is the same
+    Splits g = exp(-w*a) into exp(P(chi)) * exp(Pt(chi)), which is the same
     equation; requires nonzero weight and val(a) >= 1. The split is settled
-    one coefficient per step by _settle_split and proved by _split. Raises
-    ConvergenceError if exp(P(chi)) * exp(Pt(chi)) is not exp(-w*a) at full cap.
+    one coefficient per step by _settle_split, and then proved at full cap:
+    exp(P x) and exp(Pt x) are computed afresh from x alone, and their
+    product must be g, or ConvergenceError is raised.
     """
     w = op.weight
     if w == 0:
         raise SolverUsageError("chi_lambda requires nonzero weight; use chi_zero")
     require_domain(op, a)
-    return _split("chi_lambda", op, a.scale(-w).exp())
+    g = a.scale(-w).exp()
+    x = _settle_split(op, g)[0]
+    p = apply(op, x)
+    _require_equal("chi_lambda", p.exp() * (x.scale(-w) - p).exp(), g)
+    return x
 
 
 _BERNOULLI_CACHE = [Q(1)]

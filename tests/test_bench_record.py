@@ -6,7 +6,9 @@ work counts of a traced run from BENCH_17.json on, and closed_solve on the
 right-handed equation and x*y at cap 30 after BENCH_18.json. From
 BENCH_36.json on, the add, scale and eq kernels and the gcd passes per round
 (reduce_calls) are required, and each acceptance bound is recorded as the
-workloads' metrics are, over at least 10 alternated pairs. The recorder's in-process loader builds and runs every layer call on this
+workloads' metrics are, over at least 10 alternated pairs; from
+BENCH_38.json on, the parts of each workload's set-up (setup_ms). The
+recorder's in-process loader builds and runs every layer call on this
 checkout and on one whose package imports its modules itself, as a
 re-exporting rbseries/__init__.py did."""
 
@@ -82,6 +84,14 @@ def test_reduce_calls_counts_one_round_and_restores_the_pass():
     assert counts["change"]["cli-small"] > 0
 
 
+def test_setup_parts_time_each_part_of_every_workload_once_per_try():
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    parts = recorder.setup_parts({"change": ROOT}, recorder._load_workloads(ROOT), workloads, 1,
+                                 tries=1)
+    assert not [m for m in sys.modules if m.startswith("rbseries_setup_")]
+    _check_setup_parts(parts, {"change"}, workloads)
+
+
 def test_a_record_exists():
     assert RECORDS
 
@@ -99,6 +109,8 @@ def test_record_key_set(path):
         keys.add("layer_counts")
     if number >= 36:
         keys.add("reduce_calls")
+    if number >= 38:
+        keys.add("setup_ms")
     assert set(record) == keys
     assert set(record["environment"]) == {"python", "cpu_count", "backend", "parent", "change"}
     assert set(record["method"]) == {"command", "seconds", "pairs", "seeds", "order"}
@@ -172,6 +184,21 @@ def test_record_key_set(path):
         for side in SIDES:
             assert set(calls[side]) == workloads
             assert all(isinstance(n, int) and n >= 0 for n in calls[side].values())
+
+    if "setup_ms" in keys:
+        _check_setup_parts(record["setup_ms"], SIDES, workloads)
+
+
+def _check_setup_parts(parts: dict, sides: set, workloads) -> None:
+    """side: workload: part: the median and fastest milliseconds of the
+    part, none of them negative and the fastest at most the median."""
+    assert set(parts) == sides
+    for side in sides:
+        assert set(parts[side]) == set(workloads)
+        for by_part in parts[side].values():
+            assert set(by_part) == set(recorder.SETUP_PARTS)
+            for m in by_part.values():
+                assert set(m) == {"median", "fastest"} and 0 <= m["fastest"] <= m["median"]
 
 
 def _check_paired(m: dict, pairs: int) -> None:

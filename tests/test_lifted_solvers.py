@@ -386,7 +386,7 @@ def test_closed_solve_proves_once_against_the_equation_given(monkeypatch, form, 
         raise AssertionError("closed_solve ran a proof of its split or of chi_zero")
 
     monkeypatch.setattr(solvers, "_require_solution", spy)
-    for name in ("_split", "_chi_zero_map", "chi_lambda", "chi_zero"):
+    for name in ("_chi_zero_map", "chi_lambda", "chi_zero"):
         monkeypatch.setattr(solvers, name, unused)
     b = solvers.closed_solve(eq)
     if ring_name == "scalar":

@@ -240,8 +240,9 @@ def test_equal_values_from_different_denominators_compare_equal(ring):
     assert x.scale(3) + x.scale(Q(-2)) == x
     assert hash(x.scale(7).scale(Q(1, 7))) == hash(x)
     # an unreduced representation: every numerator and the denominator times 12
-    unreduced = TruncatedSeries._make(ring, cap, [12 * v for v in x._num], 12 * x._den)
-    assert unreduced == x and unreduced.coeffs == x.coeffs
+    unreduced = TruncatedSeries._no_gcd(ring, cap, [12 * v for v in x._num], 12 * x._den)
+    assert unreduced._den == 12 * x._den
+    assert unreduced == x and hash(unreduced) == hash(x) and unreduced.coeffs == x.coeffs
     # and entry by entry from fractions that were never over one denominator
     assert TruncatedSeries(ring, cap, tuple(x.coeffs)) == x
     zero = TruncatedSeries.zero(ring, cap)
@@ -711,6 +712,26 @@ def test_builders_without_a_gcd_pass_give_lowest_terms(d):
               TruncatedSeries.var(ring, cap), x.transpose()):
         assert gcd(s._den, *s._num) == 1
     assert TruncatedSeries.zero(ring, cap)._den == 1
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_products_of_unreduced_factors_are_in_lowest_terms(d):
+    """Applies and scale round trips make no gcd pass, so their pairs keep a
+    common factor; a product of two of them makes its one pass, and its pair
+    is the reduced one of the product of their reduced copies."""
+    ring, cap = matrix_ring(d), 6
+    rng = random.Random(80 + d)
+    x, y = (random_series(ring, cap, rng, 1, 7) for _ in range(2))
+    r = Q(-5, 7)
+    qscale = EQUALITY_OPERATORS[1]
+    factors = [apply(qscale, x), apply(qscale, y), y.scale(r).scale(1 / r)] + [
+        apply(op, x.scale(r)).scale(1 / r) for op in EQUALITY_OPERATORS]
+    for a, b in itertools.product(factors, repeat=2):
+        assert gcd(a._den, *a._num) > 1 and gcd(b._den, *b._num) > 1
+        got = a * b
+        assert gcd(got._den, *got._num) == 1
+        want = TruncatedSeries(ring, cap, a.coeffs) * TruncatedSeries(ring, cap, b.coeffs)
+        assert (got._num, got._den) == (want._num, want._den)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))

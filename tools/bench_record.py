@@ -29,12 +29,14 @@ count: the layers' calls and products) of one traced run
 (`perfbench/run.py --trace 1`) per side and workload, at the first pair's
 seed; the gcd passes (calls of series._reduce) of one round of each
 workload at that seed, counted in this process on each side's package after
-a warm-up round; and the environment. Standard library only.
+a warm-up round; the parts of each workload's set-up (setup_parts); and the
+environment. Standard library only.
 
     python3 tools/bench_record.py --layers DIR
 
-prints only those per-call timings for the checkout at DIR, as one JSON
-object with the keys solvers_fastest_ms and kernels_fastest_ms.
+prints only those per-call timings and set-up parts for the checkout at DIR,
+as one JSON object with the keys solvers_fastest_ms, kernels_fastest_ms and
+setup_ms.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ KERNEL_DIMS = (1, 2, 3)
 KERNELS = ("mul", "apply", "tilde_apply", "exp", "lambda_log", "geom_inv", "add", "scale", "eq")
 MUL_CAP = 30  # the product alone is also timed at this cap
 LAYER_KEYS = ("solvers_fastest_ms", "kernels_fastest_ms")
+# the parts of perfbench/run.py's set_up, in its order
+SETUP_PARTS = ("import", "build", "warm_up")
 # the modules the layer calls and the workloads read (perfbench/run.py's MODULES)
 LOADED = ("rings", "series", "operators", "solvers", "checks", "cli")
 CRITERIA = ("test_criterion_1_rota_baxter_axiom", "test_criterion_4_noncommutative_inhomogeneous")
@@ -69,7 +73,7 @@ BOUNDS = {  # name: interpreter arguments
     "rbseries suite": ("-m", "rbseries.cli", "suite"),
 }
 COUNT_SECONDS = 3  # length of the traced run that gives the layer counts
-TRIES = 15  # rounds of alternated timeit batches, one per side and layer
+TRIES = 15  # rounds of alternated timeit batches, one per side and layer; set-up tries
 
 
 def quartiles(values: list) -> dict:
@@ -130,17 +134,20 @@ def bound_times(root: Path) -> dict:
     return times
 
 
+def _one_round(ops) -> None:
+    """One call of every operation of a workload, as perfbench/run.py's
+    warm-up makes it."""
+    for op in ops:
+        try:
+            op.call()
+        except Exception:
+            pass  # a known fault, counted as perfbench/run.py counts it
+
+
 def reduce_calls(packages: dict, workloads_module, workloads: list, seed: int) -> dict:
     """Calls of series._reduce, the gcd pass, in one round of each workload
     at `seed` on each package in `packages` (side: package, as _load gives
     it), after an uncounted warm-up round: side: workload: calls."""
-    def one_round(ops):
-        for op in ops:
-            try:
-                op.call()
-            except Exception:
-                pass  # a known fault, counted as perfbench/run.py counts it
-
     counts = {}
     for side, rb in packages.items():
         series, counts[side] = rb.series, {}
@@ -153,10 +160,10 @@ def reduce_calls(packages: dict, workloads_module, workloads: list, seed: int) -
 
         for w in workloads:
             ops = workloads_module.build(w, seed, rb)
-            one_round(ops)
+            _one_round(ops)
             calls, series._reduce = 0, counted
             try:
-                one_round(ops)
+                _one_round(ops)
             finally:
                 series._reduce = gcd_pass
             counts[side][w] = calls
@@ -189,6 +196,59 @@ def _load(name: str, root: Path):
     for submodule in LOADED:
         importlib.import_module(f"{name}.{submodule}")
     return module
+
+
+def _drop(name: str) -> None:
+    """Forget the package `name` and its modules, as _load imported them."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+
+
+def _fresh_load(name: str, root: Path):
+    """_load(name, root) after _drop(name), compiling every module from
+    source: no bytecode cache is read or written, as in a fresh checkout run
+    under PYTHONDONTWRITEBYTECODE=1, where each perfbench set-up compiles
+    src/ again."""
+    _drop(name)
+    saved = sys.dont_write_bytecode, sys.pycache_prefix
+    # a cache directory that does not exist: nothing is read from it, and
+    # with dont_write_bytecode nothing is written to it
+    sys.dont_write_bytecode, sys.pycache_prefix = True, str(root / ".no-bytecode-cache")
+    try:
+        return _load(name, root)
+    finally:
+        sys.dont_write_bytecode, sys.pycache_prefix = saved
+
+
+def setup_parts(roots: dict, workloads_module, workloads: list, seed: int,
+                tries: int = TRIES) -> dict:
+    """Milliseconds of each part of perfbench/run.py's set-up of each
+    workload at `seed`, on each checkout in `roots` (side: root): the fresh
+    import of rbseries (_fresh_load), building the workload's operations,
+    and the warm-up round (SETUP_PARTS). A try sets up every workload once
+    on each side, the sides alternating and their order flipping each try,
+    so a drift in the machine's speed reaches both sides alike. Each part's
+    median and fastest of `tries`: side: workload: part: {median, fastest}."""
+    times = {side: {w: {part: [] for part in SETUP_PARTS} for w in workloads} for side in roots}
+    for i in range(tries):
+        for w in workloads:
+            for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
+                start = time.perf_counter()
+                rb = _fresh_load(f"rbseries_setup_{side}", roots[side])
+                imported = time.perf_counter()
+                ops = workloads_module.build(w, seed, rb)
+                built = time.perf_counter()
+                _one_round(ops)
+                ends = (imported, built, time.perf_counter())
+                for part, begin, end in zip(SETUP_PARTS, (start,) + ends, ends):
+                    times[side][w][part].append((end - begin) * 1000)
+    for side in roots:
+        _drop(f"rbseries_setup_{side}")
+    return {side: {w: {part: {"median": round(statistics.median(ms), 3),
+                              "fastest": round(min(ms), 3)}
+                       for part, ms in by_part.items()}
+                   for w, by_part in by_workload.items()}
+            for side, by_workload in times.items()}
 
 
 def _batch(timer: timeit.Timer) -> int:
@@ -233,7 +293,7 @@ def _layer_calls(rb) -> dict:
     def series(ring, cap, rng):
         """A series with zero constant term and entries p/q, |p| <= 3, q <= 3."""
         def entry():
-            return rings.rational(rng.randint(-3, 3), rng.randint(1, 3))
+            return rings.Q(rng.randint(-3, 3), rng.randint(1, 3))
         d = ring.dim
         return rb.series.TruncatedSeries.from_coeffs(ring, cap, [0] + [
             entry() if d == 1 else [[entry() for _ in range(d)] for _ in range(d)]
@@ -313,7 +373,12 @@ def main() -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     if args.layers is not None:
-        print(json.dumps(_layers({"change": _load("rbseries_change", args.layers)})["change"]))
+        layers = _layers({"change": _load("rbseries_change", args.layers)})["change"]
+        names = [w["name"] for w in json.loads((args.layers / "BENCHMARK.json").read_text())
+                 ["workloads"]]
+        layers["setup_ms"] = setup_parts({"change": args.layers},
+                                         _load_workloads(args.layers), names, args.seed)["change"]
+        print(json.dumps(layers))
         return 0
     if None in (args.parent, args.change, args.parent_rev, args.change_rev, args.out):
         parser.error("--parent, --change, --parent-rev, --change-rev and --out are required")
@@ -373,8 +438,9 @@ def main() -> int:
     record["bounds_s"] = {name: paired(values, "lower", "s") for name, values in bounds.items()}
     record["layer_counts"] = {side: {w: layer_counts(root, w, args.seed) for w in workloads}
                               for side, root in sides.items()}
-    record["reduce_calls"] = reduce_calls(packages, _load_workloads(args.change), workloads,
-                                          args.seed)
+    workloads_module = _load_workloads(args.change)
+    record["reduce_calls"] = reduce_calls(packages, workloads_module, workloads, args.seed)
+    record["setup_ms"] = setup_parts(sides, workloads_module, workloads, args.seed)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

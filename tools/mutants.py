@@ -58,7 +58,7 @@ class Mutant:
 MUTANTS = (
     # The relaxed kernel: chi_lambda's product-form split and its proof.
     Mutant("split-proof-removed", SOLVERS,
-           "    _require_equal(solver, e_p * e_pt, g)\n",
+           '    _require_equal("chi_lambda", p.exp() * (x.scale(-w) - p).exp(), g)\n',
            "", LIFTED),
     # closed_solve builds on (1 + w*a1) a0 and proves its answer once.
     Mutant("closed-unit-shift-dropped", SOLVERS,
@@ -135,6 +135,11 @@ MUTANTS = (
     Mutant("hash-over-unreduced-pair", SERIES,
            "num, den = _reduce(self._num, self._den)", "num, den = self._num, self._den",
            ("tests/test_series.py",)),
+    # Only a product can grow a denominator without bound, so _mul makes the
+    # product's one gcd pass.
+    Mutant("product-skips-gcd-pass", SERIES,
+           "num, den = _reduce(out, self._den * other._den * q)",
+           "num, den = out, self._den * other._den * q", ("tests/test_series.py",)),
     Mutant("eq-same-denominator-skips-numerators", SERIES,
            "        if da == db:\n            return self._num == other._num\n",
            "        if da == db:\n            return True\n", ("tests/test_series.py",)),
