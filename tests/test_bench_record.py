@@ -57,8 +57,7 @@ def test_every_layer_call_builds_and_runs(layout, tmp_path):
             for call in by_name.values():
                 call()
     finally:
-        for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
-            del sys.modules[module]
+        recorder._drop(name)
     assert set(calls) == set(recorder.LAYER_KEYS)
     assert set(calls["solvers_fastest_ms"]) == {
         f"{s} {d}x{d} cap {cap}"
@@ -78,8 +77,7 @@ def test_reduce_calls_counts_one_round_and_restores_the_pass():
                                        ["cli-small"], 1)
         assert rb.series._reduce is gcd_pass
     finally:
-        for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
-            del sys.modules[module]
+        recorder._drop(name)
     assert set(counts) == {"change"} and set(counts["change"]) == {"cli-small"}
     assert counts["change"]["cli-small"] > 0
 
