@@ -24,7 +24,7 @@ from math import factorial, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .operators import ANTIDER, KINDS, QINT, OperatorSpec, apply, tilde_apply
-from .rings import Q, RingDescriptor, random_entries, rational
+from .rings import Q, RingDescriptor, random_numerators, rational
 from .series import DomainError, TruncatedSeries
 from .solvers import (
     HOMOGENEOUS,
@@ -166,16 +166,15 @@ def random_series(
     zero series, with nothing drawn, when min_valuation > cap.
 
     Every other entry is p/q with |p| <= bound and 1 <= q <= bound, drawn by
-    rings.random_entries in the order rings.random_element draws them, so a
-    seed gives the same series. The numerators are built over one common
-    denominator directly.
+    rings.random_numerators, which picks what rings.random_entries would in
+    the order rings.random_element draws them, so a seed gives the same
+    series and leaves rng in the same state. The numerators are drawn over
+    lcm(1..bound) and reduced once.
     """
     dd = ring.dim * ring.dim
     zeros = min(min_valuation, cap + 1)
-    drawn = random_entries(rng, (cap + 1 - zeros) * dd, bound)
-    den = lcm(*(q for _, q in drawn))
-    num = [0] * (zeros * dd) + [p * (den // q) for p, q in drawn]
-    return TruncatedSeries.from_numerators(ring, cap, num, den)
+    drawn, den = random_numerators(rng, (cap + 1 - zeros) * dd, bound)
+    return TruncatedSeries.from_numerators(ring, cap, [0] * (zeros * dd) + drawn, den)
 
 
 def _samples(params: Mapping, ring: RingDescriptor, cap: int, count: int = 1,

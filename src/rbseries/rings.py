@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction as Q
+from math import lcm
 
 
 class RingMismatchError(ValueError):
@@ -26,7 +27,10 @@ class RingMismatchError(ValueError):
 
 def rational(value) -> Q:
     """Build an exact rational. Accepts ints, 'p/q' strings and rationals; a
-    float or a bool raises TypeError, as a float is not the number written."""
+    float or a bool raises TypeError, as a float is not the number written.
+    A Fraction is returned as it is."""
+    if type(value) is Q:
+        return value
     if isinstance(value, (float, bool)):
         raise TypeError(
             f"expected an int, a 'p/q' string or a rational, not {type(value).__name__} {value!r}")
@@ -151,6 +155,25 @@ def random_entries(rng: random.Random, count: int, bound: int) -> list:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     return rng.choices(_pairs(bound), k=count)
+
+
+@lru_cache(maxsize=16)
+def _scaled_pairs(bound: int) -> tuple:
+    """Each pair of _pairs(bound), in its order, as a numerator over
+    lcm(1..bound), and that denominator."""
+    den = lcm(*range(1, bound + 1))
+    return tuple(p * (den // q) for p, q in _pairs(bound)), den
+
+
+def random_numerators(rng: random.Random, count: int, bound: int) -> tuple[list, int]:
+    """The draw of random_entries(rng, count, bound), by the same rng.choices
+    on a population in the same order, as `count` numerators over the one
+    denominator lcm(1..bound): no lcm over the drawn denominators and no
+    rescale per entry."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    population, den = _scaled_pairs(bound)
+    return rng.choices(population, k=count), den
 
 
 def random_element(ring: RingDescriptor, rng: random.Random, bound: int = 10) -> RingElement:

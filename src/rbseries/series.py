@@ -14,14 +14,16 @@ apply multiplies it by one fixed factor, so a linear map cannot grow it
 without bound (Knuth, TAOCP vol. 2, 4.5.1). So == cross-multiplies over
 different denominators, hash reduces first, and the text form, JSON and
 block lists reduce what they read. Against a gcd pass after every new series
-this takes the rb-axiom round at cap 16 from 13.6 to 10.8 ms (2-vCPU KVM
-guest, Python 3.11.7). Arithmetic, the text form and JSON run on the
-integers alone; RingElement values are built only when `coefficient` or
-`coeffs` is read. A block list (to_blocks) keeps one reduced Block per
-coefficient instead, each over its own denominator: the towers of powers and
-commutators that the solvers' split and chi_0 settle run 1.2-1.5x faster on
-it over 2x2 and 3x3 matrices, since on a shared denominator nearly every
-settled coefficient rescales its whole series.
+this took the rb-axiom round at cap 16 from 13.6 to 10.8 ms, and one
+generated call per matrix product with random series drawn over one
+denominator took it from 11.2 to 10.3 ms (2-vCPU KVM guest, Python 3.11.7;
+two runs, each against its own parent). Arithmetic, the text form and JSON
+run on the integers alone; RingElement values are built only when
+`coefficient` or `coeffs` is read. A block list (to_blocks) keeps one
+reduced Block per coefficient instead, each over its own denominator: the
+towers of powers and commutators that the solvers' split and chi_0 settle
+run 1.2-1.5x faster on it over 2x2 and 3x3 matrices, since on a shared
+denominator nearly every settled coefficient rescales its whole series.
 
 Every linear settle of the kernel is one call of `settle`, which solves
 b = c + R(a*b) one coefficient at a time for a diagonal R, on the flat
@@ -36,10 +38,11 @@ which cost more than the convolution; against them exp, geom_inv and the
 lambda-log over Q take 0.60-0.69x the time at caps 6-16, and the whole
 scalar Picard solve 0.72-0.78x (medians of 9 alternated timeit batches,
 2-vCPU KVM guest, Python 3.11.7). Over d x d matrices, d >= 2, it is the
-block loop. There, in `x * y` over matrices, and in block_product at every
-d, Q's 1 x 1 blocks too, every block product runs one straight-line
-multiply-add generated for the dimension (_block_madd), so no Python loop
-runs per entry.
+block loop. There, and in block_product at every d, Q's 1 x 1 blocks too,
+every block product is one call of a straight-line multiply-add generated
+for the dimension (_block_madd), so no Python loop runs per entry; `x * y`
+over matrices is one call of a product generated from the same source, so
+no call is made per block pair.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .rings import Q, RingDescriptor, RingElement, RingMismatchError, rational, write_coefficients
+from .rings import (Q, RingDescriptor, RingElement, RingMismatchError, rational, rational_entry,
+                    write_coefficients)
 
 
 class DomainError(ValueError):
@@ -65,24 +69,46 @@ class DigitLimitError(ValueError):
 
 @lru_cache(maxsize=16)
 def _block_madd(d: int):
-    """madd(out, o, a, b) adds the product of the row-major d x d blocks a and
-    b to out[o : o + d*d], as one straight-line function generated for d.
+    """(madd, product), two straight-line functions generated for row-major
+    d x d blocks from one source. madd(out, o, a, b) adds the product of the
+    blocks a and b to out[o : o + d*d]. product(xs, ys, end) is the Cauchy
+    product of the flat layouts xs and ys truncated to its first `end`
+    entries: madd's body inlined in a loop over the nonzero blocks of ys, so
+    `x * y` makes one call, not one per block pair.
 
-    The source holds d*d statements of d multiplies each, so it grows as d^3,
-    like one block product; it is compiled once per d and cached. Generating
-    and compiling took 0.13 ms at d = 2, 0.26 ms at 3, 2.7 ms at 8 and 20 ms
-    at 16 (2-vCPU KVM guest, Python 3.11.7).
+    The source holds d*d statements of d multiplies each, twice, so it grows
+    as d^3, like one block product; it is compiled once per d and cached.
+    Generating and compiling both took 0.19 ms at d = 2, 0.33 ms at 3 and
+    2.9 ms at 8, against 0.06, 0.13 and 1.35 ms for madd alone (medians of
+    101, 2-vCPU KVM guest, Python 3.11.7).
     """
-    a = ", ".join(f"a{e}" for e in range(d * d))
-    b = ", ".join(f"b{e}" for e in range(d * d))
+    dd = d * d
+    a = ", ".join(f"a{e}" for e in range(dd))
+    b = ", ".join(f"b{e}" for e in range(dd))
+    body = [f"out[o + {r * d + c}] += "
+            + " + ".join(f"a{r * d + k} * b{k * d + c}" for k in range(d))
+            for r in range(d) for c in range(d)]
     lines = ["def madd(out, o, a, b):", f"    {a}, = a", f"    {b}, = b"]
-    for r in range(d):
-        for c in range(d):
-            terms = " + ".join(f"a{r * d + k} * b{k * d + c}" for k in range(d))
-            lines.append(f"    out[o + {r * d + c}] += {terms}")
+    lines += ["    " + s for s in body]
+    lines += [
+        "def product(xs, ys, end):",
+        "    out = [0] * end",
+        f"    right = [(j, *ys[j : j + {dd}]) for j in range(0, end, {dd})"
+        f" if any(ys[j : j + {dd}])]",
+        f"    for i in range(0, end, {dd}):",
+        f"        {a}, = xs[i : i + {dd}]",
+        f"        if not ({a.replace(',', ' or')}):",
+        "            continue",
+        f"        for j, {b} in right:",
+        "            o = i + j",
+        "            if o >= end:",
+        "                break",
+    ]
+    lines += ["            " + s for s in body]
+    lines.append("    return out")
     namespace = {}
     exec("\n".join(lines), namespace)
-    return namespace["madd"]
+    return namespace["madd"], namespace["product"]
 
 
 class TruncatedSeries:
@@ -285,21 +311,7 @@ class TruncatedSeries:
                     for j in range(n - i):
                         out[i + j] += a * ys[j]
         else:
-            dd = d * d
-            end = n * dd
-            out = [0] * end
-            madd = _block_madd(d)
-            starts = range(0, end, dd)
-            right = [(j, ys[j : j + dd]) for j in starts if any(ys[j : j + dd])]
-            for i in starts:
-                a = xs[i : i + dd]
-                if not any(a):
-                    continue
-                for j, b in right:
-                    o = i + j
-                    if o >= end:
-                        break
-                    madd(out, o, a, b)
+            out = _block_madd(d)[1](xs, ys, n * d * d)
         if p != 1:
             out = [p * v for v in out]
         num, den = _reduce(out, self._den * other._den * q)
@@ -308,9 +320,9 @@ class TruncatedSeries:
     __mul__ = _mul
 
     def scale(self, r) -> "TruncatedSeries":
-        """Multiply every coefficient by a central rational."""
-        r = rational(r)
-        p, q = r.numerator, r.denominator
+        """Multiply every coefficient by a central rational, read as
+        rings.rational_entry reads it: no Fraction is built."""
+        p, q = rational_entry(r)
         if q == 1 and p == 1:
             return self
         if q == 1 and p == -1:
@@ -433,7 +445,7 @@ def settle(
     dd = d * d
     xs, x_den = a._num, a._den
     cs, c_den = const._num, const._den
-    madd = _block_madd(d)
+    madd = _block_madd(d)[0]
     num, den = [0] * ((cap + 1) * dd), 1
     for c in range(cap + 1):
         o, k = c * dd, c - shift
@@ -606,7 +618,7 @@ def block_product(
         return None
     den = lcm(*dens)
     out = [0] * (d * d)
-    madd = _block_madd(d)
+    madd = _block_madd(d)[0]
     for (a, b), e in zip(pairs, dens):
         m = den // e
         madd(out, 0, a if m == 1 else [m * v for v in a], b)

@@ -477,7 +477,7 @@ def test_random_series_draws_as_random_element(dim, min_valuation):
     ring = SCALAR if dim == 1 else matrix_ring(dim)
     for cap in (0, 2, 7):
         fast, slow = random.Random(cap), random.Random(cap)
-        for bound in (1, 5):
+        for bound in (1, 5, 7):
             coeffs = [ring.element(0)] * min_valuation
             coeffs += [random_element(ring, slow, bound)
                        for _ in range(cap + 1 - min_valuation)]

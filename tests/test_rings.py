@@ -44,6 +44,8 @@ def test_rational_arithmetic_exact():
     assert rational("2/4") == rational("1/2")
     assert str(rational("-3/6")) == "-1/2"
     assert str(rational(7)) == "7"
+    q = Q(-3, 4)
+    assert rational(q) is q
 
 
 def test_rational_parse_errors():

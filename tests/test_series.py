@@ -447,6 +447,23 @@ def test_negation_and_unit_scales_match_the_generic_path(ring):
 
 
 @pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
+def test_scale_reads_its_factor_as_rational_does(ring):
+    """A Fraction and its text, padded or unreduced, scale alike; floats and
+    bools raise TypeError and a zero denominator ZeroDivisionError."""
+    x = random_series(ring, 5, random.Random(38), 0, 7)
+    want = TruncatedSeries.from_numerators(ring, x.cap, [3 * v for v in x._num], 4 * x._den)
+    for r in (Q(3, 4), "3/4", " 3/4 ", "6/8"):
+        assert x.scale(r) == want
+    assert x.scale(2) == x + x
+    assert x.scale("-1") == -x
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            x.scale(bad)
+    with pytest.raises(ZeroDivisionError):
+        x.scale("1/0")
+
+
+@pytest.mark.parametrize("ring", EQUALITY_RINGS, ids=["scalar", "mat2", "mat3"])
 def test_exp_and_geom_inv_match_their_defining_sums(ring):
     """The fused product-and-scale terms against x^n/n!, (-lam x)^n and
     (-lam)^(n-1) x^n/n built by plain products and scale."""
@@ -499,19 +516,22 @@ def _with_zero_blocks(s, zero):
 
 @pytest.mark.parametrize("d", KERNEL_DIMS)
 def test_mul_matches_a_fraction_matrix_product(d):
-    """Nonzero constant terms, zero blocks on either side and exp's divisor q."""
-    ring, cap = matrix_ring(d), 6
+    """Nonzero constant terms, zero blocks on either side, an all-zero factor
+    on either side (no nonzero right block, or no nonzero left one), caps 0
+    and 1, where the loop runs once or twice, and exp's divisor q."""
+    ring = matrix_ring(d)
     rng = random.Random(40 + d)
-    x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2, 5})
-    y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {1, 3})
-    assert any(x.block(0)[0]) and any(y.block(0)[0])
-    xs, ys = _fraction_blocks(x), _fraction_blocks(y)
-    for q in (1, 6):
-        want = [[[v / q for v in row] for row in _fraction_sum(xs, ys, c, range(c + 1))]
-                for c in range(cap + 1)]
-        assert _fraction_blocks(x._mul(y, q)) == want
-    assert _fraction_blocks(y * x) == [_fraction_sum(ys, xs, c, range(c + 1))
-                                       for c in range(cap + 1)]
+    for cap in (6, 0, 1):
+        x = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {2, 5})
+        y = _with_zero_blocks(random_series(ring, cap, rng, 0, 7), {1, 3})
+        assert any(x.block(0)[0]) and any(y.block(0)[0])
+        zero = TruncatedSeries.zero(ring, cap)
+        for left, right in ((x, y), (y, x), (x, zero), (zero, y)):
+            ls, rs = _fraction_blocks(left), _fraction_blocks(right)
+            for q in (1, 6):
+                want = [[[v / q for v in row] for row in _fraction_sum(ls, rs, c, range(c + 1))]
+                        for c in range(cap + 1)]
+                assert _fraction_blocks(left._mul(right, q)) == want
 
 
 def _fraction_settle(const, a, ratio, shift, right):

@@ -105,6 +105,9 @@ MUTANTS = (
     # The coefficient kernel and the exponential the proofs use.
     Mutant("block-kernel-right-transposed", SERIES,
            "b{k * d + c}", "b{c * d + k}", ("tests/test_series.py",)),
+    # The generated product loop skips a zero left block and goes on.
+    Mutant("product-stops-at-zero-left-block", SERIES,
+           '"            continue",', '"            break",', ("tests/test_series.py",)),
     Mutant("transpose-keeps-entries", SERIES,
            "self._num[k + c * d + r]", "self._num[k + r * d + c]", ("tests/test_series.py",)),
     # settle reduces each settled coefficient, and rescales the ones settled
