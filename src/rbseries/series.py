@@ -16,7 +16,7 @@ different denominators, hash reduces first, and the text form, JSON and
 block lists reduce what they read. Against a gcd pass after every new series
 this took the rb-axiom round at cap 16 from 13.6 to 10.8 ms, and one
 generated call per matrix product with random series drawn over one
-denominator took it from 11.2 to 10.3 ms (2-vCPU KVM guest, Python 3.11.7;
+denominator took it from 11.3 to 10.5 ms (2-vCPU KVM guest, Python 3.11.7;
 two runs, each against its own parent). Arithmetic, the text form and JSON
 run on the integers alone; RingElement values are built only when
 `coefficient` or `coeffs` is read. A block list (to_blocks) keeps one
